@@ -98,6 +98,10 @@ class CycRational:
         )
 
     def __hash__(self) -> int:
+        # A rational value equals the int or Fraction it holds, so it must
+        # hash like that number.
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.p, self.coeffs))
 
     # -- ring operations

@@ -27,15 +27,16 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
-    coproduct,
     product,
     register_basis,
+    register_transported,
 )
 from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
     arc_encoding,
     crossing_statistic,
+    partition_mobius,
     refinements,
     underlying_set_partition,
     unstraighten,
@@ -269,24 +270,7 @@ def kappa_star_to_chi_star(x: AlgebraElement, **table_options) -> AlgebraElement
     return out
 
 
-def _chi_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    fa = chi_star_to_kappa_star(AlgebraElement(q, "chi_star", {a: 1}))
-    fb = chi_star_to_kappa_star(AlgebraElement(q, "chi_star", {b: 1}))
-    return kappa_star_to_chi_star(product(fa, fb))
-
-
-def _chi_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    inner = coproduct(chi_star_to_kappa_star(AlgebraElement(q, "chi_star", {a: 1})))
-    out = TensorElement.zero(q, "chi_star")
-    for (left, right), coeff in inner.terms.items():
-        out = out + TensorElement.tensor(
-            kappa_star_to_chi_star(AlgebraElement(q, "kappa_star", {left: 1})),
-            kappa_star_to_chi_star(AlgebraElement(q, "kappa_star", {right: 1})),
-        ).scale(coeff)
-    return out
-
-
-register_basis("chi_star", product=_chi_star_product, coproduct=_chi_star_coproduct)
+register_transported("chi_star", chi_star_to_kappa_star, kappa_star_to_chi_star)
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +379,16 @@ def V_from_U(mu: SetPartition, q: int = 2) -> AlgebraElement:
     return out
 
 
-_U_IN_V_CACHE: dict[SetPartition, dict[SetPartition, int]] = {}
-
-
-def _u_in_v(sp: SetPartition) -> dict[SetPartition, int]:
-    cached = _U_IN_V_CACHE.get(sp)
-    if cached is not None:
-        return cached
-    out = {sp: 1}
-    for finer in refinements(sp):
-        if finer == sp:
-            continue
-        for target, coeff in _u_in_v(finer).items():
-            out[target] = out.get(target, 0) - coeff
-            if out[target] == 0:
-                del out[target]
-    _U_IN_V_CACHE[sp] = out
-    return out
-
-
 def u_to_v(x: AlgebraElement) -> AlgebraElement:
+    """Moebius inversion of v_to_u: U of a partition is the sum over its
+    refinements of mu(refinement, partition) times V."""
     if x.basis != "U":
         raise ValueError(f"expected a U element, got basis {x.basis!r}")
     out = AlgebraElement.zero(x.q, "V")
     for idx, coeff in x.terms.items():
-        for target, c in _u_in_v(_sp_of(idx)).items():
-            out = out + V_element(x.q, target, coeff * c)
+        sp = _sp_of(idx)
+        for finer in refinements(sp):
+            out = out + V_element(x.q, finer, coeff * partition_mobius(finer, sp))
     return out
 
 
@@ -433,24 +401,7 @@ def v_to_u(x: AlgebraElement) -> AlgebraElement:
     return out
 
 
-def _V_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    ua = v_to_u(AlgebraElement(q, "V", {a: 1}))
-    ub = v_to_u(AlgebraElement(q, "V", {b: 1}))
-    return u_to_v(product(ua, ub))
-
-
-def _V_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    inner = coproduct(v_to_u(AlgebraElement(q, "V", {a: 1})))
-    out = TensorElement.zero(q, "V")
-    for (left, right), coeff in inner.terms.items():
-        out = out + TensorElement.tensor(
-            u_to_v(AlgebraElement(q, "U", {left: 1})),
-            u_to_v(AlgebraElement(q, "U", {right: 1})),
-        ).scale(coeff)
-    return out
-
-
-register_basis("V", product=_V_product, coproduct=_V_coproduct)
+register_transported("V", v_to_u, u_to_v)
 
 
 def dual_ch(x: AlgebraElement) -> AlgebraElement:

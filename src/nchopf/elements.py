@@ -7,8 +7,13 @@ bilinearly.  ``TensorElement`` is the same with ordered pairs of indices.
 
 Each basis registers its structure maps (product and coproduct on basis
 indices) in a module-level registry; the generic product, coproduct, counit,
-and antipode dispatch through it.  The antipode is computed grade by grade
-from the coproduct: for a basis element a of grade n >= 1 with
+and antipode dispatch through it.  A basis that is a change of basis away
+from another one (chi from kappa, chi_star from kappa_star, V from U)
+registers through ``register_transported`` instead: its maps are the base
+basis's maps conjugated by the two basis changes.
+
+The antipode is computed grade by grade from the coproduct: for a basis
+element a of grade n >= 1 with
 Delta(a) = a (x) 1 + 1 (x) a + sum_j b_j (x) c_j (middle terms),
 
     S(a) = -a - sum_j S(b_j) * c_j,
@@ -104,6 +109,41 @@ def register_basis(
         _COPRODUCT_RULES[tag] = coproduct
     if unit_key is not None:
         _UNIT_KEYS[tag] = unit_key
+
+
+_TO_BASE: dict[str, Callable[["AlgebraElement"], "AlgebraElement"]] = {}
+_FROM_BASE: dict[str, Callable[["AlgebraElement"], "AlgebraElement"]] = {}
+
+
+def register_transported(
+    tag: str,
+    to_base: Callable[["AlgebraElement"], "AlgebraElement"],
+    from_base: Callable[["AlgebraElement"], "AlgebraElement"],
+) -> None:
+    """Give a basis the structure maps carried over from another basis.
+
+    ``to_base`` changes an element of ``tag`` into the base basis and
+    ``from_base`` changes back; both must be linear and mutually inverse.
+    Products and coproducts are computed in the base basis and changed back,
+    so the result is the same algebra written in the basis ``tag``.  The two
+    maps are looked up in the registry at call time, so a wrapper bound over
+    them there (as the perfbench tracer does) sees every call.
+    """
+    _TO_BASE[tag] = to_base
+    _FROM_BASE[tag] = from_base
+    register_basis(tag, product=_transported_product, coproduct=_transported_coproduct)
+
+
+def _transported_product(q: int, a: BasisIndex, b: BasisIndex) -> "AlgebraElement":
+    to_base = _TO_BASE[a.basis]
+    left = to_base(AlgebraElement(q, a.basis, {a: 1}))
+    right = to_base(AlgebraElement(q, a.basis, {b: 1}))
+    return _FROM_BASE[a.basis](product(left, right))
+
+
+def _transported_coproduct(q: int, a: BasisIndex) -> "TensorElement":
+    inner = coproduct(_TO_BASE[a.basis](AlgebraElement(q, a.basis, {a: 1})))
+    return map_tensor(inner, _FROM_BASE[a.basis])
 
 
 def unit_index(basis: str) -> BasisIndex:
@@ -391,6 +431,22 @@ def coproduct(x: AlgebraElement) -> TensorElement:
     return TensorElement(x.q, x.basis, acc)
 
 
+def map_tensor(
+    t: TensorElement, f: Callable[[AlgebraElement], AlgebraElement]
+) -> TensorElement:
+    """(f (x) f)(t) for a linear map f, applied one basis index at a time."""
+    out = None
+    for (left, right), c in t.terms.items():
+        piece = TensorElement.tensor(
+            f(AlgebraElement(t.q, t.basis, {left: 1})),
+            f(AlgebraElement(t.q, t.basis, {right: 1})),
+        ).scale(c)
+        out = piece if out is None else out + piece
+    if out is None:
+        return TensorElement.zero(t.q, f(AlgebraElement.zero(t.q, t.basis)).basis)
+    return out
+
+
 def counit(x: AlgebraElement) -> CycRational:
     """The coefficient of the grade-0 basis element."""
     return x.coefficient(unit_index(x.basis))
@@ -425,7 +481,3 @@ def _antipode_basis(q: int, idx: BasisIndex) -> AlgebraElement:
             result = result - middle.scale(c)
     cache[idx] = result
     return result
-
-
-def clear_antipode_cache() -> None:
-    _ANTIPODE_CACHE.clear()

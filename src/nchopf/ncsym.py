@@ -39,6 +39,7 @@ from .setpartitions import (
     check_prime,
     coarsenings,
     concat_set_partitions,
+    partition_mobius,
     underlying_set_partition,
 )
 
@@ -185,7 +186,7 @@ def _m_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
 
 def _block_subset_splits(sp: SetPartition):
     """All splits of the blocks into (selected, complement), each side
-    relabeled onto an initial segment."""
+    relabeled onto an initial segment and paired with its source positions."""
     blocks = sp.blocks
     for size in range(len(blocks) + 1):
         for chosen in itertools.combinations(range(len(blocks)), size):
@@ -198,16 +199,18 @@ def _block_subset_splits(sp: SetPartition):
             )
 
 
-def _standardize_blocks(blocks: list[tuple[int, ...]]) -> SetPartition:
+def _standardize_blocks(blocks: list[tuple[int, ...]]) -> tuple[SetPartition, list[int]]:
+    """The blocks relabeled onto [1, k] in order, and the sorted positions
+    they came from."""
     ground = sorted(i for block in blocks for i in block)
     relabel = {pos: r + 1 for r, pos in enumerate(ground)}
-    return SetPartition(len(ground), [[relabel[i] for i in block] for block in blocks])
+    return SetPartition(len(ground), [[relabel[i] for i in block] for block in blocks]), ground
 
 
 def _split_coproduct(q: int, a: BasisIndex, tag: str) -> TensorElement:
     terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
     one = CycRational.one(q)
-    for left, right in _block_subset_splits(_partition_of(a)):
+    for (left, _), (right, _) in _block_subset_splits(_partition_of(a)):
         key = (
             BasisIndex(tag, left.n, arc_encoding(left)),
             BasisIndex(tag, right.n, arc_encoding(right)),
@@ -225,34 +228,16 @@ register_basis("m", product=_m_product, coproduct=lambda q, a: _split_coproduct(
 register_basis("p", product=_p_product, coproduct=lambda q, a: _split_coproduct(q, a, "p"))
 
 
-_M_IN_P_CACHE: dict[SetPartition, dict[SetPartition, int]] = {}
-
-
-def _m_in_p(sp: SetPartition) -> dict[SetPartition, int]:
-    """Coefficients of one monomial element on the p basis, by the triangular
-    recursion m = p - sum of strictly coarser monomials."""
-    cached = _M_IN_P_CACHE.get(sp)
-    if cached is not None:
-        return cached
-    out = {sp: 1}
-    for coarser in coarsenings(sp):
-        if coarser == sp:
-            continue
-        for target, coeff in _m_in_p(coarser).items():
-            out[target] = out.get(target, 0) - coeff
-            if out[target] == 0:
-                del out[target]
-    _M_IN_P_CACHE[sp] = out
-    return out
-
-
 def m_to_p(x: AlgebraElement) -> AlgebraElement:
+    """Moebius inversion of p_to_m: m of a partition is the sum over its
+    coarsenings of mu(partition, coarsening) times p."""
     if x.basis != "m":
         raise ValueError(f"expected an m element, got basis {x.basis!r}")
     out = AlgebraElement.zero(x.q, "p")
     for idx, coeff in x.terms.items():
-        for target, c in _m_in_p(_partition_of(idx)).items():
-            out = out + p_element(x.q, target, coeff * c)
+        sp = _partition_of(idx)
+        for coarser in coarsenings(sp):
+            out = out + p_element(x.q, coarser, coeff * partition_mobius(sp, coarser))
     return out
 
 
@@ -307,30 +292,19 @@ def _colored_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
 
 def _colored_coproduct(q: int, a: BasisIndex) -> TensorElement:
     idx: ColoredIndex = a.partition
-    blocks = idx.partition.blocks
     terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
     one = CycRational.one(q)
-    for size in range(len(blocks) + 1):
-        for chosen in itertools.combinations(range(len(blocks)), size):
-            chosen_set = set(chosen)
-            left = _colored_restriction(idx, [blocks[i] for i in chosen])
-            right = _colored_restriction(
-                idx, [blocks[i] for i in range(len(blocks)) if i not in chosen_set]
+    for sides in _block_subset_splits(idx.partition):
+        key = tuple(
+            BasisIndex(
+                "m_colored",
+                sp.n,
+                ColoredIndex(sp, (idx.colors[pos - 1] for pos in ground), idx.r),
             )
-            key = (
-                BasisIndex("m_colored", left.n, left),
-                BasisIndex("m_colored", right.n, right),
-            )
-            terms[key] = terms.get(key, CycRational.zero(q)) + one
+            for sp, ground in sides
+        )
+        terms[key] = terms.get(key, CycRational.zero(q)) + one
     return TensorElement(q, "m_colored", terms)
-
-
-def _colored_restriction(idx: ColoredIndex, blocks: list[tuple[int, ...]]) -> ColoredIndex:
-    ground = sorted(i for block in blocks for i in block)
-    relabel = {pos: r + 1 for r, pos in enumerate(ground)}
-    partition = SetPartition(len(ground), [[relabel[i] for i in block] for block in blocks])
-    colors = tuple(idx.colors[pos - 1] for pos in ground)
-    return ColoredIndex(partition, colors, idx.r)
 
 
 register_basis("m_colored", product=_colored_product, coproduct=_colored_coproduct,

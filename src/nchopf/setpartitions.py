@@ -14,6 +14,7 @@ Positions are 1-based throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 
@@ -122,11 +123,6 @@ class LabeledSetPartition:
         """Translate all positions by +k, enlarging the ground set to [n + k]."""
         return LabeledSetPartition(
             self.n + k, ((a.left + k, a.right + k, a.label) for a in self.arcs)
-        )
-
-    def relabel_positions(self, mapping: dict[int, int], n: int) -> "LabeledSetPartition":
-        return LabeledSetPartition(
-            n, ((mapping[a.left], mapping[a.right], a.label) for a in self.arcs)
         )
 
     def to_text(self) -> str:
@@ -479,6 +475,29 @@ def refinements(lam: SetPartition) -> list[SetPartition]:
             blocks.extend(sub)
         out.append(SetPartition(lam.n, blocks))
     return sorted(set(out), key=lambda sp: (sp.num_blocks(), sp.blocks))
+
+
+def partition_mobius(finer: SetPartition, coarser: SetPartition) -> int:
+    """The Moebius function mu(finer, coarser) of the lattice of set partitions.
+
+    The interval [finer, coarser] is a product of full partition lattices,
+    one per block of coarser, so mu is the product over those blocks of
+    (-1)^(k-1) (k-1)!, where k is the number of finer blocks the block merges
+    (Rota, On the foundations of combinatorial theory I, 1964).
+    """
+    if finer.n != coarser.n:
+        raise ValueError(f"size mismatch: {finer.n} vs {coarser.n}")
+    location = {i: b for b, block in enumerate(coarser.blocks) for i in block}
+    merged = [0] * len(coarser.blocks)
+    for block in finer.blocks:
+        homes = {location[i] for i in block}
+        if len(homes) != 1:
+            raise ValueError(f"{finer!r} does not refine {coarser!r}")
+        merged[homes.pop()] += 1
+    value = 1
+    for k in merged:
+        value *= (-1) ** (k - 1) * math.factorial(k - 1)
+    return value
 
 
 def crossing_statistic(lam: LabeledSetPartition) -> int:

@@ -29,9 +29,9 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
-    coproduct,
-    product,
+    product,  # noqa: F401  (public alias: callers read superfunctions.product)
     register_basis,
+    register_transported,
 )
 from .limits import DEFAULT_TABLE_BOUND, BoundExceededError
 from .setpartitions import (
@@ -305,9 +305,9 @@ def supercharacter_table(
     table = None
     if use_disk_cache and path.is_file():
         try:
-            table = SupercharTable.from_json(json.loads(path.read_text()))
-        except (ValueError, KeyError, json.JSONDecodeError):
-            table = None  # stale or corrupt cache entry; recompute
+            table = _load_table(path, n, q)
+        except (ValueError, KeyError, TypeError):
+            table = None  # stale or corrupt cache entry; recompute and overwrite
     if table is None:
         table = _compute_table(n, q)
         if use_disk_cache:
@@ -315,6 +315,21 @@ def supercharacter_table(
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
         return _TABLE_CACHE[key]
+
+
+def _load_table(path: Path, n: int, q: int) -> SupercharTable:
+    """Read a cached table, raising ValueError unless it is the table of
+    UT_n(q): same (n, q), the canonical index order, values over Q(zeta_q),
+    and the degree and size checks of ``validate_basic``."""
+    table = SupercharTable.from_json(json.loads(path.read_text()))
+    if (table.n, table.q) != (n, q):
+        raise ValueError(f"cache file holds the table for n={table.n}, q={table.q}")
+    if list(table.order) != enumerate_labeled_partitions(n, q):
+        raise ValueError("cache file index order is not the canonical one")
+    if any(v.p != q for row in table.values for v in row):
+        raise ValueError(f"cache file values are not over Q(zeta_{q})")
+    table.validate_basic()
+    return table
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -374,22 +389,6 @@ def kappa_to_chi(x: AlgebraElement, **table_options) -> AlgebraElement:
     return out
 
 
-def _chi_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    ka = chi_to_kappa(AlgebraElement(q, "chi", {a: 1}))
-    kb = chi_to_kappa(AlgebraElement(q, "chi", {b: 1}))
-    return kappa_to_chi(product(ka, kb))
-
-
-def _chi_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    inner = coproduct(chi_to_kappa(AlgebraElement(q, "chi", {a: 1})))
-    out = TensorElement.zero(q, "chi")
-    for (left, right), coeff in inner.terms.items():
-        chi_left = kappa_to_chi(AlgebraElement(q, "kappa", {left: 1}))
-        chi_right = kappa_to_chi(AlgebraElement(q, "kappa", {right: 1}))
-        out = out + TensorElement.tensor(chi_left, chi_right).scale(coeff)
-    return out
-
-
 def inner_product(x: AlgebraElement, y: AlgebraElement, **table_options) -> CycRational:
     """The class-function inner product, conjugate-linear in its second slot.
 
@@ -441,4 +440,4 @@ def interval_chain(k: int) -> LabeledSetPartition:
 
 
 register_basis("kappa", product=_kappa_product, coproduct=lambda q, a: kappa_coproduct_terms(q, a.partition))
-register_basis("chi", product=_chi_product, coproduct=_chi_coproduct)
+register_transported("chi", chi_to_kappa, kappa_to_chi)

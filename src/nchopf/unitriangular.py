@@ -72,37 +72,6 @@ class UTElement:
         return self.entries[_position_index(self.n)[(i, j)]]
 
 
-class Functional:
-    """A linear functional on the strictly-upper matrices: X -> sum c_ij X_ij."""
-
-    __slots__ = ("n", "q", "coeffs", "_hash")
-
-    def __init__(self, n: int, q: int, coeffs: tuple[int, ...]):
-        if len(coeffs) != n * (n - 1) // 2:
-            raise ValueError(f"expected {n * (n - 1) // 2} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", tuple(int(c) % q for c in coeffs))
-        object.__setattr__(self, "_hash", hash(("functional", n, q, self.coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Functional is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Functional)
-            and self.n == other.n
-            and self.q == other.q
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __call__(self, nilpotent: tuple[int, ...]) -> int:
-        return sum(c * x for c, x in zip(self.coeffs, nilpotent)) % self.q
-
-
 _POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {}
 _POSITION_INDEX: dict[int, dict[tuple[int, int], int]] = {}
 
@@ -277,13 +246,6 @@ class UTGroup:
                 )
             self._superclasses = out
         return self._superclasses
-
-    def superclass_of_element(self) -> dict[tuple[int, ...], LabeledSetPartition]:
-        return {
-            member: lam
-            for lam, orbit in self.superclasses().items()
-            for member in orbit
-        }
 
     # -- supercharacters as module traces
 

@@ -213,6 +213,15 @@ def test_criterion_4_oracle_equivalence():
             for n in range(5):
                 report = suite_oracle(n, q)
                 assert report.passed, (n, q, [c.name for c in report.failures])
+                # SInd/Res adjointness is skipped, with its reason, exactly
+                # where |G|^3 exceeds the work bound, e.g. at (4, 3)
+                sind = [c for c in report.checks if c.name == "sind-res-adjointness"]
+                assert len(sind) == 1, (n, q)
+                big = oracle.get_group(n, q).order ** 3 > 2_000_000
+                assert sind[0].skipped == big, (n, q)
+                if big:
+                    assert not sind[0].passed and "skipped" in sind[0].detail
+                    assert sind[0].to_json()["skipped"] is True
                 if q == 2:
                     assert len(oracle.get_group(n, q).superclasses()) == bell[n]
         # the adjointness half of the criterion is pinned at q = 2 for all

@@ -66,6 +66,15 @@ class TestCanonicalForm:
         )
         assert direct == rewritten
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rational_values_hash_like_the_number(self, p):
+        for value in (0, 1, -3, Fraction(2, 7)):
+            x = CycRational.from_rational(p, value)
+            assert x == value
+            assert hash(x) == hash(value)
+            assert len({x, value}) == 1
+        assert len({CycRational(2, [1]), 1}) == 1
+
 
 class TestTheta:
     def test_trivial_value(self):

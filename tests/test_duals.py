@@ -325,7 +325,7 @@ class TestVBasis:
     def test_two_block_expansion(self):
         assert V_from_U(sp("12")) == U_element(2, sp("12")) + U_element(2, sp("1|2"))
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(6))
     def test_uv_roundtrip(self, n):
         for partition in all_set_partitions(n):
             x = U_element(2, partition)

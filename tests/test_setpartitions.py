@@ -17,6 +17,7 @@ from nchopf.setpartitions import (
     concat_set_partitions,
     crossing_statistic,
     enumerate_labeled_partitions,
+    partition_mobius,
     refinements,
     restrict_arcs,
     straighten,
@@ -308,6 +309,24 @@ class TestRefinementLattice:
         for sp in all_set_partitions(4):
             for other in all_set_partitions(4):
                 assert (sp in refinements(other)) == (other in coarsenings(sp))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_mobius_sums_to_delta_over_every_interval(self, n):
+        # the defining identity: sum of mu(sigma, nu) over sigma <= nu <= pi
+        for sigma in all_set_partitions(n):
+            above = set(coarsenings(sigma))
+            for pi in above:
+                interval = [nu for nu in refinements(pi) if nu in above]
+                total = sum(partition_mobius(sigma, nu) for nu in interval)
+                assert total == (1 if sigma == pi else 0), (sigma, pi)
+
+    def test_mobius_values(self):
+        finest = SetPartition.from_text("1|2|3|4")
+        assert partition_mobius(finest, SetPartition.from_text("1234")) == -6
+        assert partition_mobius(finest, SetPartition.from_text("12|34")) == 1
+        assert partition_mobius(SetPartition.from_text("12|3"), SetPartition.from_text("123")) == -1
+        with pytest.raises(ValueError):
+            partition_mobius(SetPartition.from_text("12|3"), SetPartition.from_text("13|2"))
 
 
 class TestCrossings:

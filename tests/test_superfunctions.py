@@ -255,6 +255,56 @@ class TestTables:
         assert again.values == t.values and again.class_sizes == t.class_sizes
         superfunctions.clear_table_cache()
 
+    def _load_from_bad_cache(self, tmp_path, data):
+        """Write data as the cached (3, 2) table, load it, and check that the
+        right table comes back and replaces the file."""
+        import json
+
+        from nchopf import superfunctions
+
+        path = superfunctions._table_path(3, 2, tmp_path)
+        path.write_text(json.dumps(data))
+        superfunctions.clear_table_cache()
+        try:
+            loaded = supercharacter_table(3, 2, cache_dir=tmp_path)
+        finally:
+            superfunctions.clear_table_cache()
+        expected = superfunctions._compute_table(3, 2)
+        assert loaded.order == expected.order
+        assert loaded.values == expected.values
+        assert loaded.class_sizes == expected.class_sizes
+        assert json.loads(path.read_text()) == expected.to_json()
+
+    def test_disk_cache_with_null_order_is_recomputed(self, tmp_path):
+        from nchopf import superfunctions
+
+        data = superfunctions._compute_table(3, 2).to_json()
+        data["order"] = None
+        self._load_from_bad_cache(tmp_path, data)
+
+    def test_disk_cache_with_values_over_another_field_is_recomputed(self, tmp_path):
+        from nchopf import superfunctions
+
+        data = superfunctions._compute_table(3, 2).to_json()
+        for row in data["values"]:
+            for value in row:
+                value["p"] = 3
+                value["coeffs"].append("0")
+        self._load_from_bad_cache(tmp_path, data)
+
+    def test_disk_cache_with_wrong_table_is_recomputed(self, tmp_path):
+        # well formed, with the right degree and class-size sum, but 1x1
+        one = CycRational.one(2).to_json()
+        data = {
+            "format": 1,
+            "n": 3,
+            "q": 2,
+            "order": [{"n": 3, "arcs": []}],
+            "values": [[one]],
+            "class_sizes": [8],
+        }
+        self._load_from_bad_cache(tmp_path, data)
+
 
 class TestBasisChange:
     def test_trivial_chi_is_kappa_unit(self):

@@ -180,18 +180,6 @@ class TestAxioms:
         assert len(data["checks"]) == 4
 
 
-class TestFunctionals:
-    def test_pairing_is_entrywise_dot_product(self):
-        from nchopf.unitriangular import Functional, nilpotent_of
-
-        phi = Functional(3, 3, (1, 2, 0))
-        assert phi((1, 0, 0)) == 1
-        assert phi((0, 1, 0)) == 2
-        assert phi((1, 1, 1)) == 0  # 1 + 2 mod 3
-        lam = lsp("3; 1-2-3")
-        assert Functional(3, 3, nilpotent_of(lam, 3))((0, 1, 0)) == 2
-
-
 class TestTableCacheConcurrency:
     def test_concurrent_reads_agree(self, tmp_path):
         import threading
