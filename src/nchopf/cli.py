@@ -20,7 +20,7 @@ from .duals import (
     v_to_u,
 )
 from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
-from .limits import BoundExceededError
+from .limits import DEFAULT_TABLE_BOUND, BoundExceededError
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
 from .setpartitions import arc_encoding, underlying_set_partition, enumerate_labeled_partitions
@@ -166,10 +166,21 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"nchopf: invalid input: {exc}", file=stderr)
         return EXIT_INVALID
+    except OSError as exc:
+        print(f"nchopf: {exc}", file=stderr)
+        return EXIT_INVALID
+
+
+def _check_grade(n: int) -> None:
+    """Enumeration and the algebraic suites grow like Bell(n): the same
+    grade bound as the tables applies."""
+    if n > DEFAULT_TABLE_BOUND:
+        raise BoundExceededError(f"n={n} exceeds the configured bound {DEFAULT_TABLE_BOUND}")
 
 
 def _dispatch(args, stdin, stdout) -> int:
     if args.command == "enumerate":
+        _check_grade(args.n)
         partitions = enumerate_labeled_partitions(args.n, args.q)
         if args.as_json:
             print(canonical_dumps([lam.to_json() for lam in partitions]), file=stdout)
@@ -238,6 +249,8 @@ def _dispatch(args, stdin, stdout) -> int:
         return EXIT_OK
 
     if args.command == "verify":
+        if args.suite in ("hopf", "iso", "duality"):
+            _check_grade(args.n)
         report = run_suite(args.suite, args.n, args.q, seed=args.seed)
         print(canonical_dumps(report.to_json()), file=stdout)
         return EXIT_OK if report.passed else EXIT_VERIFY

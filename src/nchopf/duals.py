@@ -19,6 +19,7 @@ Bases:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,6 +28,8 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
+    linear_combination,
+    linear_map,
     product,
     register_basis,
     register_transported,
@@ -145,24 +148,21 @@ def kappa_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElem
 def _kappa_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     mu, nu = a.partition, b.partition
     n = mu.n + nu.n
-    terms: dict[BasisIndex, CycRational] = {}
-    one = CycRational.one(q)
+    terms: Counter = Counter()
     for subset in itertools.combinations(range(1, n + 1), mu.n):
         complement = tuple(i for i in range(1, n + 1) if i not in set(subset))
         merged = LabeledSetPartition(
             n,
             unstraighten(mu, subset, n).arcs + unstraighten(nu, complement, n).arcs,
         )
-        idx = BasisIndex("kappa_star", n, merged)
-        terms[idx] = terms.get(idx, CycRational.zero(q)) + one
+        terms[BasisIndex("kappa_star", n, merged)] += 1
     return AlgebraElement(q, "kappa_star", terms)
 
 
 def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
     lam = a.partition
     n = lam.n
-    terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-    one = CycRational.one(q)
+    terms: Counter = Counter()
     for k in range(n + 1):
         left = LabeledSetPartition(k, (arc for arc in lam.arcs if arc.right <= k))
         right = LabeledSetPartition(
@@ -173,8 +173,7 @@ def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
                 if arc.left > k
             ),
         )
-        key = (BasisIndex("kappa_star", k, left), BasisIndex("kappa_star", n - k, right))
-        terms[key] = terms.get(key, CycRational.zero(q)) + one
+        terms[BasisIndex("kappa_star", k, left), BasisIndex("kappa_star", n - k, right)] += 1
     return TensorElement(q, "kappa_star", terms)
 
 
@@ -234,40 +233,32 @@ def chi_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElemen
 def chi_star_to_kappa_star(x: AlgebraElement, **table_options) -> AlgebraElement:
     """Dual basis change: the dual of a supercharacter expands on kappa_star
     with the table row rescaled by superclass size / (group order * q^C)."""
-    if x.basis != "chi_star":
-        raise ValueError(f"expected a chi_star element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "kappa_star")
-    for idx, coeff in x.terms.items():
+
+    def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
         row = table.values[table.index(idx.partition)]
-        total = table.group_order
-        scale = Fraction(1, x.q ** crossing_statistic(idx.partition))
-        terms = {
-            BasisIndex("kappa_star", idx.grade, mu): coeff
-            * row[j]
-            * CycRational.from_rational(x.q, scale * Fraction(table.class_sizes[j], total))
+        scale = Fraction(1, x.q ** crossing_statistic(idx.partition) * table.group_order)
+        return {
+            BasisIndex("kappa_star", idx.grade, mu): row[j]
+            * CycRational.from_rational(x.q, scale * table.class_sizes[j])
             for j, mu in enumerate(table.order)
         }
-        out = out + AlgebraElement(x.q, "kappa_star", terms)
-    return out
+
+    return linear_map(x, "kappa_star", image, source="chi_star")
 
 
 def kappa_star_to_chi_star(x: AlgebraElement, **table_options) -> AlgebraElement:
-    if x.basis != "kappa_star":
-        raise ValueError(f"expected a kappa_star element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "chi_star")
-    for idx, coeff in x.terms.items():
+    def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
         inverse = table.inverse()[table.index(idx.partition)]
         z = Fraction(table.group_order, table.class_size(idx.partition))
-        terms = {
-            BasisIndex("chi_star", idx.grade, lam): coeff
-            * inverse[j]
+        return {
+            BasisIndex("chi_star", idx.grade, lam): inverse[j]
             * CycRational.from_rational(x.q, z * x.q ** crossing_statistic(lam))
             for j, lam in enumerate(table.order)
         }
-        out = out + AlgebraElement(x.q, "chi_star", terms)
-    return out
+
+    return linear_map(x, "chi_star", image, source="kappa_star")
 
 
 register_transported("chi_star", chi_star_to_kappa_star, kappa_star_to_chi_star)
@@ -285,8 +276,7 @@ def _M_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     alpha: Permutation = a.partition
     beta: Permutation = b.partition
     m, n = alpha.n, beta.n
-    terms: dict[BasisIndex, CycRational] = {}
-    one = CycRational.one(q)
+    terms: Counter = Counter()
     for subset in itertools.combinations(range(1, m + n + 1), m):
         complement = tuple(i for i in range(1, m + n + 1) if i not in set(subset))
         word = [0] * (m + n)
@@ -294,8 +284,7 @@ def _M_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
             word[subset[i - 1] - 1] = subset[alpha(i) - 1]
         for i in range(1, n + 1):
             word[complement[i - 1] - 1] = complement[beta(i) - 1]
-        idx = BasisIndex("M", m + n, Permutation(word))
-        terms[idx] = terms.get(idx, CycRational.zero(q)) + one
+        terms[BasisIndex("M", m + n, Permutation(word))] += 1
     return AlgebraElement(q, "M", terms)
 
 
@@ -328,8 +317,7 @@ def _U_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     two groups standardizing to the two factors."""
     mu, nu = _sp_of(a), _sp_of(b)
     n = mu.n + nu.n
-    terms: dict[BasisIndex, CycRational] = {}
-    one = CycRational.one(q)
+    terms: Counter = Counter()
     for subset in itertools.combinations(range(1, n + 1), mu.n):
         positions = list(subset)
         complement = [i for i in range(1, n + 1) if i not in set(subset)]
@@ -338,9 +326,7 @@ def _U_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
         ] + [
             [complement[i - 1] for i in block] for block in nu.blocks
         ]
-        lam = SetPartition(n, blocks)
-        idx = BasisIndex("U", n, arc_encoding(lam))
-        terms[idx] = terms.get(idx, CycRational.zero(q)) + one
+        terms[BasisIndex("U", n, arc_encoding(SetPartition(n, blocks)))] += 1
     return AlgebraElement(q, "U", terms)
 
 
@@ -349,8 +335,7 @@ def _U_coproduct(q: int, a: BasisIndex) -> TensorElement:
     cleanly contribute."""
     sp = _sp_of(a)
     n = sp.n
-    terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-    one = CycRational.one(q)
+    terms: Counter = Counter()
     for k in range(n + 1):
         left_blocks = [b for b in sp.blocks if b[-1] <= k]
         right_blocks = [tuple(i - k for i in b) for b in sp.blocks if b[0] > k]
@@ -360,7 +345,7 @@ def _U_coproduct(q: int, a: BasisIndex) -> TensorElement:
             BasisIndex("U", k, arc_encoding(SetPartition(k, left_blocks))),
             BasisIndex("U", n - k, arc_encoding(SetPartition(n - k, right_blocks))),
         )
-        terms[key] = terms.get(key, CycRational.zero(q)) + one
+        terms[key] += 1
     return TensorElement(q, "U", terms)
 
 
@@ -373,32 +358,26 @@ def product_U(mu: SetPartition, nu: SetPartition, q: int = 2) -> AlgebraElement:
 
 def V_from_U(mu: SetPartition, q: int = 2) -> AlgebraElement:
     """V of a partition expands as the sum of U over all its refinements."""
-    out = AlgebraElement.zero(q, "U")
-    for finer in refinements(mu):
-        out = out + U_element(q, finer)
-    return out
+    terms = {BasisIndex("U", mu.n, arc_encoding(finer)): 1 for finer in refinements(mu)}
+    return AlgebraElement(q, "U", terms)
 
 
 def u_to_v(x: AlgebraElement) -> AlgebraElement:
     """Moebius inversion of v_to_u: U of a partition is the sum over its
     refinements of mu(refinement, partition) times V."""
-    if x.basis != "U":
-        raise ValueError(f"expected a U element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "V")
-    for idx, coeff in x.terms.items():
+
+    def image(idx):
         sp = _sp_of(idx)
-        for finer in refinements(sp):
-            out = out + V_element(x.q, finer, coeff * partition_mobius(finer, sp))
-    return out
+        return {
+            BasisIndex("V", sp.n, arc_encoding(finer)): partition_mobius(finer, sp)
+            for finer in refinements(sp)
+        }
+
+    return linear_map(x, "V", image, source="U")
 
 
 def v_to_u(x: AlgebraElement) -> AlgebraElement:
-    if x.basis != "V":
-        raise ValueError(f"expected a V element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "U")
-    for idx, coeff in x.terms.items():
-        out = out + V_from_U(_sp_of(idx), x.q).scale(coeff)
-    return out
+    return linear_map(x, "U", lambda idx: V_from_U(_sp_of(idx), x.q).terms, source="V")
 
 
 register_transported("V", v_to_u, u_to_v)
@@ -458,9 +437,6 @@ def evaluate_M_element(x: AlgebraElement, limit: int) -> dict[Monomial, CycRatio
     """Evaluate a whole M element; used to cross-check the product rule."""
     if x.basis != "M":
         raise ValueError(f"expected an M element, got basis {x.basis!r}")
-    out: dict[Monomial, CycRational] = {}
-    for idx, coeff in x.terms.items():
-        for mono, c in evaluate_M_truncated(idx.partition, limit).items():
-            value = coeff * c
-            out[mono] = out[mono] + value if mono in out else value
-    return {mono: c for mono, c in out.items() if c}
+    return linear_combination(
+        (coeff, evaluate_M_truncated(idx.partition, limit)) for idx, coeff in x.terms.items()
+    )

@@ -4,6 +4,11 @@ An ``AlgebraElement`` is a finite map from basis indices to exact cyclotomic
 scalars, with all indices sharing one basis tag and one prime q (the scalar
 conductor equals q).  Mixed grades are allowed; every operation extends
 bilinearly.  ``TensorElement`` is the same with ordered pairs of indices.
+Both are ``LinearCombination``s, which own term validation, sums, scaling,
+equality and hashing.  Every sum of images, sum_i c_i * image(key_i), is one
+dict pass in ``linear_combination``; ``linear_map`` applies it to an element
+or a tensor, and every basis change, the antipode and ``map_tensor`` are
+linear maps.
 
 Each basis registers its structure maps (product and coproduct on basis
 indices) in a module-level registry; the generic product, coproduct, counit,
@@ -24,7 +29,7 @@ which holds in any connected graded bialgebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycRational
 from .setpartitions import LabeledSetPartition
@@ -155,37 +160,118 @@ def unit_index(basis: str) -> BasisIndex:
 # elements
 
 
-def _normalize_terms(q: int, basis: str, terms: Mapping) -> dict[BasisIndex, CycRational]:
-    out: dict[BasisIndex, CycRational] = {}
-    for idx, coeff in terms.items():
-        if idx.basis != basis:
-            raise ValueError(f"index {idx!r} does not belong to basis {basis!r}")
-        if basis in ARC_BASES and idx.partition.max_label() >= q:
-            raise ValueError(f"index {idx!r} carries labels outside F_{q}^x")
-        value = CycRational.coerce(q, coeff)
-        if value:
-            out[idx] = value
-    return out
+def linear_combination(pieces: Iterable[tuple[object, Mapping]]) -> dict:
+    """sum_i c_i * image_i over pairs (c_i, image_i), each image a map from
+    keys to scalars, summed in one dict pass; terms that cancel are dropped."""
+    acc: dict = {}
+    for c, image in pieces:
+        for key, d in image.items():
+            value = c * d
+            acc[key] = acc[key] + value if key in acc else value
+    return {key: value for key, value in acc.items() if value}
 
 
-class AlgebraElement:
-    """A finite linear combination of basis indices over Q(zeta_q)."""
+def _pair_terms(left: Mapping, right: Mapping) -> dict:
+    """Terms of the tensor product of two term maps."""
+    return {(a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
+
+
+class LinearCombination:
+    """A finite map from keys to nonzero scalars in Q(zeta_q), every basis
+    index in the keys carrying one basis tag; the arc bases also need labels
+    below q.  Subclasses say which indices a key holds."""
 
     __slots__ = ("q", "basis", "terms")
 
     def __init__(self, q: int, basis: str, terms: Mapping | None = None):
+        arc_basis = basis in ARC_BASES
+        out = {}
+        for key, coeff in (terms or {}).items():
+            for idx in self._indices(key):
+                if idx.basis != basis:
+                    raise ValueError(f"index {idx!r} does not belong to basis {basis!r}")
+                if arc_basis and idx.partition.max_label() >= q:
+                    raise ValueError(f"index {idx!r} carries labels outside F_{q}^x")
+            value = CycRational.coerce(q, coeff)
+            if value:
+                out[key] = value
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", _normalize_terms(q, basis, terms or {}))
+        object.__setattr__(self, "terms", out)
+
+    @staticmethod
+    def _indices(key) -> tuple[BasisIndex, ...]:
+        raise NotImplementedError
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable; build a new one")
-
-    # -- constructors
+        raise AttributeError(f"{type(self).__name__} is immutable; build a new one")
 
     @classmethod
-    def zero(cls, q: int, basis: str) -> "AlgebraElement":
+    def zero(cls, q: int, basis: str):
         return cls(q, basis)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items(self):
+        return self.terms.items()
+
+    def coefficient(self, key) -> CycRational:
+        return self.terms.get(key, CycRational.zero(self.q))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.q == other.q
+            and self.basis == other.basis
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.basis, frozenset(self.terms.items())))
+
+    def _check_compatible(self, other: "LinearCombination") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.q != other.q:
+            raise ValueError(f"q mismatch: {self.q} vs {other.q}")
+        if self.basis != other.basis:
+            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms[key] + c if key in terms else c
+        return type(self)(self.q, self.basis, terms)
+
+    def __neg__(self):
+        return type(self)(self.q, self.basis, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        scalar = CycRational.coerce(self.q, scalar)
+        return type(self)(self.q, self.basis, {key: c * scalar for key, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        if isinstance(scalar, (int, Fraction, CycRational)):
+            return self.scale(scalar)
+        return NotImplemented
+
+
+class AlgebraElement(LinearCombination):
+    """A finite linear combination of basis indices over Q(zeta_q)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _indices(key: BasisIndex) -> tuple[BasisIndex]:
+        return (key,)
 
     @classmethod
     def unit(cls, q: int, basis: str) -> "AlgebraElement":
@@ -195,38 +281,8 @@ class AlgebraElement:
     def monomial(cls, q: int, basis: str, partition, coeff=1) -> "AlgebraElement":
         return cls(q, basis, {BasisIndex(basis, partition.n, partition): coeff})
 
-    # -- inspection
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, idx: BasisIndex) -> CycRational:
-        return self.terms.get(idx, CycRational.zero(self.q))
-
-    def items(self):
-        return self.terms.items()
-
     def grades(self) -> set[int]:
         return {idx.grade for idx in self.terms}
-
-    def graded_component(self, n: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.q, self.basis, {idx: c for idx, c in self.terms.items() if idx.grade == n}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.q == other.q
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.basis, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -237,38 +293,6 @@ class AlgebraElement:
         ]
         return " + ".join(bits)
 
-    # -- linear structure
-
-    def _check_compatible(self, other: "AlgebraElement") -> None:
-        if self.q != other.q:
-            raise ValueError(f"q mismatch: {self.q} vs {other.q}")
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            terms[idx] = terms[idx] + c if idx in terms else c
-        return AlgebraElement(self.q, self.basis, terms)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.q, self.basis, {idx: -c for idx, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "AlgebraElement":
-        scalar = CycRational.coerce(self.q, scalar)
-        return AlgebraElement(
-            self.q, self.basis, {idx: c * scalar for idx, c in self.terms.items()}
-        )
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        if isinstance(scalar, (int, Fraction, CycRational)):
-            return self.scale(scalar)
-        return NotImplemented
-
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             return product(self, other)
@@ -277,59 +301,20 @@ class AlgebraElement:
         return NotImplemented
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """A finite linear combination of ordered pairs of basis indices."""
 
-    __slots__ = ("q", "basis", "terms")
+    __slots__ = ()
 
-    def __init__(self, q: int, basis: str, terms: Mapping | None = None):
-        out: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-        for (left, right), coeff in (terms or {}).items():
-            if left.basis != basis or right.basis != basis:
-                raise ValueError(f"tensor factors must live in basis {basis!r}")
-            value = CycRational.coerce(q, coeff)
-            if value:
-                out[(left, right)] = value
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", out)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable; build a new one")
-
-    @classmethod
-    def zero(cls, q: int, basis: str) -> "TensorElement":
-        return cls(q, basis)
+    @staticmethod
+    def _indices(key: tuple[BasisIndex, BasisIndex]) -> tuple[BasisIndex, BasisIndex]:
+        left, right = key
+        return left, right
 
     @classmethod
     def tensor(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
-        if x.q != y.q or x.basis != y.basis:
-            raise ValueError("tensor factors must share q and basis")
-        terms = {}
-        for li, lc in x.terms.items():
-            for ri, rc in y.terms.items():
-                terms[(li, ri)] = lc * rc
-        return cls(x.q, x.basis, terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def coefficient(self, left: BasisIndex, right: BasisIndex) -> CycRational:
-        return self.terms.get((left, right), CycRational.zero(self.q))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.q == other.q
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.basis, frozenset(self.terms.items())))
+        x._check_compatible(y)
+        return cls(x.q, x.basis, _pair_terms(x.terms, y.terms))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -342,32 +327,6 @@ class TensorElement:
         ]
         return " + ".join(bits)
 
-    def _check_compatible(self, other: "TensorElement") -> None:
-        if self.q != other.q or self.basis != other.basis:
-            raise ValueError("tensor elements are not compatible")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return TensorElement(self.q, self.basis, terms)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.q, self.basis, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "TensorElement":
-        scalar = CycRational.coerce(self.q, scalar)
-        return TensorElement(self.q, self.basis, {k: c * scalar for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "TensorElement":
-        if isinstance(scalar, (int, Fraction, CycRational)):
-            return self.scale(scalar)
-        return NotImplemented
-
     def swap(self) -> "TensorElement":
         return TensorElement(
             self.q, self.basis, {(r, l): c for (l, r), c in self.terms.items()}
@@ -376,18 +335,13 @@ class TensorElement:
     def componentwise_product(self, other: "TensorElement") -> "TensorElement":
         """(a (x) b)(c (x) d) = ac (x) bd, extended bilinearly."""
         self._check_compatible(other)
-        acc: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                scalar = c1 * c2
-                left = basis_product(self.q, l1, l2)
-                right = basis_product(self.q, r1, r2)
-                for li, lc in left.terms.items():
-                    for ri, rc in right.terms.items():
-                        key = (li, ri)
-                        value = lc * rc * scalar
-                        acc[key] = acc[key] + value if key in acc else value
-        return TensorElement(self.q, self.basis, acc)
+        q = self.q
+        pieces = (
+            (c1 * c2, _pair_terms(basis_product(q, l1, l2).terms, basis_product(q, r1, r2).terms))
+            for (l1, r1), c1 in self.terms.items()
+            for (l2, r2), c2 in other.terms.items()
+        )
+        return TensorElement(q, self.basis, linear_combination(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -411,40 +365,40 @@ def basis_coproduct(q: int, a: BasisIndex) -> TensorElement:
 def product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the registered basis product."""
     x._check_compatible(y)
-    acc: dict[BasisIndex, CycRational] = {}
-    for ix, cx in x.terms.items():
-        for iy, cy in y.terms.items():
-            scalar = cx * cy
-            for idx, c in basis_product(x.q, ix, iy).terms.items():
-                value = c * scalar
-                acc[idx] = acc[idx] + value if idx in acc else value
-    return AlgebraElement(x.q, x.basis, acc)
+    pieces = (
+        (cx * cy, basis_product(x.q, ix, iy).terms)
+        for ix, cx in x.terms.items()
+        for iy, cy in y.terms.items()
+    )
+    return AlgebraElement(x.q, x.basis, linear_combination(pieces))
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Linear extension of the registered basis coproduct."""
-    acc: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-    for idx, c in x.terms.items():
-        for key, d in basis_coproduct(x.q, idx).terms.items():
-            value = c * d
-            acc[key] = acc[key] + value if key in acc else value
-    return TensorElement(x.q, x.basis, acc)
+    pieces = ((c, basis_coproduct(x.q, idx).terms) for idx, c in x.terms.items())
+    return TensorElement(x.q, x.basis, linear_combination(pieces))
+
+
+def linear_map(x: LinearCombination, target: str, image, source: str | None = None):
+    """The linear map sending each key of x to ``image(key)``, a map from
+    keys of basis ``target`` to scalars, applied to x.  The result has the
+    shape of x (element or tensor).  With ``source`` given, x must live in
+    that basis."""
+    if source is not None and x.basis != source:
+        raise ValueError(f"expected an element of basis {source!r}, got {x.basis!r}")
+    terms = linear_combination((c, image(key)) for key, c in x.terms.items())
+    return type(x)(x.q, target, terms)
 
 
 def map_tensor(
     t: TensorElement, f: Callable[[AlgebraElement], AlgebraElement]
 ) -> TensorElement:
     """(f (x) f)(t) for a linear map f, applied one basis index at a time."""
-    out = None
-    for (left, right), c in t.terms.items():
-        piece = TensorElement.tensor(
-            f(AlgebraElement(t.q, t.basis, {left: 1})),
-            f(AlgebraElement(t.q, t.basis, {right: 1})),
-        ).scale(c)
-        out = piece if out is None else out + piece
-    if out is None:
-        return TensorElement.zero(t.q, f(AlgebraElement.zero(t.q, t.basis)).basis)
-    return out
+
+    def image(key):
+        return _pair_terms(*(f(AlgebraElement(t.q, t.basis, {idx: 1})).terms for idx in key))
+
+    return linear_map(t, f(AlgebraElement.zero(t.q, t.basis)).basis, image)
 
 
 def counit(x: AlgebraElement) -> CycRational:
@@ -457,10 +411,7 @@ _ANTIPODE_CACHE: dict[tuple[int, str], dict[BasisIndex, AlgebraElement]] = {}
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
     """The Hopf inversion, solved grade by grade from the coproduct."""
-    out = AlgebraElement.zero(x.q, x.basis)
-    for idx, c in x.terms.items():
-        out = out + _antipode_basis(x.q, idx).scale(c)
-    return out
+    return linear_map(x, x.basis, lambda idx: _antipode_basis(x.q, idx).terms)
 
 
 def _antipode_basis(q: int, idx: BasisIndex) -> AlgebraElement:
@@ -471,13 +422,11 @@ def _antipode_basis(q: int, idx: BasisIndex) -> AlgebraElement:
     if idx.grade == 0:
         result = AlgebraElement(q, idx.basis, {idx: 1})
     else:
-        result = -AlgebraElement(q, idx.basis, {idx: 1})
-        for (left, right), c in basis_coproduct(q, idx).terms.items():
-            if left.grade == 0 or right.grade == 0:
-                continue
-            middle = product(
-                _antipode_basis(q, left), AlgebraElement(q, idx.basis, {right: 1})
-            )
-            result = result - middle.scale(c)
+        middle = (
+            (-c, product(_antipode_basis(q, left), AlgebraElement(q, idx.basis, {right: 1})).terms)
+            for (left, right), c in basis_coproduct(q, idx).terms.items()
+            if left.grade and right.grade
+        )
+        result = AlgebraElement(q, idx.basis, linear_combination([(-1, {idx: 1}), *middle]))
     cache[idx] = result
     return result

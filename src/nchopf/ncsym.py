@@ -21,6 +21,7 @@ with this picture: kappa indices map to m (q = 2) or k (q > 2) indices.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable
 
 from .cyclotomic import CycRational
@@ -29,6 +30,7 @@ from .elements import (
     BasisIndex,
     TensorElement,
     coproduct,
+    linear_map,
     product,
     register_basis,
 )
@@ -208,14 +210,10 @@ def _standardize_blocks(blocks: list[tuple[int, ...]]) -> tuple[SetPartition, li
 
 
 def _split_coproduct(q: int, a: BasisIndex, tag: str) -> TensorElement:
-    terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-    one = CycRational.one(q)
-    for (left, _), (right, _) in _block_subset_splits(_partition_of(a)):
-        key = (
-            BasisIndex(tag, left.n, arc_encoding(left)),
-            BasisIndex(tag, right.n, arc_encoding(right)),
-        )
-        terms[key] = terms.get(key, CycRational.zero(q)) + one
+    terms = Counter(
+        (BasisIndex(tag, left.n, arc_encoding(left)), BasisIndex(tag, right.n, arc_encoding(right)))
+        for (left, _), (right, _) in _block_subset_splits(_partition_of(a))
+    )
     return TensorElement(q, tag, terms)
 
 
@@ -231,25 +229,27 @@ register_basis("p", product=_p_product, coproduct=lambda q, a: _split_coproduct(
 def m_to_p(x: AlgebraElement) -> AlgebraElement:
     """Moebius inversion of p_to_m: m of a partition is the sum over its
     coarsenings of mu(partition, coarsening) times p."""
-    if x.basis != "m":
-        raise ValueError(f"expected an m element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "p")
-    for idx, coeff in x.terms.items():
+
+    def image(idx):
         sp = _partition_of(idx)
-        for coarser in coarsenings(sp):
-            out = out + p_element(x.q, coarser, coeff * partition_mobius(sp, coarser))
-    return out
+        return {
+            BasisIndex("p", sp.n, arc_encoding(coarser)): partition_mobius(sp, coarser)
+            for coarser in coarsenings(sp)
+        }
+
+    return linear_map(x, "p", image, source="m")
 
 
 def p_to_m(x: AlgebraElement) -> AlgebraElement:
     """p of a partition is the sum of m over all its coarsenings."""
-    if x.basis != "p":
-        raise ValueError(f"expected a p element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "m")
-    for idx, coeff in x.terms.items():
-        for coarser in coarsenings(_partition_of(idx)):
-            out = out + m_element(x.q, coarser, coeff)
-    return out
+
+    def image(idx):
+        return {
+            BasisIndex("m", idx.grade, arc_encoding(coarser)): 1
+            for coarser in coarsenings(_partition_of(idx))
+        }
+
+    return linear_map(x, "m", image, source="p")
 
 
 def product_m(lam: SetPartition, mu: SetPartition, q: int = 2) -> AlgebraElement:
@@ -291,19 +291,14 @@ def _colored_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
 
 
 def _colored_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    idx: ColoredIndex = a.partition
-    terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-    one = CycRational.one(q)
-    for sides in _block_subset_splits(idx.partition):
-        key = tuple(
-            BasisIndex(
-                "m_colored",
-                sp.n,
-                ColoredIndex(sp, (idx.colors[pos - 1] for pos in ground), idx.r),
-            )
+    colors, r = a.partition.colors, a.partition.r
+    terms = Counter(
+        tuple(
+            BasisIndex("m_colored", sp.n, ColoredIndex(sp, (colors[i - 1] for i in ground), r))
             for sp, ground in sides
         )
-        terms[key] = terms.get(key, CycRational.zero(q)) + one
+        for sides in _block_subset_splits(a.partition.partition)
+    )
     return TensorElement(q, "m_colored", terms)
 
 

@@ -12,9 +12,9 @@ import json
 
 from .cyclotomic import CycRational
 from .duals import Permutation
-from .elements import ARC_BASES, AlgebraElement, BasisIndex, TensorElement
+from .elements import ARC_BASES, AlgebraElement, BasisIndex, TensorElement, linear_combination
 from .ncsym import ColoredIndex
-from .setpartitions import LabeledSetPartition
+from .setpartitions import LabeledSetPartition, check_prime
 
 
 def _index_payload(idx: BasisIndex) -> dict:
@@ -27,16 +27,29 @@ def _index_payload(idx: BasisIndex) -> dict:
     raise ValueError(f"no JSON form for basis {idx.basis!r}")
 
 
-def _index_from_payload(basis: str, q: int, data: dict) -> BasisIndex:
-    if basis in ARC_BASES:
-        partition = LabeledSetPartition.from_json(data)
-    elif basis == "M":
+def _index_from_payload(basis: str, data: dict) -> BasisIndex:
+    if basis == "M":
         partition = Permutation.from_json(data)
     elif basis == "m_colored":
         partition = ColoredIndex.from_json(data)
     else:
-        raise ValueError(f"no JSON form for basis {basis!r}")
+        partition = LabeledSetPartition.from_json(data)
     return BasisIndex(basis, partition.n, partition)
+
+
+def _from_json(cls, data: dict, index_of):
+    """Read an element or tensor: q and the basis tag are checked before any
+    term is, and repeated indices are summed."""
+    q = int(data["q"])
+    check_prime(q)
+    basis = data["basis"]
+    if basis not in ARC_BASES | {"M", "m_colored"}:
+        raise ValueError(f"no JSON form for basis {basis!r}")
+    pieces = (
+        (CycRational.from_json(item["coeff"]), {index_of(basis, item): 1})
+        for item in data["terms"]
+    )
+    return cls(q, basis, linear_combination(pieces))
 
 
 def element_to_json(x: AlgebraElement) -> dict:
@@ -49,14 +62,7 @@ def element_to_json(x: AlgebraElement) -> dict:
 
 
 def element_from_json(data: dict) -> AlgebraElement:
-    q = int(data["q"])
-    basis = data["basis"]
-    terms = {}
-    for item in data["terms"]:
-        idx = _index_from_payload(basis, q, item)
-        coeff = CycRational.from_json(item["coeff"])
-        terms[idx] = terms.get(idx, CycRational.zero(q)) + coeff
-    return AlgebraElement(q, basis, terms)
+    return _from_json(AlgebraElement, data, _index_from_payload)
 
 
 def tensor_to_json(t: TensorElement) -> dict:
@@ -74,17 +80,10 @@ def tensor_to_json(t: TensorElement) -> dict:
 
 
 def tensor_from_json(data: dict) -> TensorElement:
-    q = int(data["q"])
-    basis = data["basis"]
-    terms = {}
-    for item in data["terms"]:
-        key = (
-            _index_from_payload(basis, q, item["left"]),
-            _index_from_payload(basis, q, item["right"]),
-        )
-        coeff = CycRational.from_json(item["coeff"])
-        terms[key] = terms.get(key, CycRational.zero(q)) + coeff
-    return TensorElement(q, basis, terms)
+    def pair_of(basis: str, item: dict) -> tuple[BasisIndex, BasisIndex]:
+        return _index_from_payload(basis, item["left"]), _index_from_payload(basis, item["right"])
+
+    return _from_json(TensorElement, data, pair_of)
 
 
 def canonical_dumps(data) -> str:

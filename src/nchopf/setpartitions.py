@@ -194,19 +194,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, i: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if i in block:
-                return block
-        raise KeyError(i)
-
-    def refines(self, other: "SetPartition") -> bool:
-        """True when every block of self is contained in a block of other."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        location = {i: idx for idx, block in enumerate(other.blocks) for i in block}
-        return all(len({location[i] for i in block}) == 1 for block in self.blocks)
-
     def to_text(self) -> str:
         if self.n == 0:
             return "/"

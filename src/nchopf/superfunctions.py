@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 import threading
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
+    linear_map,
     product,  # noqa: F401  (public alias: callers read superfunctions.product)
     register_basis,
     register_transported,
@@ -106,17 +108,14 @@ def _straighten_pair(
 
 def kappa_coproduct_terms(q: int, lam: LabeledSetPartition) -> TensorElement:
     n = lam.n
-    terms: dict[tuple[BasisIndex, BasisIndex], CycRational] = {}
-    one = CycRational.one(q)
-    positions = range(1, n + 1)
+    terms: Counter = Counter()
     for size in range(n + 1):
-        for subset in itertools.combinations(positions, size):
+        for subset in itertools.combinations(range(1, n + 1), size):
             members = set(subset)
             if any((arc.left in members) != (arc.right in members) for arc in lam.arcs):
                 continue
             left, right = _straighten_pair(lam, subset)
-            key = (BasisIndex("kappa", size, left), BasisIndex("kappa", n - size, right))
-            terms[key] = terms.get(key, CycRational.zero(q)) + one
+            terms[BasisIndex("kappa", size, left), BasisIndex("kappa", n - size, right)] += 1
     return TensorElement(q, "kappa", terms)
 
 
@@ -359,34 +358,24 @@ def clear_table_cache() -> None:
 
 def chi_to_kappa(x: AlgebraElement, **table_options) -> AlgebraElement:
     """chi^lam = sum_mu table[lam][mu] kappa_mu, per grade."""
-    if x.basis != "chi":
-        raise ValueError(f"expected a chi element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "kappa")
-    for idx, coeff in x.terms.items():
+
+    def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
         row = table.values[table.index(idx.partition)]
-        terms = {
-            BasisIndex("kappa", idx.grade, mu): coeff * row[j]
-            for j, mu in enumerate(table.order)
-        }
-        out = out + AlgebraElement(x.q, "kappa", terms)
-    return out
+        return {BasisIndex("kappa", idx.grade, mu): row[j] for j, mu in enumerate(table.order)}
+
+    return linear_map(x, "kappa", image, source="chi")
 
 
 def kappa_to_chi(x: AlgebraElement, **table_options) -> AlgebraElement:
     """Inverse basis change via exact table inversion, per grade."""
-    if x.basis != "kappa":
-        raise ValueError(f"expected a kappa element, got basis {x.basis!r}")
-    out = AlgebraElement.zero(x.q, "chi")
-    for idx, coeff in x.terms.items():
+
+    def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
         row = table.inverse()[table.index(idx.partition)]
-        terms = {
-            BasisIndex("chi", idx.grade, lam): coeff * row[j]
-            for j, lam in enumerate(table.order)
-        }
-        out = out + AlgebraElement(x.q, "chi", terms)
-    return out
+        return {BasisIndex("chi", idx.grade, lam): row[j] for j, lam in enumerate(table.order)}
+
+    return linear_map(x, "chi", image, source="kappa")
 
 
 def inner_product(x: AlgebraElement, y: AlgebraElement, **table_options) -> CycRational:

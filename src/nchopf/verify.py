@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cyclotomic import CycRational
 from .elements import (
     ARC_BASES,
     AlgebraElement,
@@ -21,6 +20,7 @@ from .elements import (
     basis_coproduct,
     coproduct,
     counit,
+    linear_combination,
     map_tensor,
     product,
     unit_index,
@@ -129,61 +129,45 @@ def random_element(
 # Hopf-axiom building blocks
 
 
-def _triple_left(t: TensorElement) -> dict:
-    """Apply the coproduct to the left tensor factors: (Delta (x) id) of t."""
-    out: dict[tuple[BasisIndex, BasisIndex, BasisIndex], CycRational] = {}
-    for (left, right), c in t.terms.items():
-        for (a, b), d in basis_coproduct(t.q, left).terms.items():
-            key = (a, b, right)
-            value = c * d
-            out[key] = out[key] + value if key in out else value
-    return {k: v for k, v in out.items() if v}
+def _coproduct_on_factor(t: TensorElement, side: int) -> dict:
+    """(Delta (x) id)(t) for side 0 and (id (x) Delta)(t) for side 1, as a
+    map from index triples to coefficients."""
 
+    def image(key):
+        split = basis_coproduct(t.q, key[side]).terms
+        return {key[:side] + pair + key[side + 1:]: d for pair, d in split.items()}
 
-def _triple_right(t: TensorElement) -> dict:
-    out: dict[tuple[BasisIndex, BasisIndex, BasisIndex], CycRational] = {}
-    for (left, right), c in t.terms.items():
-        for (a, b), d in basis_coproduct(t.q, right).terms.items():
-            key = (left, a, b)
-            value = c * d
-            out[key] = out[key] + value if key in out else value
-    return {k: v for k, v in out.items() if v}
+    return linear_combination((c, image(key)) for key, c in t.terms.items())
 
 
 def is_coassociative(x: AlgebraElement) -> bool:
     t = coproduct(x)
-    return _triple_left(t) == _triple_right(t)
+    return _coproduct_on_factor(t, 0) == _coproduct_on_factor(t, 1)
 
 
 def satisfies_counit_law(x: AlgebraElement) -> bool:
-    t = coproduct(x)
     unit = unit_index(x.basis)
-    left = AlgebraElement.zero(x.q, x.basis)
-    right = AlgebraElement.zero(x.q, x.basis)
-    for (l, r), c in t.terms.items():
-        if l == unit:
-            left = left + AlgebraElement(x.q, x.basis, {r: c})
-        if r == unit:
-            right = right + AlgebraElement(x.q, x.basis, {l: c})
+    t = coproduct(x).terms
+    left = AlgebraElement(x.q, x.basis, {r: c for (l, r), c in t.items() if l == unit})
+    right = AlgebraElement(x.q, x.basis, {l: c for (l, r), c in t.items() if r == unit})
     return left == x and right == x
 
 
 def satisfies_antipode_identity(x: AlgebraElement) -> bool:
     """m(S (x) id)Delta = unit . counit = m(id (x) S)Delta, exactly."""
-    t = coproduct(x)
+    t = coproduct(x).terms
     expected = AlgebraElement.unit(x.q, x.basis).scale(counit(x))
-    left = AlgebraElement.zero(x.q, x.basis)
-    right = AlgebraElement.zero(x.q, x.basis)
-    for (l, r), c in t.terms.items():
-        left = left + product(
-            antipode(AlgebraElement(x.q, x.basis, {l: 1})),
-            AlgebraElement(x.q, x.basis, {r: 1}),
-        ).scale(c)
-        right = right + product(
-            AlgebraElement(x.q, x.basis, {l: 1}),
-            antipode(AlgebraElement(x.q, x.basis, {r: 1})),
-        ).scale(c)
-    return left == expected and right == expected
+
+    def single(idx: BasisIndex) -> AlgebraElement:
+        return AlgebraElement(x.q, x.basis, {idx: 1})
+
+    left = linear_combination(
+        (c, product(antipode(single(l)), single(r)).terms) for (l, r), c in t.items()
+    )
+    right = linear_combination(
+        (c, product(single(l), antipode(single(r))).terms) for (l, r), c in t.items()
+    )
+    return all(AlgebraElement(x.q, x.basis, side) == expected for side in (left, right))
 
 
 def is_bialgebra_pair(x: AlgebraElement, y: AlgebraElement) -> bool:

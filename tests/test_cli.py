@@ -1,10 +1,14 @@
 import io
 import json
 
+import pytest
+
+from nchopf import superfunctions
 from nchopf.cli import EXIT_BOUND, EXIT_INVALID, EXIT_OK, run
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, TensorElement
+from nchopf.limits import DEFAULT_TABLE_BOUND
 from nchopf.ncsym import ColoredIndex
 from nchopf.serialize import (
     canonical_dumps,
@@ -98,6 +102,25 @@ class TestCliBasics:
         assert code == EXIT_BOUND
         assert err
 
+    def test_enumerate_over_the_grade_bound_exits_two(self):
+        code, out, err = invoke(["enumerate", "--n", str(DEFAULT_TABLE_BOUND + 1), "--q", "2"])
+        assert code == EXIT_BOUND and not out and err
+
+    @pytest.mark.parametrize("suite", ["hopf", "iso", "duality"])
+    def test_verify_over_the_grade_bound_exits_two(self, suite):
+        argv = ["verify", "--suite", suite, "--n", str(DEFAULT_TABLE_BOUND + 1), "--q", "2"]
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and err
+
+    def test_unusable_cache_dir_exits_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["table", "--n", "3", "--q", "2", "--cache-dir", str(blocker / "x")]
+        code, out, err = invoke(argv)
+        assert code == EXIT_INVALID and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+
 
 class TestCliTable:
     def test_table_json_matches_oracle(self):
@@ -183,6 +206,14 @@ class TestCliElementOps:
         assert code == EXIT_OK
         value = CycRational.from_json(json.loads(out)["value"])
         assert str(value) == "1/2"
+
+    @pytest.mark.parametrize("header", [{"q": 4, "basis": "kappa"}, {"q": 2, "basis": "foo"}])
+    def test_empty_element_with_bad_header_exits_one(self, header):
+        code, out, err = invoke(["antipode"], json.dumps({**header, "terms": []}))
+        assert code == EXIT_INVALID and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+        with pytest.raises(ValueError):
+            tensor_from_json({**header, "terms": []})
 
     def test_bad_json_exits_one(self):
         code, _, err = invoke(["comul"], "this is not json")
