@@ -20,13 +20,13 @@ from .duals import (
     v_to_u,
 )
 from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
-from .limits import DEFAULT_TABLE_BOUND, BoundExceededError
+from .limits import DEFAULT_TABLE_BOUND, HOPF_WORK_BOUND, BoundExceededError
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
 from .setpartitions import arc_encoding, underlying_set_partition, enumerate_labeled_partitions
 from .superfunctions import chi_to_kappa, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
-from .verify import SUITES, run_suite
+from .verify import SUITES, hopf_work, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -171,11 +171,17 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         return EXIT_INVALID
 
 
-def _check_grade(n: int) -> None:
-    """Enumeration and the algebraic suites grow like Bell(n): the same
-    grade bound as the tables applies."""
+def _check_grade(n: int, what: str = "n=") -> None:
+    """Enumeration, the algebraic suites and the structure maps grow like
+    Bell(n) or 2^n: the same grade bound as the tables applies."""
     if n > DEFAULT_TABLE_BOUND:
-        raise BoundExceededError(f"n={n} exceeds the configured bound {DEFAULT_TABLE_BOUND}")
+        raise BoundExceededError(f"{what}{n} exceeds the configured bound {DEFAULT_TABLE_BOUND}")
+
+
+def _check_elements(*elements: AlgebraElement) -> None:
+    """The grade of a product is the sum of its factors' grades, and every
+    other element command works within the grade of its input."""
+    _check_grade(sum(max(x.grades(), default=0) for x in elements), "grade ")
 
 
 def _dispatch(args, stdin, stdout) -> int:
@@ -206,16 +212,19 @@ def _dispatch(args, stdin, stdout) -> int:
             raise CliError('mul expects {"left": <element>, "right": <element>}')
         left = _read_element(data["left"], args.basis, args.q)
         right = _read_element(data["right"], args.basis, args.q)
+        _check_elements(left, right)
         print(canonical_dumps(element_to_json(product(left, right))), file=stdout)
         return EXIT_OK
 
     if args.command == "comul":
         element = _read_element(_read_json(stdin), args.basis, args.q)
+        _check_elements(element)
         print(canonical_dumps(tensor_to_json(coproduct(element))), file=stdout)
         return EXIT_OK
 
     if args.command == "antipode":
         element = _read_element(_read_json(stdin), args.basis, args.q)
+        _check_elements(element)
         print(canonical_dumps(element_to_json(antipode(element))), file=stdout)
         return EXIT_OK
 
@@ -227,6 +236,7 @@ def _dispatch(args, stdin, stdout) -> int:
                 + ", ".join("->".join(k) for k in sorted(CONVERSIONS))
             )
         element = _read_element(_read_json(stdin), args.source, None)
+        _check_elements(element)
         print(canonical_dumps(element_to_json(CONVERSIONS[key](element))), file=stdout)
         return EXIT_OK
 
@@ -236,6 +246,8 @@ def _dispatch(args, stdin, stdout) -> int:
             raise CliError('pair expects {"left": <element>, "right": <element>}')
         left = _read_element(data["left"], None, None)
         right = _read_element(data["right"], None, None)
+        _check_elements(left)
+        _check_elements(right)
         mode = args.mode
         if mode == "auto":
             mode = "dual" if left.basis in ("kappa_star", "chi_star") else "inner"
@@ -251,6 +263,13 @@ def _dispatch(args, stdin, stdout) -> int:
     if args.command == "verify":
         if args.suite in ("hopf", "iso", "duality"):
             _check_grade(args.n)
+        if args.suite == "hopf":
+            work = hopf_work(args.n, args.q)
+            if work > HOPF_WORK_BOUND:
+                raise BoundExceededError(
+                    f"the hopf suite at n={args.n}, q={args.q} checks {work} basis elements"
+                    f" and pairs, over the configured bound {HOPF_WORK_BOUND}"
+                )
         report = run_suite(args.suite, args.n, args.q, seed=args.seed)
         print(canonical_dumps(report.to_json()), file=stdout)
         return EXIT_OK if report.passed else EXIT_VERIFY

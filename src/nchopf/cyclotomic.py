@@ -1,13 +1,28 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p) for a prime p.
 
-Elements are stored on the power basis 1, zeta, ..., zeta^(p-2) with rational
-coefficients; the relation 1 + zeta + ... + zeta^(p-1) = 0 is used as a
-rewrite rule, so equality of canonical forms is coefficient-wise.  For p = 2
-this degenerates to a single rational (zeta_2 = -1 is folded in).
+Elements are stored on the power basis 1, zeta, ..., zeta^(p-2) as integer
+numerators over one positive denominator, with the gcd of the denominator
+and all numerators equal to 1 (zero is 0/1).  The relation
+1 + zeta + ... + zeta^(p-1) = 0 is used as a rewrite rule, so equality of
+canonical forms is coefficient-wise.  For p = 2 this degenerates to a single
+rational (zeta_2 = -1 is folded in).
+
+Values are hash-consed: every construction ends in ``_intern``, which hands
+back the instance held for (p, numerators, denominator) in a weak pool, so
+equal values built by different routes are one object while any reference to
+it is alive, and the pool frees an entry with its last reference.  Equality
+and hashing stay value-based: an instance that missed the pool (two threads
+building the same new value at once) still equals its twin.
+
+Inputs are validated where they come from outside: the constructor, the
+classmethods, ``coerce`` and ``from_json``.  Arithmetic on two
+``CycRational`` values trusts both and never re-validates.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,26 +37,57 @@ class SingularMatrixError(ArithmeticError):
     """Raised when a linear solve meets a singular coefficient matrix."""
 
 
+_POOL: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _intern(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
+    """The shared instance of sum_i nums[i] zeta^i / den.  The caller
+    guarantees den > 0 and gcd(den, *nums) == 1."""
+    key = (p, nums, den)
+    x = _POOL.get(key)
+    if x is None:
+        x = object.__new__(CycRational)
+        _SET_P(x, p)
+        _SET_NUMS(x, nums)
+        _SET_DEN(x, den)
+        x = _POOL.setdefault(key, x)
+    return x
+
+
+def _reduced(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
+    """``_intern`` after dividing out the common gcd (den > 0)."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = tuple(a // g for a in nums)
+        den //= g
+    return _intern(p, nums, den)
+
+
 class CycRational:
     """An element of Q(zeta_p), exact, in canonical form."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "nums", "den", "__weakref__")
 
-    def __init__(self, p: int, coeffs: Sequence[Fraction | int]):
+    def __new__(cls, p: int, coeffs: Sequence[Fraction | int]):
         check_prime(p)
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients for conductor {p}, got {len(coeffs)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        fractions = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fractions))
+        return _reduced(p, tuple(f.numerator * (den // f.denominator) for f in fractions), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycRational is immutable")
+
+    def __reduce__(self):
+        return CycRational, (self.p, self.coeffs)
 
     # -- constructors
 
     @classmethod
     def zero(cls, p: int) -> "CycRational":
-        return cls(p, (0,) * (p - 1))
+        check_prime(p)
+        return _intern(p, (0,) * (p - 1), 1)
 
     @classmethod
     def one(cls, p: int) -> "CycRational":
@@ -49,18 +95,22 @@ class CycRational:
 
     @classmethod
     def from_rational(cls, p: int, value: Fraction | int) -> "CycRational":
-        coeffs = [Fraction(value)] + [Fraction(0)] * (p - 2)
-        return cls(p, coeffs)
+        check_prime(p)
+        if not isinstance(value, int):
+            value = Fraction(value)
+            return _intern(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
+        return _intern(p, (int(value),) + (0,) * (p - 2), 1)
 
     @classmethod
     def zeta_power(cls, p: int, e: int) -> "CycRational":
+        check_prime(p)
         e %= p
         if e == p - 1:
             # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-            return cls(p, (-1,) * (p - 1))
-        coeffs = [Fraction(0)] * (p - 1)
-        coeffs[e] = Fraction(1)
-        return cls(p, coeffs)
+            return _intern(p, (-1,) * (p - 1), 1)
+        nums = [0] * (p - 1)
+        nums[e] = 1
+        return _intern(p, tuple(nums), 1)
 
     @classmethod
     def coerce(cls, p: int, value) -> "CycRational":
@@ -74,92 +124,130 @@ class CycRational:
 
     # -- structure
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if isinstance(other, CycRational):
+            return self.p == other.p and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        return (
-            isinstance(other, CycRational)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
+            return self.is_rational() and Fraction(self.nums[0], self.den) == other
+        return False
 
     def __hash__(self) -> int:
         # A rational value equals the int or Fraction it holds, so it must
         # hash like that number.
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
+        nums, den = self.nums, self.den
+        if not any(nums[1:]):
+            return hash(nums[0]) if den == 1 else hash(Fraction(nums[0], den))
+        return hash((self.p, nums, den))
 
     # -- ring operations
 
     def _other(self, other) -> "CycRational":
+        if type(other) is CycRational and other.p == self.p:
+            return other
         return CycRational.coerce(self.p, other)
 
     def __add__(self, other) -> "CycRational":
         other = self._other(other)
-        return CycRational(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _sum(self.p, self.nums, self.den, other.nums, other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycRational":
-        return CycRational(self.p, tuple(-a for a in self.coeffs))
+        return _intern(self.p, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other) -> "CycRational":
-        return self + (-self._other(other))
+        other = self._other(other)
+        return _sum(self.p, self.nums, self.den, tuple(-b for b in other.nums), other.den)
 
     def __rsub__(self, other) -> "CycRational":
         return self._other(other) - self
 
     def __mul__(self, other) -> "CycRational":
-        other = self._other(other)
         p = self.p
-        acc = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[(i + j) % p] += a * b
+        if type(other) is int:
+            # Scaling by a multiplicity, most often 1.
+            if other == 1:
+                return self
+            return _reduced(p, tuple(a * other for a in self.nums), self.den)
+        if type(other) is Fraction:
+            num = other.numerator
+            return _reduced(p, tuple(a * num for a in self.nums), self.den * other.denominator)
+        other = self._other(other)
+        a, b = self.nums, other.nums
+        den = self.den * other.den
+        if p == 2:
+            return _reduced(2, (a[0] * b[0],), den)
+        if not any(b[1:]):
+            return _reduced(p, tuple(x * b[0] for x in a), den)
+        if not any(a[1:]):
+            return _reduced(p, tuple(a[0] * y for y in b), den)
+        # Schoolbook product; zeta^(p+k) folds onto zeta^k, then the
+        # coefficient of zeta^(p-1) is rewritten away.
+        acc = [0] * (2 * p - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        acc[i + j] += x * y
         top = acc[p - 1]
-        return CycRational(p, tuple(acc[i] - top for i in range(p - 1)))
+        return _reduced(p, tuple(acc[k] + acc[k + p] - top for k in range(p - 1)), den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CycRational":
         """Complex conjugation: zeta -> zeta^(p-1)."""
         p = self.p
-        acc = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            acc[(p - i) % p] += a
+        if p == 2:
+            return self
+        c = self.nums
+        top = c[1]
+        nums = (c[0] - top, -top) + tuple(c[p - j] - top for j in range(2, p - 1))
+        return _intern(p, nums, self.den)
+
+    def _galois(self, k: int) -> "CycRational":
+        """The field automorphism zeta -> zeta^k (k prime to p).  It permutes
+        the integral basis up to the rewrite, so no gcd can appear."""
+        p = self.p
+        acc = [0] * p
+        for i, a in enumerate(self.nums):
+            acc[i * k % p] += a
         top = acc[p - 1]
-        return CycRational(p, tuple(acc[i] - top for i in range(p - 1)))
+        return _intern(p, tuple(acc[j] - top for j in range(p - 1)), self.den)
 
     def inverse(self) -> "CycRational":
         if self.is_zero():
             raise ZeroDivisionError(f"zero has no inverse in Q(zeta_{self.p})")
-        p = self.p
-        if self.is_rational():
-            return CycRational.from_rational(p, 1 / self.coeffs[0])
-        # Solve (self * x) = 1 on the power basis: columns of the coefficient
-        # matrix are the canonical coordinates of self * zeta^j.
-        cols = [(self * CycRational.zeta_power(p, j)).coeffs for j in range(p - 1)]
-        matrix = [[cols[j][i] for j in range(p - 1)] for i in range(p - 1)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (p - 2)
-        return CycRational(p, _solve_rational(matrix, rhs))
+        p, nums = self.p, self.nums
+        if not any(nums[1:]):
+            sign = -1 if nums[0] < 0 else 1
+            return _intern(p, (sign * self.den,) + nums[1:], sign * nums[0])
+        # The product of the other Galois conjugates over the norm, which is
+        # the (rational) product of all p - 1 conjugates.
+        cofactor = self._galois(2)
+        for k in range(3, p):
+            cofactor = cofactor * self._galois(k)
+        return cofactor * (self * cofactor).inverse()
 
     def __truediv__(self, other) -> "CycRational":
         return self * self._other(other).inverse()
@@ -195,15 +283,28 @@ class CycRational:
         return out
 
     def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": [_fraction_to_str(c) for c in self.coeffs]}
+        return {"p": self.p, "coeffs": [_ratio_text(a, self.den) for a in self.nums]}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycRational":
         return cls(int(data["p"]), [Fraction(s) for s in data["coeffs"]])
 
 
-def _fraction_to_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+# The slot setters, bypassing the immutability guard in ``_intern``.
+_SET_P, _SET_NUMS, _SET_DEN = (CycRational.__dict__[name].__set__ for name in ("p", "nums", "den"))
+
+
+def _sum(p: int, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> CycRational:
+    """a/da + b/db on the power basis."""
+    if da == db:
+        nums = tuple(x + y for x, y in zip(a, b))
+        return _intern(p, nums, 1) if da == 1 else _reduced(p, nums, da)
+    return _reduced(p, tuple(x * db + y * da for x, y in zip(a, b)), da * db)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def theta(p: int, x: int) -> CycRational:
@@ -216,23 +317,6 @@ def theta(p: int, x: int) -> CycRational:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
-
-
-def _solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("singular rational matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
 
 
 def _check_square(matrix: Sequence[Sequence[CycRational]]) -> int:

@@ -239,9 +239,9 @@ def chi_star_to_kappa_star(x: AlgebraElement, **table_options) -> AlgebraElement
         row = table.values[table.index(idx.partition)]
         scale = Fraction(1, x.q ** crossing_statistic(idx.partition) * table.group_order)
         return {
-            BasisIndex("kappa_star", idx.grade, mu): row[j]
-            * CycRational.from_rational(x.q, scale * table.class_sizes[j])
-            for j, mu in enumerate(table.order)
+            key: v * (scale * size)
+            for key, v, size in zip(table.indices("kappa_star"), row, table.class_sizes)
+            if v
         }
 
     return linear_map(x, "kappa_star", image, source="chi_star")
@@ -253,9 +253,9 @@ def kappa_star_to_chi_star(x: AlgebraElement, **table_options) -> AlgebraElement
         inverse = table.inverse()[table.index(idx.partition)]
         z = Fraction(table.group_order, table.class_size(idx.partition))
         return {
-            BasisIndex("chi_star", idx.grade, lam): inverse[j]
-            * CycRational.from_rational(x.q, z * x.q ** crossing_statistic(lam))
-            for j, lam in enumerate(table.order)
+            key: v * (z * x.q ** crossing_statistic(lam))
+            for key, lam, v in zip(table.indices("chi_star"), table.order, inverse)
+            if v
         }
 
     return linear_map(x, "chi_star", image, source="kappa_star")

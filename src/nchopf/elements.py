@@ -28,6 +28,7 @@ which holds in any connected graded bialgebra.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -46,31 +47,45 @@ class UnsupportedBasisError(KeyError):
     """Raised when an operation has no rule registered for a basis tag."""
 
 
+_INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class BasisIndex:
     """A basis tag, a grade, and the indexing object of that grade.
 
     The indexing object is a ``LabeledSetPartition`` for the arc bases, a
     ``Permutation`` for the "M" basis, and a ``ColoredIndex`` for the colored
-    monomial basis "m_colored".
+    monomial basis "m_colored".  Hash-consed like the partitions: the
+    constructor returns the instance held under (basis, grade, partition) in
+    a weak pool, validating only when it builds a new one.
     """
 
-    __slots__ = ("basis", "grade", "partition", "_hash")
+    __slots__ = ("basis", "grade", "partition", "_hash", "__weakref__")
 
-    def __init__(self, basis: str, grade: int, partition):
+    def __new__(cls, basis: str, grade: int, partition):
+        key = (basis, grade, partition)
+        idx = _INDICES.get(key)
+        if idx is not None:
+            return idx
         if getattr(partition, "n", None) != grade:
             raise ValueError(f"index {partition!r} does not have grade {grade}")
         if basis in SET_PARTITION_BASES and partition.max_label() != 1:
             raise ValueError(f"basis {basis!r} is indexed by unlabeled set partitions")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "_hash", hash((basis, grade, partition)))
+        idx = object.__new__(cls)
+        object.__setattr__(idx, "basis", basis)
+        object.__setattr__(idx, "grade", grade)
+        object.__setattr__(idx, "partition", partition)
+        object.__setattr__(idx, "_hash", hash(key))
+        return _INDICES.setdefault(key, idx)
+
+    def __reduce__(self):
+        return BasisIndex, (self.basis, self.grade, self.partition)
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisIndex is immutable")
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, BasisIndex)
             and self.basis == other.basis
             and self.grade == other.grade

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from typing import Iterable, Iterator, Sequence
 
 
@@ -62,37 +63,56 @@ class Arc(tuple):
         return f"{self.left}-{self.label}-{self.right}"
 
 
+_PARTITIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class LabeledSetPartition:
     """An element of S_n(q): arcs with distinct lefts and distinct rights.
 
-    Immutable; equality and hashing are determined by (n, sorted arcs), with
-    arcs kept in (left, right) lexicographic order.
+    Immutable and hash-consed: the constructor validates and sorts the arcs,
+    then returns the instance held under (n, arcs) in a weak pool, so equal
+    partitions built by different routes are one object while any reference
+    to it is alive.  Equality and hashing are still determined by
+    (n, sorted arcs), with arcs kept in (left, right) lexicographic order.
     """
 
-    __slots__ = ("n", "arcs", "_hash")
+    __slots__ = ("n", "arcs", "_hash", "__weakref__")
 
-    def __init__(self, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
+    def __new__(cls, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         if n < 0:
             raise ValueError(f"size must be nonnegative, got {n}")
-        normalized = sorted(Arc(*a) for a in arcs)
+        normalized = tuple(sorted(Arc(*a) for a in arcs))
         lefts = [a.left for a in normalized]
         rights = [a.right for a in normalized]
         for a in normalized:
             if a.right > n:
                 raise ValueError(f"arc {a!r} exceeds ground set [1, {n}]")
         if len(set(lefts)) != len(lefts):
-            raise ValueError(f"arcs share a left endpoint: {normalized}")
+            raise ValueError(f"arcs share a left endpoint: {list(normalized)}")
         if len(set(rights)) != len(rights):
-            raise ValueError(f"arcs share a right endpoint: {normalized}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", tuple(normalized))
-        object.__setattr__(self, "_hash", hash((n, self.arcs)))
+            raise ValueError(f"arcs share a right endpoint: {list(normalized)}")
+        key = (n, normalized)
+        lam = _PARTITIONS.get(key)
+        if lam is None:
+            lam = object.__new__(cls)
+            object.__setattr__(lam, "n", n)
+            object.__setattr__(lam, "arcs", normalized)
+            object.__setattr__(lam, "_hash", hash(key))
+            lam = _PARTITIONS.setdefault(key, lam)
+        return lam
+
+    def __init__(self, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
+        """Nothing to do: ``__new__`` built or found the shared instance.
+        Defined so the constructor stays an ordinary, wrappable method."""
+
+    def __reduce__(self):
+        return LabeledSetPartition, (self.n, self.arcs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, LabeledSetPartition)
             and self.n == other.n
             and self.arcs == other.arcs
@@ -321,6 +341,17 @@ def enumerate_labeled_partitions(n: int, q: int) -> list[LabeledSetPartition]:
             )
     result.sort(key=LabeledSetPartition.sort_key)
     return result
+
+
+def count_labeled_partitions(n: int, q: int) -> int:
+    """|S_n(q)| without enumerating it: a set partition of [n] into b blocks
+    is the underlying partition of labeled ones with n - b arcs, each arc
+    carrying one of q - 1 labels, so the count is sum_b S(n, b) (q-1)^(n-b),
+    with S(n, b) the Stirling numbers of the second kind."""
+    row = [1]  # S(m, b) for b = 0..m, from m = 0 up to n
+    for m in range(1, n + 1):
+        row = [0] + [b * (row[b] if b < m else 0) + row[b - 1] for b in range(1, m + 1)]
+    return sum(s * (q - 1) ** (n - b) for b, s in enumerate(row))
 
 
 def underlying_set_partition(lam: LabeledSetPartition) -> SetPartition:

@@ -161,7 +161,7 @@ def supercharacter_value(
         raise AssertionError(
             f"negative q-exponent {exponent} for {lam!r}, {mu!r}: nesting exceeds cover count"
         )
-    value = CycRational.from_rational(q, Fraction(q) ** exponent)
+    value = CycRational.from_rational(q, q**exponent)
     for a in lam.arcs:
         for b in mu_arcs:
             if a.left == b.left and a.right == b.right:
@@ -184,6 +184,7 @@ class SupercharTable:
         self.class_sizes = tuple(int(s) for s in class_sizes)
         self._index = {lam: i for i, lam in enumerate(self.order)}
         self._inverse = None
+        self._keys: dict[str, tuple[BasisIndex, ...]] = {}
         if len(self.values) != len(self.order) or any(
             len(row) != len(self.order) for row in self.values
         ):
@@ -203,6 +204,14 @@ class SupercharTable:
 
     def class_size(self, mu: LabeledSetPartition) -> int:
         return self.class_sizes[self._index[mu]]
+
+    def indices(self, basis: str) -> tuple[BasisIndex, ...]:
+        """The index order as basis indices of the given tag, built once per
+        tag and kept with the table for the basis changes."""
+        keys = self._keys.get(basis)
+        if keys is None:
+            keys = self._keys[basis] = tuple(BasisIndex(basis, self.n, lam) for lam in self.order)
+        return keys
 
     def inverse(self) -> tuple[tuple[CycRational, ...], ...]:
         """Exact inverse of the value matrix; cached after the first call."""
@@ -362,7 +371,7 @@ def chi_to_kappa(x: AlgebraElement, **table_options) -> AlgebraElement:
     def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
         row = table.values[table.index(idx.partition)]
-        return {BasisIndex("kappa", idx.grade, mu): row[j] for j, mu in enumerate(table.order)}
+        return {key: v for key, v in zip(table.indices("kappa"), row) if v}
 
     return linear_map(x, "kappa", image, source="chi")
 
@@ -373,7 +382,7 @@ def kappa_to_chi(x: AlgebraElement, **table_options) -> AlgebraElement:
     def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
         row = table.inverse()[table.index(idx.partition)]
-        return {BasisIndex("chi", idx.grade, lam): row[j] for j, lam in enumerate(table.order)}
+        return {key: v for key, v in zip(table.indices("chi"), row) if v}
 
     return linear_map(x, "chi", image, source="kappa")
 
@@ -403,9 +412,7 @@ def inner_product(x: AlgebraElement, y: AlgebraElement, **table_options) -> CycR
             cy = y.terms.get(idx)
             if cx is None or cy is None:
                 continue
-            total = total + cx * cy.conj() * CycRational.from_rational(
-                q, scale * table.class_sizes[j]
-            )
+            total = total + cx * cy.conj() * (scale * table.class_sizes[j])
     return total
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .elements import (
     ARC_BASES,
+    SET_PARTITION_BASES,
     AlgebraElement,
     BasisIndex,
     TensorElement,
@@ -36,6 +37,8 @@ from .setpartitions import (
     SetComposition,
     all_set_partitions,
     arc_encoding,
+    check_prime,
+    count_labeled_partitions,
     enumerate_labeled_partitions,
 )
 from .superfunctions import kappa_element, supercharacter_table
@@ -94,6 +97,8 @@ class SuiteReport:
 # index enumeration and random elements
 
 COCOMMUTATIVE_BASES = ("kappa", "m", "p", "k_colored")
+#: Random elements per basis in each of the hopf suite's two random checks.
+HOPF_SAMPLES = 100
 COMMUTATIVE_BASES = ("kappa_star", "U")
 
 
@@ -113,6 +118,29 @@ def basis_indices(q: int, tag: str, grade: int) -> list[BasisIndex]:
             BasisIndex(tag, grade, lam) for lam in enumerate_labeled_partitions(grade, q)
         ]
     raise ValueError(f"no index enumeration for basis {tag!r}")
+
+
+def hopf_work(n: int, q: int) -> int:
+    """What ``suite_hopf`` checks, counted without building it: every basis
+    element up to grade n, every pair of them with grades summing to at most
+    n, and for the random checks ``HOPF_SAMPLES`` average elements of the
+    pool they draw from, over all the suite's bases.  The k basis works on
+    colored-monomial expansions, so its indices of grade g count as the
+    Bell(g) (q-1)^g colored monomials they expand into."""
+    check_prime(q)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    total = 0
+    pool = min(n, 3) + 1
+    for tag in hopf_bases(q):
+        labels = 2 if tag in SET_PARTITION_BASES else q
+        counts = [count_labeled_partitions(g, labels) for g in range(n + 1)]
+        sizes = counts
+        if tag == "k_colored":
+            sizes = [count_labeled_partitions(g, 2) * (q - 1) ** g for g in range(n + 1)]
+        total += sum(sizes) + sum(sizes[a] * sizes[b] for a in range(n + 1) for b in range(n + 1 - a))
+        total += HOPF_SAMPLES * sum(sizes[:pool]) // sum(counts[:pool])
+    return total
 
 
 def random_element(
@@ -188,7 +216,7 @@ def respects_grading(a: BasisIndex, b: BasisIndex, q: int) -> bool:
 # the suites
 
 
-def suite_hopf(n: int, q: int, seed: int = 0, samples: int = 100) -> SuiteReport:
+def suite_hopf(n: int, q: int, seed: int = 0, samples: int = HOPF_SAMPLES) -> SuiteReport:
     """Coassociativity, counit, bialgebra compatibility, (co)commutativity,
     and the antipode identity on all basis elements up to grade n and on
     random combinations, per basis."""

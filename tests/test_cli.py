@@ -1,14 +1,15 @@
 import io
 import json
+import time
 
 import pytest
 
-from nchopf import superfunctions
+from nchopf import cli, superfunctions
 from nchopf.cli import EXIT_BOUND, EXIT_INVALID, EXIT_OK, run
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, TensorElement
-from nchopf.limits import DEFAULT_TABLE_BOUND
+from nchopf.limits import DEFAULT_TABLE_BOUND, HOPF_WORK_BOUND
 from nchopf.ncsym import ColoredIndex
 from nchopf.serialize import (
     canonical_dumps,
@@ -19,6 +20,7 @@ from nchopf.serialize import (
 )
 from nchopf.setpartitions import LabeledSetPartition, SetPartition
 from nchopf.superfunctions import kappa_element
+from nchopf.verify import hopf_work
 
 
 def lsp(text):
@@ -120,6 +122,71 @@ class TestCliBasics:
         code, out, err = invoke(argv)
         assert code == EXIT_INVALID and not out
         assert err.startswith("nchopf: ") and "Traceback" not in err
+
+
+class TestCliWorkBounds:
+    BIG = canonical_dumps(element_to_json(kappa_element(2, LabeledSetPartition(30, [(1, 30, 1)]))))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["comul"], ["antipode"], ["convert", "--from", "kappa", "--to", "chi"]],
+    )
+    def test_element_over_the_grade_bound_exits_two_at_once(self, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(argv, self.BIG)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+
+    def test_mul_bounds_the_sum_of_the_grades(self):
+        def element(n):
+            return element_to_json(kappa_element(2, LabeledSetPartition(n)))
+
+        half = DEFAULT_TABLE_BOUND // 2 + 1
+        payload = canonical_dumps({"left": element(half), "right": element(half)})
+        code, out, err = invoke(["mul"], payload)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        payload = canonical_dumps({"left": element(1), "right": element(2)})
+        assert invoke(["mul"], payload)[0] == EXIT_OK
+
+    def test_pair_over_the_grade_bound_exits_two(self):
+        payload = canonical_dumps({"left": json.loads(self.BIG), "right": json.loads(self.BIG)})
+        code, out, err = invoke(["pair", "--mode", "inner"], payload)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_hopf_suite_runs_up_to_its_work_bound(self, monkeypatch):
+        argv = ["verify", "--suite", "hopf", "--n", "2", "--q", "2"]
+        monkeypatch.setattr(cli, "HOPF_WORK_BOUND", hopf_work(2, 2))
+        assert invoke(argv)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "HOPF_WORK_BOUND", hopf_work(2, 2) - 1)
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    @pytest.mark.parametrize("n, q", [(DEFAULT_TABLE_BOUND, 2), (5, 3), (4, 5), (2, 23)])
+    def test_hopf_suite_over_the_work_bound_exits_two_at_once(self, n, q):
+        assert hopf_work(n, q) > HOPF_WORK_BOUND
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--suite", "hopf", "--n", str(n), "--q", str(q)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_hopf_work_counts_elements_pairs_and_samples(self):
+        # q = 2: five bases with 1, 1, 2 indices in grades 0..2; pairs with
+        # grades summing to at most 2: 1*1 + 1*1 + 1*2 + 1*1 + 1*1 + 2*1 = 8;
+        # the random checks count as 100 elements of weight 1.
+        assert hopf_work(2, 2) == 5 * (4 + 8 + 100)
+        # q = 3 adds the k basis, whose grade-1 index counts as its 2
+        # colored monomials and grade 2 as Bell(2) * 2^2 = 8 of them.
+        k_sizes = [1, 2, 8]
+        k_work = sum(k_sizes) + 1 * 11 + 2 * 3 + 8 * 1 + 100 * 11 // 5
+        assert hopf_work(2, 3) == 2 * (5 + 1 * 5 + 1 * 2 + 3 * 1 + 100) + k_work
+
+    @pytest.mark.parametrize("n, q", [(2, 4), (-1, 2)])
+    def test_hopf_work_rejects_invalid_input(self, n, q):
+        with pytest.raises(ValueError):
+            hopf_work(n, q)
+        code, out, err = invoke(["verify", "--suite", "hopf", "--n", str(n), "--q", str(q)])
+        assert code == EXIT_INVALID and not out and "Traceback" not in err
 
 
 class TestCliTable:

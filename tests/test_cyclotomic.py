@@ -1,10 +1,14 @@
+import gc
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nchopf import cyclotomic
 from nchopf.cyclotomic import (
     ConductorMismatchError,
     CycRational,
@@ -196,3 +200,159 @@ class TestLinearAlgebra:
         data = x.to_json()
         assert data == {"p": 3, "coeffs": ["1/2", "-2"]}
         assert CycRational.from_json(data) == x
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-coefficient representation the integer one replaced, kept as
+# the reference: coefficient tuples of length p - 1 on the power basis.
+
+
+def ref_canonical(p, acc):
+    top = acc[p - 1]
+    return tuple(acc[i] - top for i in range(p - 1))
+
+
+def ref_mul(p, a, b):
+    acc = [Fraction(0)] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            acc[(i + j) % p] += x * y
+    return ref_canonical(p, acc)
+
+
+def ref_conj(p, a):
+    acc = [Fraction(0)] * p
+    for i, x in enumerate(a):
+        acc[(p - i) % p] += x
+    return ref_canonical(p, acc)
+
+
+def ref_inverse(p, a):
+    """Solve a * x = 1 by Gauss-Jordan elimination on the power basis."""
+    n = p - 1
+    unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    cols = [ref_mul(p, a, unit[j]) for j in range(n)]
+    aug = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return tuple(aug[i][n] for i in range(n))
+
+
+def ref_json(p, a):
+    text = [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in a]
+    return {"p": p, "coeffs": text}
+
+
+@st.composite
+def coefficient_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    coefficient = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    vector = st.lists(coefficient, min_size=p - 1, max_size=p - 1).map(tuple)
+    return p, draw(vector), draw(vector)
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_pairs())
+    def test_ring_operations_match(self, case):
+        p, a, b = case
+        x, y = CycRational(p, a), CycRational(p, b)
+        assert (x + y).coeffs == tuple(u + v for u, v in zip(a, b))
+        assert (x - y).coeffs == tuple(u - v for u, v in zip(a, b))
+        assert (x * y).coeffs == ref_mul(p, a, b)
+        assert x.conj().coeffs == ref_conj(p, a)
+        assert x.to_json() == ref_json(p, a)
+        assert (x * y).to_json() == ref_json(p, ref_mul(p, a, b))
+        if any(a):
+            assert x.inverse().coeffs == ref_inverse(p, a)
+            assert x.inverse().to_json() == ref_json(p, ref_inverse(p, a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_pairs())
+    def test_integer_and_fraction_scaling_match(self, case):
+        p, a, b = case
+        x = CycRational(p, a)
+        for scalar in (0, 1, -1, 3, b[0]):
+            assert (x * scalar).coeffs == tuple(u * scalar for u in a)
+            assert (scalar * x) == x * CycRational.from_rational(p, scalar)
+
+
+class TestHashConsing:
+    def test_equal_values_built_by_different_routes_are_one_object(self):
+        x = CycRational.from_rational(3, 2)
+        assert CycRational(3, [2, 0]) is x
+        assert 2 * CycRational.one(3) is x
+        assert CycRational.one(3) + CycRational.one(3) is x
+        assert CycRational.from_json({"p": 3, "coeffs": ["4/2", "0"]}) is x
+        # Equality and hashing still compare values.
+        assert x == 2 and x == Fraction(2) and hash(x) == hash(2)
+        assert x != CycRational.from_rational(5, 2)
+
+    def test_pool_entry_is_freed_with_its_last_reference(self):
+        x = CycRational(5, [Fraction(12347, 9871), -3, 0, 1])
+        key = (5, x.nums, x.den)
+        assert cyclotomic._POOL.get(key) is x
+        del x
+        gc.collect()
+        assert cyclotomic._POOL.get(key) is None
+
+    def test_denominator_is_positive_and_gcd_normalized(self):
+        x = CycRational(3, [Fraction(2, 6), Fraction(-4, 6)])
+        assert (x.nums, x.den) == ((1, -2), 3)
+        zero = x - x
+        assert (zero.nums, zero.den) == ((0, 0), 1)
+        assert (x.inverse() * x).den == 1
+
+    def test_threads_building_the_same_values_agree(self):
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                values = []
+                for k in range(300):
+                    a = CycRational(5, [Fraction(k, 7), 1, -k, Fraction(1, k + 1)])
+                    values.append(a * a.conj() + CycRational.from_rational(5, k))
+                results[slot] = values
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(values == results[0] for values in results)
+        assert all(hash(a) == hash(b) for values in results for a, b in zip(values, results[0]))
+
+    def test_public_constructors_validate(self):
+        with pytest.raises(ValueError):
+            CycRational(4, [1, 0, 0])
+        with pytest.raises(ValueError):
+            CycRational(3, [1])
+        with pytest.raises(ValueError):
+            CycRational.from_json({"p": 6, "coeffs": ["1"] * 5})
+        with pytest.raises(TypeError):
+            CycRational.coerce(3, "1/2")
+
+    def test_immutable_and_picklable(self):
+        import pickle
+
+        x = CycRational(3, [Fraction(1, 2), 5])
+        with pytest.raises(AttributeError):
+            x.p = 5
+        assert pickle.loads(pickle.dumps(x)) is x

@@ -1,4 +1,10 @@
+import gc
+import sys
+import threading
+
 import pytest
+
+from nchopf import elements
 
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import u_to_v
@@ -11,7 +17,7 @@ from nchopf.elements import (
     linear_map,
     map_tensor,
 )
-from nchopf.setpartitions import LabeledSetPartition
+from nchopf.setpartitions import LabeledSetPartition, enumerate_labeled_partitions
 from nchopf.superfunctions import chi_to_kappa
 
 
@@ -101,3 +107,57 @@ class TestTensorElement:
         assert x != t
         with pytest.raises(TypeError):
             x + t
+
+
+class TestBasisIndexPool:
+    def test_equal_indices_are_one_object(self):
+        lam = lsp("3; 1-1-3")
+        first = BasisIndex("kappa", 3, lam)
+        assert BasisIndex("kappa", 3, LabeledSetPartition(3, [(1, 3, 1)])) is first
+        assert idx("kappa", "3; 1-1-3") is first
+        assert BasisIndex("chi", 3, lam) is not first
+        assert BasisIndex("chi", 3, lam) != first
+        assert hash(first) == hash(("kappa", 3, lam))
+
+    def test_pool_entry_is_freed_with_its_last_reference(self):
+        key = ("kappa", 8, lsp("8; 1-1-8, 2-1-7"))
+        index = BasisIndex(*key)
+        assert elements._INDICES.get(key) is index
+        del index
+        gc.collect()
+        assert elements._INDICES.get(key) is None
+
+    def test_validation_still_applies(self):
+        with pytest.raises(ValueError):
+            BasisIndex("kappa", 2, lsp("3;"))
+        with pytest.raises(ValueError):
+            BasisIndex("m", 2, lsp("2; 1-2-2"))
+
+    def test_threads_building_the_same_indices_agree(self):
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                results[slot] = [
+                    BasisIndex(tag, lam.n, lam)
+                    for tag in ("kappa", "chi", "kappa_star")
+                    for lam in enumerate_labeled_partitions(4, 3)
+                ]
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(keys == results[0] for keys in results)

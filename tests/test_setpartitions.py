@@ -1,9 +1,11 @@
+import gc
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nchopf import setpartitions
 from nchopf.setpartitions import (
     Arc,
     LabeledSetPartition,
@@ -15,6 +17,7 @@ from nchopf.setpartitions import (
     common_refinement,
     concat,
     concat_set_partitions,
+    count_labeled_partitions,
     crossing_statistic,
     enumerate_labeled_partitions,
     partition_mobius,
@@ -341,3 +344,41 @@ class TestCrossings:
     def test_three_way(self):
         lam = LabeledSetPartition(6, [(1, 4, 1), (2, 5, 1), (3, 6, 1)])
         assert crossing_statistic(lam) == 3
+
+
+class TestCounting:
+    @pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3, 5) for n in range(7 if q < 5 else 6)])
+    def test_count_matches_enumeration(self, n, q):
+        assert count_labeled_partitions(n, q) == len(enumerate_labeled_partitions(n, q))
+
+    def test_q2_counts_are_bell_numbers(self):
+        assert [count_labeled_partitions(n, 2) for n in range(10)] == [bell(n) for n in range(10)]
+
+
+class TestHashConsing:
+    def test_constructor_and_enumeration_share_one_object(self):
+        built = LabeledSetPartition(3, [(2, 3, 1), (1, 2, 1)])
+        assert built is LabeledSetPartition.from_text("3; 1-1-2, 2-1-3")
+        enumerated = {lam: lam for lam in enumerate_labeled_partitions(3, 2)}
+        assert enumerated[built] is built
+        assert concat(lsp("1;"), lsp("2; 1-1-2")) is lsp("3; 2-1-3")
+
+    def test_equality_and_hash_stay_value_based(self):
+        lam = lsp("4; 1-2-3")
+        assert lam == LabeledSetPartition(4, [Arc(1, 3, 2)])
+        assert hash(lam) == hash((4, (Arc(1, 3, 2),)))
+        assert lam != lsp("4; 1-1-3")
+
+    def test_pool_entry_is_freed_with_its_last_reference(self):
+        lam = LabeledSetPartition(9, [(1, 9, 4), (2, 8, 3)])
+        key = (9, lam.arcs)
+        assert setpartitions._PARTITIONS.get(key) is lam
+        del lam
+        gc.collect()
+        assert setpartitions._PARTITIONS.get(key) is None
+
+    def test_validation_still_applies(self):
+        with pytest.raises(ValueError):
+            LabeledSetPartition(2, [(1, 2, 1), (1, 2, 2)])
+        with pytest.raises(ValueError):
+            LabeledSetPartition(2, [(1, 3, 1)])
