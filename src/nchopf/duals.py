@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CycRational
@@ -38,7 +37,6 @@ from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
     arc_encoding,
-    crossing_statistic,
     partition_mobius,
     refinements,
     underlying_set_partition,
@@ -232,12 +230,14 @@ def chi_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElemen
 
 def chi_star_to_kappa_star(x: AlgebraElement, **table_options) -> AlgebraElement:
     """Dual basis change: the dual of a supercharacter expands on kappa_star
-    with the table row rescaled by superclass size / (group order * q^C)."""
+    with the table row rescaled by superclass size times the table weight
+    1 / (group order * q^crs)."""
 
     def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
-        row = table.values[table.index(idx.partition)]
-        scale = Fraction(1, x.q ** crossing_statistic(idx.partition) * table.group_order)
+        i = table.index(idx.partition)
+        row = table.values[i]
+        scale = table.weights()[i]
         return {
             key: v * (scale * size)
             for key, v, size in zip(table.indices("kappa_star"), row, table.class_sizes)
@@ -248,14 +248,16 @@ def chi_star_to_kappa_star(x: AlgebraElement, **table_options) -> AlgebraElement
 
 
 def kappa_star_to_chi_star(x: AlgebraElement, **table_options) -> AlgebraElement:
+    """kappa_star_mu = sum_lam conj(chi^lam(mu)) chi_star_lam: the inverse of
+    chi_star_to_kappa_star is the conjugated table column, by orthogonality."""
+
     def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
-        inverse = table.inverse()[table.index(idx.partition)]
-        z = Fraction(table.group_order, table.class_size(idx.partition))
+        i = table.index(idx.partition)
         return {
-            key: v * (z * x.q ** crossing_statistic(lam))
-            for key, lam, v in zip(table.indices("chi_star"), table.order, inverse)
-            if v
+            key: row[i].conj()
+            for key, row in zip(table.indices("chi_star"), table.values)
+            if row[i]
         }
 
     return linear_map(x, "chi_star", image, source="kappa_star")

@@ -4,7 +4,8 @@ Superclass functions of UT_n(q) for all n at once, on two bases indexed by
 labeled set partitions: the superclass indicator functions (basis tag
 "kappa") and the supercharacters (basis tag "chi").  The kappa basis carries
 the combinatorial product and coproduct; the chi basis routes through kappa
-via exact supercharacter-table inversion, one table per grade.
+by the supercharacter table, one table per grade, and back by its inverse,
+which the orthogonality of supercharacters gives in closed form.
 
 Products concatenate ground sets and coproducts split them:
 
@@ -25,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import CycRational, solve_linear_system, invert_matrix, theta
+from .cyclotomic import CycRational, solve_linear_system, theta
 from .elements import (
     AlgebraElement,
     BasisIndex,
@@ -39,6 +40,7 @@ from .limits import DEFAULT_TABLE_BOUND, BoundExceededError
 from .setpartitions import (
     LabeledSetPartition,
     check_prime,
+    crossing_statistic,
     enumerate_labeled_partitions,
 )
 
@@ -183,8 +185,9 @@ class SupercharTable:
         self.values = tuple(tuple(row) for row in values)
         self.class_sizes = tuple(int(s) for s in class_sizes)
         self._index = {lam: i for i, lam in enumerate(self.order)}
-        self._inverse = None
         self._keys: dict[str, tuple[BasisIndex, ...]] = {}
+        self._weights: tuple[Fraction, ...] | None = None
+        self._inverse_rows: list[tuple[CycRational, ...] | None] = [None] * len(self.order)
         if len(self.values) != len(self.order) or any(
             len(row) != len(self.order) for row in self.values
         ):
@@ -213,11 +216,33 @@ class SupercharTable:
             keys = self._keys[basis] = tuple(BasisIndex(basis, self.n, lam) for lam in self.order)
         return keys
 
+    def weights(self) -> tuple[Fraction, ...]:
+        """w_lam = 1 / (|G| q^crs(lam)) in index order, built once per table:
+        supercharacters are orthogonal with <chi^lam, chi^lam> = q^crs(lam)."""
+        weights = self._weights
+        if weights is None:
+            order = self.group_order
+            weights = self._weights = tuple(
+                Fraction(1, order * self.q ** crossing_statistic(lam)) for lam in self.order
+            )
+        return weights
+
+    def inverse_row(self, i: int) -> tuple[CycRational, ...]:
+        """Row mu = order[i] of the inverse table, by orthogonality:
+        T^-1[mu][lam] = |K_mu| conj(T[lam][mu]) w_lam.  Cached per row; a
+        thread race only computes a row twice."""
+        row = self._inverse_rows[i]
+        if row is None:
+            size = self.class_sizes[i]
+            column = (values[i] for values in self.values)
+            row = self._inverse_rows[i] = tuple(
+                v.conj() * (size * w) if v else v for v, w in zip(column, self.weights())
+            )
+        return row
+
     def inverse(self) -> tuple[tuple[CycRational, ...], ...]:
-        """Exact inverse of the value matrix; cached after the first call."""
-        if self._inverse is None:
-            self._inverse = tuple(tuple(row) for row in invert_matrix(self.values))
-        return self._inverse
+        """The exact inverse of the value matrix, as the tuple of its rows."""
+        return tuple(self.inverse_row(i) for i in range(len(self.order)))
 
     def validate_basic(self) -> None:
         if self.order and self.order[0].arcs:
@@ -328,7 +353,8 @@ def supercharacter_table(
 def _load_table(path: Path, n: int, q: int) -> SupercharTable:
     """Read a cached table, raising ValueError unless it is the table of
     UT_n(q): same (n, q), the canonical index order, values over Q(zeta_q),
-    and the degree and size checks of ``validate_basic``."""
+    the degree and size-sum checks of ``validate_basic``, and the weighted
+    orthogonality the sizes are solved from."""
     table = SupercharTable.from_json(json.loads(path.read_text()))
     if (table.n, table.q) != (n, q):
         raise ValueError(f"cache file holds the table for n={table.n}, q={table.q}")
@@ -337,6 +363,13 @@ def _load_table(path: Path, n: int, q: int) -> SupercharTable:
     if any(v.p != q for row in table.values for v in row):
         raise ValueError(f"cache file values are not over Q(zeta_{q})")
     table.validate_basic()
+    # sum_mu |K_mu| chi^lam(mu) = |G| delta(lam, empty) for every lam; the
+    # table is invertible, so this pins every class size.
+    zero = CycRational.zero(q)
+    for i, row in enumerate(table.values):
+        total = sum((v * size for v, size in zip(row, table.class_sizes) if v), zero)
+        if total != (table.group_order if i == 0 else 0):
+            raise ValueError(f"cache file class sizes fail orthogonality at {table.order[i]!r}")
     return table
 
 
@@ -377,11 +410,12 @@ def chi_to_kappa(x: AlgebraElement, **table_options) -> AlgebraElement:
 
 
 def kappa_to_chi(x: AlgebraElement, **table_options) -> AlgebraElement:
-    """Inverse basis change via exact table inversion, per grade."""
+    """kappa_mu = sum_lam T^-1[mu][lam] chi^lam, per grade, reading only the
+    inverse rows of the indices in x."""
 
     def image(idx):
         table = supercharacter_table(idx.grade, x.q, **table_options)
-        row = table.inverse()[table.index(idx.partition)]
+        row = table.inverse_row(table.index(idx.partition))
         return {key: v for key, v in zip(table.indices("chi"), row) if v}
 
     return linear_map(x, "chi", image, source="kappa")

@@ -214,18 +214,23 @@ def test_criterion_4_oracle_equivalence():
                 report = suite_oracle(n, q)
                 assert report.passed, (n, q, [c.name for c in report.failures])
                 # SInd/Res adjointness is skipped, with its reason, exactly
-                # where |G|^3 exceeds the work bound, e.g. at (4, 3)
+                # where |G|^3 exceeds the work bound, e.g. at (4, 3), or n < 2
+                # leaves no two-part composition to run over; Inf/Def only in
+                # the latter case
                 sind = [c for c in report.checks if c.name == "sind-res-adjointness"]
-                assert len(sind) == 1, (n, q)
+                inf = [c for c in report.checks if c.name == "inf-def-adjointness"]
+                assert len(sind) == 1 and len(inf) == 1, (n, q)
                 big = oracle.get_group(n, q).order ** 3 > 2_000_000
-                assert sind[0].skipped == big, (n, q)
-                if big:
-                    assert not sind[0].passed and "skipped" in sind[0].detail
-                    assert sind[0].to_json()["skipped"] is True
+                assert sind[0].skipped == (big or n < 2), (n, q)
+                assert inf[0].skipped == (n < 2), (n, q)
+                for check in sind + inf:
+                    if check.skipped:
+                        assert not check.passed and "skipped" in check.detail
+                        assert check.to_json()["skipped"] is True
                 if q == 2:
                     assert len(oracle.get_group(n, q).superclasses()) == bell[n]
         # the adjointness half of the criterion is pinned at q = 2 for all
-        # n <= 4; suite_oracle already ran it wherever the group is small
+        # 2 <= n <= 4; suite_oracle already ran it wherever the group is small
         # enough, which covers every (n, 2) with n <= 4
         for n in range(5):
             assert oracle.get_group(n, 2).order ** 3 <= 2_000_000

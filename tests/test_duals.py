@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from nchopf.cyclotomic import CycRational
+from nchopf.cyclotomic import CycRational, invert_matrix
 from nchopf.elements import (
     AlgebraElement,
     BasisIndex,
@@ -37,10 +38,11 @@ from nchopf.setpartitions import (
     LabeledSetPartition,
     SetPartition,
     all_set_partitions,
+    crossing_statistic,
     enumerate_labeled_partitions,
     underlying_set_partition,
 )
-from nchopf.superfunctions import kappa_element
+from nchopf.superfunctions import kappa_element, supercharacter_table
 from nchopf import unitriangular as oracle
 
 
@@ -50,6 +52,10 @@ def lsp(text):
 
 def sp(text):
     return SetPartition.from_text(text)
+
+
+# every table up to (5, 2), (4, 3) and (3, 5)
+TABLE_SIZES = [(n, 2) for n in range(6)] + [(n, 3) for n in range(5)] + [(n, 5) for n in range(4)]
 
 
 class TestKappaStarProduct:
@@ -156,10 +162,23 @@ class TestDualityPairing:
                     assert z_scalar(mu, q) == group.order // len(orbit)
 
     def test_chi_star_conversion_roundtrip(self):
-        for q in (2, 3):
-            for lam in enumerate_labeled_partitions(3, q):
+        for n, q in TABLE_SIZES:
+            for lam in enumerate_labeled_partitions(n, q):
                 f = chi_star_element(q, lam)
                 assert kappa_star_to_chi_star(chi_star_to_kappa_star(f)) == f
+
+    @pytest.mark.parametrize("n,q", TABLE_SIZES)
+    def test_kappa_star_to_chi_star_matches_the_inverse_table(self, n, q):
+        # the conjugated column against the old formula on the Gauss-Jordan
+        # inverse: kappa_star_mu = sum_lam T^-1[mu][lam] |G|/|K_mu| q^crs(lam) chi_star_lam
+        table = supercharacter_table(n, q)
+        inverse = invert_matrix(table.values)
+        for i, mu in enumerate(table.order):
+            z = Fraction(table.group_order, table.class_sizes[i])
+            expected = AlgebraElement.zero(q, "chi_star")
+            for lam, v in zip(table.order, inverse[i]):
+                expected = expected + chi_star_element(q, lam, v * (z * q ** crossing_statistic(lam)))
+            assert kappa_star_to_chi_star(kappa_star_element(q, mu)) == expected
 
     def test_chi_star_is_dual_to_chi(self):
         from nchopf.superfunctions import chi_element

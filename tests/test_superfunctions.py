@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nchopf.cyclotomic import CycRational
+from nchopf.cyclotomic import CycRational, invert_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from nchopf.setpartitions import (
     enumerate_labeled_partitions,
 )
 from nchopf.superfunctions import (
+    SupercharTable,
     chi_element,
     chi_to_kappa,
     filtration_membership,
@@ -304,6 +305,105 @@ class TestTables:
             "class_sizes": [8],
         }
         self._load_from_bad_cache(tmp_path, data)
+
+    def test_disk_cache_with_swapped_class_sizes_is_recomputed(self, tmp_path):
+        # the right sum and degrees, so only orthogonality tells it apart
+        from nchopf import superfunctions
+
+        data = superfunctions._compute_table(3, 2).to_json()
+        assert data["class_sizes"] == [1, 2, 1, 2, 2]
+        data["class_sizes"] = [2, 1, 1, 2, 2]
+        self._load_from_bad_cache(tmp_path, data)
+
+
+# every table up to (5, 2), (4, 3) and (3, 5)
+TABLE_SIZES = [(n, 2) for n in range(6)] + [(n, 3) for n in range(5)] + [(n, 5) for n in range(4)]
+
+
+class TestClosedFormInverse:
+    """The inverse table from orthogonality, against Gauss-Jordan."""
+
+    @pytest.mark.parametrize("n,q", TABLE_SIZES)
+    def test_inverse_equals_gauss_jordan(self, n, q):
+        table = supercharacter_table(n, q)
+        reference = tuple(tuple(row) for row in invert_matrix(table.values))
+        assert table.inverse() == reference
+
+    @pytest.mark.parametrize("n,q", TABLE_SIZES)
+    def test_inverse_row_does_not_depend_on_build_order(self, n, q):
+        table = supercharacter_table(n, q)
+
+        def fresh():
+            return SupercharTable(n, q, table.order, table.values, table.class_sizes)
+
+        in_order = fresh()
+        rows = [in_order.inverse_row(i) for i in range(len(table.order))]
+        for i in range(len(table.order)):
+            first = fresh()
+            assert first.inverse_row(i) == rows[i]
+            assert first.inverse() == tuple(rows)
+            assert first.inverse_row(i) is first.inverse_row(i)
+
+    def test_inverse_rows_under_thread_races(self):
+        # four threads fill one fresh table's rows in different orders; a
+        # race may build a row twice but every thread sees the same rows
+        import sys
+        import threading
+
+        table = supercharacter_table(4, 3)
+        shared = SupercharTable(4, 3, table.order, table.values, table.class_sizes)
+        size = len(table.order)
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                order = range(size) if slot % 2 == 0 else reversed(range(size))
+                rows = {i: shared.inverse_row(i) for i in order}
+                results[slot] = tuple(rows[i] for i in range(size))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(rows == table.inverse() for rows in results)
+
+    def test_kappa_to_chi_reads_only_the_rows_it_needs(self, monkeypatch):
+        from nchopf import superfunctions
+
+        superfunctions.clear_table_cache()
+        read = []
+        inverse_row = SupercharTable.inverse_row
+
+        def counted(self, i):
+            read.append((self.n, i))
+            return inverse_row(self, i)
+
+        def whole(self):
+            raise AssertionError("kappa_to_chi built the whole inverse")
+
+        monkeypatch.setattr(SupercharTable, "inverse_row", counted)
+        monkeypatch.setattr(SupercharTable, "inverse", whole)
+        try:
+            lams = enumerate_labeled_partitions(4, 3)[5:8] + enumerate_labeled_partitions(2, 3)[:1]
+            x = AlgebraElement.zero(3, "kappa")
+            for lam in lams:
+                x = x + kappa_element(3, lam)
+            kappa_to_chi(x)
+        finally:
+            superfunctions.clear_table_cache()
+        assert sorted(read) == [(2, 0), (4, 5), (4, 6), (4, 7)]
 
 
 class TestBasisChange:
