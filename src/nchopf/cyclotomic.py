@@ -54,6 +54,11 @@ def _intern(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
     return x
 
 
+def _integer(p: int, k: int) -> "CycRational":
+    """The shared instance of the integer k.  The caller guarantees p prime."""
+    return _intern(p, (k,) + (0,) * (p - 2), 1)
+
+
 def _reduced(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
     """``_intern`` after dividing out the common gcd (den > 0)."""
     g = math.gcd(den, *nums)
@@ -99,7 +104,7 @@ class CycRational:
         if not isinstance(value, int):
             value = Fraction(value)
             return _intern(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
-        return _intern(p, (int(value),) + (0,) * (p - 2), 1)
+        return _integer(p, int(value))
 
     @classmethod
     def zeta_power(cls, p: int, e: int) -> "CycRational":

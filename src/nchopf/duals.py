@@ -36,11 +36,12 @@ from .elements import (
 from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
+    _labeled,
+    _set_partition,
     arc_encoding,
     partition_mobius,
     refinements,
     underlying_set_partition,
-    unstraighten,
 )
 from .superfunctions import chi_to_kappa, group_order, supercharacter_table
 
@@ -61,6 +62,9 @@ class Permutation:
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "_hash", hash(word))
         object.__setattr__(self, "_cycles", None)
+
+    def __reduce__(self):
+        return Permutation, (self.word,)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -132,7 +136,8 @@ class Permutation:
 
 def csupp(sigma: Permutation) -> SetPartition:
     """The partition of [n] whose blocks are the supports of sigma's cycles."""
-    return SetPartition(sigma.n, [sorted(cycle) for cycle in sigma.cycles()])
+    # cycles start at their minima and come sorted by them
+    return _set_partition(sigma.n, tuple(tuple(sorted(cycle)) for cycle in sigma.cycles()))
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +153,13 @@ def _kappa_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     n = mu.n + nu.n
     terms: Counter = Counter()
     for subset in itertools.combinations(range(1, n + 1), mu.n):
-        complement = tuple(i for i in range(1, n + 1) if i not in set(subset))
-        merged = LabeledSetPartition(
-            n,
-            unstraighten(mu, subset, n).arcs + unstraighten(nu, complement, n).arcs,
-        )
-        terms[BasisIndex("kappa_star", n, merged)] += 1
-    return AlgebraElement(q, "kappa_star", terms)
+        members = set(subset)
+        complement = tuple(i for i in range(1, n + 1) if i not in members)
+        # mu embedded along subset and nu along its complement
+        arcs = [(subset[l - 1], subset[r - 1], c) for l, r, c in mu.arcs]
+        arcs += [(complement[l - 1], complement[r - 1], c) for l, r, c in nu.arcs]
+        terms[BasisIndex("kappa_star", n, _labeled(n, tuple(sorted(arcs))))] += 1
+    return AlgebraElement._trusted(q, "kappa_star", terms)
 
 
 def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
@@ -162,17 +167,10 @@ def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
     n = lam.n
     terms: Counter = Counter()
     for k in range(n + 1):
-        left = LabeledSetPartition(k, (arc for arc in lam.arcs if arc.right <= k))
-        right = LabeledSetPartition(
-            n - k,
-            (
-                (arc.left - k, arc.right - k, arc.label)
-                for arc in lam.arcs
-                if arc.left > k
-            ),
-        )
+        left = _labeled(k, tuple(arc for arc in lam.arcs if arc[1] <= k))
+        right = _labeled(n - k, tuple((l - k, r - k, c) for l, r, c in lam.arcs if l > k))
         terms[BasisIndex("kappa_star", k, left), BasisIndex("kappa_star", n - k, right)] += 1
-    return TensorElement(q, "kappa_star", terms)
+    return TensorElement._trusted(q, "kappa_star", terms)
 
 
 register_basis("kappa_star", product=_kappa_star_product, coproduct=_kappa_star_coproduct)
@@ -287,7 +285,7 @@ def _M_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
         for i in range(1, n + 1):
             word[complement[i - 1] - 1] = complement[beta(i) - 1]
         terms[BasisIndex("M", m + n, Permutation(word))] += 1
-    return AlgebraElement(q, "M", terms)
+    return AlgebraElement._trusted(q, "M", terms)
 
 
 register_basis("M", product=_M_product, unit_key=lambda: Permutation(()))
@@ -321,15 +319,15 @@ def _U_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     n = mu.n + nu.n
     terms: Counter = Counter()
     for subset in itertools.combinations(range(1, n + 1), mu.n):
-        positions = list(subset)
-        complement = [i for i in range(1, n + 1) if i not in set(subset)]
-        blocks = [
-            [positions[i - 1] for i in block] for block in mu.blocks
-        ] + [
-            [complement[i - 1] for i in block] for block in nu.blocks
+        members = set(subset)
+        complement = [i for i in range(1, n + 1) if i not in members]
+        # embedding along subset and complement keeps each block increasing
+        blocks = [tuple(subset[i - 1] for i in block) for block in mu.blocks] + [
+            tuple(complement[i - 1] for i in block) for block in nu.blocks
         ]
-        terms[BasisIndex("U", n, arc_encoding(SetPartition(n, blocks)))] += 1
-    return AlgebraElement(q, "U", terms)
+        sp = _set_partition(n, tuple(sorted(blocks)))
+        terms[BasisIndex("U", n, arc_encoding(sp))] += 1
+    return AlgebraElement._trusted(q, "U", terms)
 
 
 def _U_coproduct(q: int, a: BasisIndex) -> TensorElement:
@@ -339,16 +337,16 @@ def _U_coproduct(q: int, a: BasisIndex) -> TensorElement:
     n = sp.n
     terms: Counter = Counter()
     for k in range(n + 1):
-        left_blocks = [b for b in sp.blocks if b[-1] <= k]
-        right_blocks = [tuple(i - k for i in b) for b in sp.blocks if b[0] > k]
+        left_blocks = tuple(b for b in sp.blocks if b[-1] <= k)
+        right_blocks = tuple(tuple(i - k for i in b) for b in sp.blocks if b[0] > k)
         if sum(len(b) for b in left_blocks) != k:
             continue
         key = (
-            BasisIndex("U", k, arc_encoding(SetPartition(k, left_blocks))),
-            BasisIndex("U", n - k, arc_encoding(SetPartition(n - k, right_blocks))),
+            BasisIndex("U", k, arc_encoding(_set_partition(k, left_blocks))),
+            BasisIndex("U", n - k, arc_encoding(_set_partition(n - k, right_blocks))),
         )
         terms[key] += 1
-    return TensorElement(q, "U", terms)
+    return TensorElement._trusted(q, "U", terms)
 
 
 register_basis("U", product=_U_product, coproduct=_U_coproduct)
@@ -396,7 +394,7 @@ def dual_ch(x: AlgebraElement) -> AlgebraElement:
         BasisIndex("V", idx.grade, arc_encoding(underlying_set_partition(idx.partition))): c
         for idx, c in x.terms.items()
     }
-    return AlgebraElement(x.q, "V", terms)
+    return AlgebraElement._trusted(x.q, "V", terms)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .cyclotomic import CycRational
+from .cyclotomic import CycRational, _integer
 from .setpartitions import LabeledSetPartition
 
 #: Bases indexed by labeled set partitions.  For the set-partition bases
@@ -156,13 +156,13 @@ def register_transported(
 
 def _transported_product(q: int, a: BasisIndex, b: BasisIndex) -> "AlgebraElement":
     to_base = _TO_BASE[a.basis]
-    left = to_base(AlgebraElement(q, a.basis, {a: 1}))
-    right = to_base(AlgebraElement(q, a.basis, {b: 1}))
+    left = to_base(AlgebraElement._trusted(q, a.basis, {a: 1}))
+    right = to_base(AlgebraElement._trusted(q, a.basis, {b: 1}))
     return _FROM_BASE[a.basis](product(left, right))
 
 
 def _transported_coproduct(q: int, a: BasisIndex) -> "TensorElement":
-    inner = coproduct(_TO_BASE[a.basis](AlgebraElement(q, a.basis, {a: 1})))
+    inner = coproduct(_TO_BASE[a.basis](AlgebraElement._trusted(q, a.basis, {a: 1})))
     return map_tensor(inner, _FROM_BASE[a.basis])
 
 
@@ -194,12 +194,17 @@ def _pair_terms(left: Mapping, right: Mapping) -> dict:
 class LinearCombination:
     """A finite map from keys to nonzero scalars in Q(zeta_q), every basis
     index in the keys carrying one basis tag; the arc bases also need labels
-    below q.  Subclasses say which indices a key holds."""
+    below q, and colored monomials of positive grade need q - 1 colors.
+    Subclasses say which indices a key holds.
+
+    The constructor checks all of this.  Results the package computes from
+    terms it already holds go through ``_trusted`` instead."""
 
     __slots__ = ("q", "basis", "terms")
 
     def __init__(self, q: int, basis: str, terms: Mapping | None = None):
         arc_basis = basis in ARC_BASES
+        colored = basis == "m_colored"
         out = {}
         for key, coeff in (terms or {}).items():
             for idx in self._indices(key):
@@ -207,12 +212,37 @@ class LinearCombination:
                     raise ValueError(f"index {idx!r} does not belong to basis {basis!r}")
                 if arc_basis and idx.partition.max_label() >= q:
                     raise ValueError(f"index {idx!r} carries labels outside F_{q}^x")
+                if colored and idx.grade and idx.partition.r != q - 1:
+                    raise ValueError(f"index {idx!r} does not carry the {q - 1} colors of q = {q}")
             value = CycRational.coerce(q, coeff)
             if value:
                 out[key] = value
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", out)
+        _SET_Q(self, q)
+        _SET_BASIS(self, basis)
+        _SET_TERMS(self, out)
+
+    @classmethod
+    def _trusted(cls, q: int, basis: str, terms: dict):
+        """The combination with these terms, built without checks: for the
+        results of structure maps and basis changes, whose indices were
+        checked where they entered the program.  The caller guarantees that
+        q is prime, that every index in the keys is a valid index of
+        ``basis`` at q, and that every value is nonzero: a ``CycRational`` of
+        conductor q, or an int, which is coerced here through the scalar
+        pool.  Takes ownership of ``terms``."""
+        if type(terms) is not dict:
+            terms = dict(terms)
+        for key, c in terms.items():
+            if type(c) is not CycRational:
+                terms[key] = _integer(q, c) if type(c) is int else CycRational.coerce(q, c)
+        x = object.__new__(cls)
+        _SET_Q(x, q)
+        _SET_BASIS(x, basis)
+        _SET_TERMS(x, terms)
+        return x
+
+    def __reduce__(self):
+        return type(self), (self.q, self.basis, self.terms)
 
     @staticmethod
     def _indices(key) -> tuple[BasisIndex, ...]:
@@ -261,22 +291,32 @@ class LinearCombination:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms[key] + c if key in terms else c
-        return type(self)(self.q, self.basis, terms)
+        return self._trusted(self.q, self.basis, {key: c for key, c in terms.items() if c})
 
     def __neg__(self):
-        return type(self)(self.q, self.basis, {key: -c for key, c in self.terms.items()})
+        return self._trusted(self.q, self.basis, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
         scalar = CycRational.coerce(self.q, scalar)
-        return type(self)(self.q, self.basis, {key: c * scalar for key, c in self.terms.items()})
+        if scalar == 1:
+            return self
+        if not scalar:
+            return self.zero(self.q, self.basis)
+        return self._trusted(self.q, self.basis, {key: c * scalar for key, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction, CycRational)):
             return self.scale(scalar)
         return NotImplemented
+
+
+# The slot setters, bypassing the immutability guard.
+_SET_Q, _SET_BASIS, _SET_TERMS = (
+    LinearCombination.__dict__[name].__set__ for name in ("q", "basis", "terms")
+)
 
 
 class AlgebraElement(LinearCombination):
@@ -329,7 +369,7 @@ class TensorElement(LinearCombination):
     @classmethod
     def tensor(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
         x._check_compatible(y)
-        return cls(x.q, x.basis, _pair_terms(x.terms, y.terms))
+        return cls._trusted(x.q, x.basis, _pair_terms(x.terms, y.terms))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -343,7 +383,7 @@ class TensorElement(LinearCombination):
         return " + ".join(bits)
 
     def swap(self) -> "TensorElement":
-        return TensorElement(
+        return TensorElement._trusted(
             self.q, self.basis, {(r, l): c for (l, r), c in self.terms.items()}
         )
 
@@ -356,7 +396,7 @@ class TensorElement(LinearCombination):
             for (l1, r1), c1 in self.terms.items()
             for (l2, r2), c2 in other.terms.items()
         )
-        return TensorElement(q, self.basis, linear_combination(pieces))
+        return TensorElement._trusted(q, self.basis, linear_combination(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +425,24 @@ def product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         for ix, cx in x.terms.items()
         for iy, cy in y.terms.items()
     )
-    return AlgebraElement(x.q, x.basis, linear_combination(pieces))
+    return AlgebraElement._trusted(x.q, x.basis, linear_combination(pieces))
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Linear extension of the registered basis coproduct."""
     pieces = ((c, basis_coproduct(x.q, idx).terms) for idx, c in x.terms.items())
-    return TensorElement(x.q, x.basis, linear_combination(pieces))
+    return TensorElement._trusted(x.q, x.basis, linear_combination(pieces))
 
 
 def linear_map(x: LinearCombination, target: str, image, source: str | None = None):
     """The linear map sending each key of x to ``image(key)``, a map from
-    keys of basis ``target`` to scalars, applied to x.  The result has the
-    shape of x (element or tensor).  With ``source`` given, x must live in
-    that basis."""
+    valid keys of basis ``target`` to scalars, applied to x.  The result has
+    the shape of x (element or tensor) and is built without re-checking the
+    keys.  With ``source`` given, x must live in that basis."""
     if source is not None and x.basis != source:
         raise ValueError(f"expected an element of basis {source!r}, got {x.basis!r}")
     terms = linear_combination((c, image(key)) for key, c in x.terms.items())
-    return type(x)(x.q, target, terms)
+    return type(x)._trusted(x.q, target, terms)
 
 
 def map_tensor(
@@ -411,7 +451,9 @@ def map_tensor(
     """(f (x) f)(t) for a linear map f, applied one basis index at a time."""
 
     def image(key):
-        return _pair_terms(*(f(AlgebraElement(t.q, t.basis, {idx: 1})).terms for idx in key))
+        return _pair_terms(
+            *(f(AlgebraElement._trusted(t.q, t.basis, {idx: 1})).terms for idx in key)
+        )
 
     return linear_map(t, f(AlgebraElement.zero(t.q, t.basis)).basis, image)
 
@@ -425,7 +467,11 @@ _ANTIPODE_CACHE: dict[tuple[int, str], dict[BasisIndex, AlgebraElement]] = {}
 
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
-    """The Hopf inversion, solved grade by grade from the coproduct."""
+    """The Hopf inversion, solved grade by grade from the coproduct.  The
+    antipode of a basis element is its cached solution itself."""
+    if len(x.terms) == 1:
+        ((idx, c),) = x.terms.items()
+        return _antipode_basis(x.q, idx).scale(c)
     return linear_map(x, x.basis, lambda idx: _antipode_basis(x.q, idx).terms)
 
 
@@ -435,13 +481,19 @@ def _antipode_basis(q: int, idx: BasisIndex) -> AlgebraElement:
     if cached is not None:
         return cached
     if idx.grade == 0:
-        result = AlgebraElement(q, idx.basis, {idx: 1})
+        result = AlgebraElement._trusted(q, idx.basis, {idx: 1})
     else:
         middle = (
-            (-c, product(_antipode_basis(q, left), AlgebraElement(q, idx.basis, {right: 1})).terms)
+            (
+                -c,
+                product(
+                    _antipode_basis(q, left), AlgebraElement._trusted(q, idx.basis, {right: 1})
+                ).terms,
+            )
             for (left, right), c in basis_coproduct(q, idx).terms.items()
             if left.grade and right.grade
         )
-        result = AlgebraElement(q, idx.basis, linear_combination([(-1, {idx: 1}), *middle]))
+        terms = linear_combination([(-1, {idx: 1}), *middle])
+        result = AlgebraElement._trusted(q, idx.basis, terms)
     cache[idx] = result
     return result

@@ -20,9 +20,12 @@ with this picture: kappa indices map to m (q = 2) or k (q > 2) indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
+import weakref
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .cyclotomic import CycRational
 from .elements import (
@@ -37,6 +40,8 @@ from .elements import (
 from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
+    _labeled,
+    _set_partition,
     arc_encoding,
     check_prime,
     coarsenings,
@@ -50,23 +55,47 @@ from .setpartitions import (
 # colored indices and the field/color identification
 
 
+_COLORED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _colored_index(partition: SetPartition, colors: tuple[int, ...], r: int) -> "ColoredIndex":
+    """The shared colored index, built without checks: for indices derived
+    from valid ones.  The caller guarantees one color in [0, r) per position
+    of the partition; the empty index is normalized to r = 1 here."""
+    if not colors:
+        r = 1
+    key = (partition, colors, r)
+    idx = _COLORED.get(key)
+    if idx is None:
+        idx = object.__new__(ColoredIndex)
+        object.__setattr__(idx, "partition", partition)
+        object.__setattr__(idx, "colors", colors)
+        object.__setattr__(idx, "r", r)
+        object.__setattr__(idx, "_hash", hash(key))
+        idx = _COLORED.setdefault(key, idx)
+    return idx
+
+
 class ColoredIndex:
-    """A set partition of [n] with one color (an exponent mod r) per position."""
+    """A set partition of [n] with one color (an exponent mod r) per position.
 
-    __slots__ = ("partition", "colors", "r", "_hash")
+    Hash-consed: the constructor reduces the colors mod r (the empty index
+    takes r = 1, shared by every color group), checks their number, and
+    returns the instance held under (partition, colors, r) in a weak pool.
+    """
 
-    def __init__(self, partition: SetPartition, colors: Iterable[int], r: int):
+    __slots__ = ("partition", "colors", "r", "_hash", "__weakref__")
+
+    def __new__(cls, partition: SetPartition, colors: Iterable[int], r: int):
         if r < 1:
             raise ValueError(f"color group order must be >= 1, got {r}")
-        if partition.n == 0:
-            r = 1  # the empty index is shared by every color group
         colors = tuple(int(c) % r for c in colors)
         if len(colors) != partition.n:
             raise ValueError(f"expected {partition.n} colors, got {len(colors)}")
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_hash", hash((partition, colors, r)))
+        return _colored_index(partition, colors, r)
+
+    def __reduce__(self):
+        return ColoredIndex, (self.partition, self.colors, self.r)
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredIndex is immutable")
@@ -79,7 +108,7 @@ class ColoredIndex:
         return 1
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, ColoredIndex)
             and self.partition == other.partition
             and self.colors == other.colors
@@ -112,8 +141,10 @@ class ColoredIndex:
         return cls(SetPartition(n, blocks), data["colors"], int(data["r"]))
 
 
+@functools.cache
 def primitive_root(q: int) -> int:
-    """The smallest generator of the multiplicative group mod q."""
+    """The smallest generator of the multiplicative group mod q, computed
+    once per prime."""
     check_prime(q)
     if q == 2:
         return 1
@@ -128,15 +159,17 @@ def primitive_root(q: int) -> int:
     raise AssertionError(f"no primitive root found for prime {q}")
 
 
-def discrete_log_table(q: int) -> dict[int, int]:
-    """Exponents identifying the nonzero residues mod q with Z/(q-1)."""
+@functools.cache
+def discrete_log_table(q: int) -> Mapping[int, int]:
+    """Exponents identifying the nonzero residues mod q with Z/(q-1),
+    computed once per prime and shared as a read-only mapping."""
     g = primitive_root(q)
     table = {}
     x = 1
     for e in range(q - 1):
         table[x] = e
         x = (x * g) % q
-    return table
+    return types.MappingProxyType(table)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +198,13 @@ def _merged_partitions(lam: SetPartition, mu: SetPartition):
         for chosen in itertools.combinations(range(la), s):
             for targets in itertools.permutations(range(lb), s):
                 match = dict(zip(chosen, targets))
-                blocks = []
-                for i, block in enumerate(lam.blocks):
-                    if i in match:
-                        blocks.append(block + shifted[match[i]])
-                    else:
-                        blocks.append(block)
-                used = set(match.values())
-                blocks.extend(b for j, b in enumerate(shifted) if j not in used)
-                yield SetPartition(n, blocks)
+                # lam's blocks keep their order and precede the unmatched
+                # shifted blocks, whose minima all exceed lam.n
+                blocks = tuple(
+                    block + shifted[match[i]] if i in match else block
+                    for i, block in enumerate(lam.blocks)
+                ) + tuple(b for j, b in enumerate(shifted) if j not in targets)
+                yield _set_partition(n, blocks)
 
 
 def _m_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
@@ -183,7 +214,7 @@ def _m_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
         if idx in terms:
             raise AssertionError(f"monomial product produced {idx!r} twice")
         terms[idx] = 1
-    return AlgebraElement(q, "m", terms)
+    return AlgebraElement._trusted(q, "m", terms)
 
 
 def _block_subset_splits(sp: SetPartition):
@@ -206,7 +237,9 @@ def _standardize_blocks(blocks: list[tuple[int, ...]]) -> tuple[SetPartition, li
     they came from."""
     ground = sorted(i for block in blocks for i in block)
     relabel = {pos: r + 1 for r, pos in enumerate(ground)}
-    return SetPartition(len(ground), [[relabel[i] for i in block] for block in blocks]), ground
+    # relabeling is increasing, so blocks stay increasing and ordered by minima
+    relabeled = tuple(tuple(relabel[i] for i in block) for block in blocks)
+    return _set_partition(len(ground), relabeled), ground
 
 
 def _split_coproduct(q: int, a: BasisIndex, tag: str) -> TensorElement:
@@ -214,12 +247,12 @@ def _split_coproduct(q: int, a: BasisIndex, tag: str) -> TensorElement:
         (BasisIndex(tag, left.n, arc_encoding(left)), BasisIndex(tag, right.n, arc_encoding(right)))
         for (left, _), (right, _) in _block_subset_splits(_partition_of(a))
     )
-    return TensorElement(q, tag, terms)
+    return TensorElement._trusted(q, tag, terms)
 
 
 def _p_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     merged = concat_set_partitions(_partition_of(a), _partition_of(b))
-    return p_element(q, merged)
+    return AlgebraElement._trusted(q, "p", {BasisIndex("p", merged.n, arc_encoding(merged)): 1})
 
 
 register_basis("m", product=_m_product, coproduct=lambda q, a: _split_coproduct(q, a, "m"))
@@ -273,8 +306,6 @@ def coproduct_p(lam: SetPartition, q: int = 2) -> TensorElement:
 
 
 def colored_element(q: int, idx: ColoredIndex, coeff=1) -> AlgebraElement:
-    if idx.n > 0 and idx.r != q - 1:
-        raise ValueError(f"color group of order {idx.r} does not match q = {q}")
     return AlgebraElement(q, "m_colored", {BasisIndex("m_colored", idx.n, idx): coeff})
 
 
@@ -282,24 +313,26 @@ def _colored_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     ia: ColoredIndex = a.partition
     ib: ColoredIndex = b.partition
     colors = ia.colors + ib.colors
-    r = max(q - 1, 1)
+    r = q - 1
     terms = {}
     for nu in _merged_partitions(ia.partition, ib.partition):
-        idx = BasisIndex("m_colored", nu.n, ColoredIndex(nu, colors, r))
+        idx = BasisIndex("m_colored", nu.n, _colored_index(nu, colors, r))
         terms[idx] = 1
-    return AlgebraElement(q, "m_colored", terms)
+    return AlgebraElement._trusted(q, "m_colored", terms)
 
 
 def _colored_coproduct(q: int, a: BasisIndex) -> TensorElement:
     colors, r = a.partition.colors, a.partition.r
     terms = Counter(
         tuple(
-            BasisIndex("m_colored", sp.n, ColoredIndex(sp, (colors[i - 1] for i in ground), r))
+            BasisIndex(
+                "m_colored", sp.n, _colored_index(sp, tuple(colors[i - 1] for i in ground), r)
+            )
             for sp, ground in sides
         )
         for sides in _block_subset_splits(a.partition.partition)
     )
-    return TensorElement(q, "m_colored", terms)
+    return TensorElement._trusted(q, "m_colored", terms)
 
 
 register_basis("m_colored", product=_colored_product, coproduct=_colored_coproduct,
@@ -314,22 +347,21 @@ def expand_k_in_colored_m(lam: LabeledSetPartition, q: int) -> AlgebraElement:
     """One colored monomial per admissible coloring: along every arc the color
     difference equals the discrete log of the label; one free color per block,
     so a partition with t blocks expands into (q-1)^t terms."""
-    check_prime(q)
+    dlog = discrete_log_table(q)  # checks that q is prime
     r = q - 1
+    n = lam.n
     sp = underlying_set_partition(lam)
-    dlog = discrete_log_table(q)
-    offset = {block[0]: 0 for block in sp.blocks}
-    for arc in lam.arcs:  # arcs sorted by left endpoint: offsets propagate along each block
-        offset[arc.right] = (offset[arc.left] + dlog[arc.label]) % r
+    offset = [0] * (n + 1)
+    for left, right, label in lam.arcs:  # sorted by left: offsets propagate along each block
+        offset[right] = (offset[left] + dlog[label]) % r
     terms = {}
     for base_colors in itertools.product(range(r), repeat=len(sp.blocks)):
-        colors = [0] * lam.n
+        colors = [0] * n
         for block, base in zip(sp.blocks, base_colors):
             for member in block:
                 colors[member - 1] = (base + offset[member]) % r
-        idx = ColoredIndex(sp, colors, r)
-        terms[BasisIndex("m_colored", lam.n, idx)] = 1
-    return AlgebraElement(q, "m_colored", terms)
+        terms[BasisIndex("m_colored", n, _colored_index(sp, tuple(colors), r))] = 1
+    return AlgebraElement._trusted(q, "m_colored", terms)
 
 
 def _labeled_from_colored(idx: ColoredIndex, q: int) -> LabeledSetPartition:
@@ -337,35 +369,40 @@ def _labeled_from_colored(idx: ColoredIndex, q: int) -> LabeledSetPartition:
     monomial: labels are exponentials of color differences along the blocks."""
     g = primitive_root(q)
     r = q - 1
-    arcs = []
-    for block in idx.partition.blocks:
-        for a, b in zip(block, block[1:]):
-            e = (idx.colors[b - 1] - idx.colors[a - 1]) % r
-            arcs.append((a, b, pow(g, e, q) if q > 2 else 1))
-    return LabeledSetPartition(idx.n, arcs)
+    colors = idx.colors
+    arcs = [
+        (a, b, pow(g, (colors[b - 1] - colors[a - 1]) % r, q) if q > 2 else 1)
+        for block in idx.partition.blocks
+        for a, b in zip(block, block[1:])
+    ]
+    return _labeled(idx.n, tuple(sorted(arcs)))
 
 
 def collect_k(x: AlgebraElement, q: int) -> AlgebraElement:
     """Rewrite a colored-monomial element on the k basis, verifying membership."""
-    if x.basis != "m_colored":
-        raise ValueError(f"expected a colored-monomial element, got basis {x.basis!r}")
+    if x.basis != "m_colored" or x.q != q:
+        raise ValueError(
+            f"expected a colored-monomial element at q = {q}, got basis {x.basis!r} at q = {x.q}"
+        )
     groups: dict[LabeledSetPartition, dict[BasisIndex, CycRational]] = {}
     for idx, coeff in x.terms.items():
         lam = _labeled_from_colored(idx.partition, q)
         groups.setdefault(lam, {})[idx] = coeff
     terms = {}
     for lam, present in groups.items():
-        expected = set(expand_k_in_colored_m(lam, q).terms)
+        expected = expand_k_in_colored_m(lam, q).terms.keys()
         coeffs = set(present.values())
-        if set(present) != expected or len(coeffs) != 1:
+        if present.keys() != expected or len(coeffs) != 1:
             raise ValueError(f"element is not in the span of the labeled basis near {lam!r}")
         terms[BasisIndex("k_colored", lam.n, lam)] = coeffs.pop()
-    return AlgebraElement(q, "k_colored", terms)
+    return AlgebraElement._trusted(q, "k_colored", terms)
 
 
 def collect_k_tensor(t: TensorElement, q: int) -> TensorElement:
-    if t.basis != "m_colored":
-        raise ValueError(f"expected a colored-monomial tensor, got basis {t.basis!r}")
+    if t.basis != "m_colored" or t.q != q:
+        raise ValueError(
+            f"expected a colored-monomial tensor at q = {q}, got basis {t.basis!r} at q = {t.q}"
+        )
     groups: dict[tuple, dict[tuple, CycRational]] = {}
     for (li, ri), coeff in t.terms.items():
         pair = (_labeled_from_colored(li.partition, q), _labeled_from_colored(ri.partition, q))
@@ -378,7 +415,7 @@ def collect_k_tensor(t: TensorElement, q: int) -> TensorElement:
             for er in expand_k_in_colored_m(lam_r, q).terms
         }
         coeffs = set(present.values())
-        if set(present) != expected or len(coeffs) != 1:
+        if present.keys() != expected or len(coeffs) != 1:
             raise ValueError(
                 f"tensor is not in the span of the labeled basis near {lam_l!r} (x) {lam_r!r}"
             )
@@ -387,7 +424,7 @@ def collect_k_tensor(t: TensorElement, q: int) -> TensorElement:
             BasisIndex("k_colored", lam_r.n, lam_r),
         )
         terms[key] = coeffs.pop()
-    return TensorElement(q, "k_colored", terms)
+    return TensorElement._trusted(q, "k_colored", terms)
 
 
 def _k_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
@@ -430,9 +467,9 @@ def ch(x: AlgebraElement) -> AlgebraElement:
             BasisIndex("m", idx.grade, arc_encoding(underlying_set_partition(idx.partition))): c
             for idx, c in x.terms.items()
         }
-        return AlgebraElement(x.q, "m", terms)
+        return AlgebraElement._trusted(x.q, "m", terms)
     terms = {BasisIndex("k_colored", idx.grade, idx.partition): c for idx, c in x.terms.items()}
-    return AlgebraElement(x.q, "k_colored", terms)
+    return AlgebraElement._trusted(x.q, "k_colored", terms)
 
 
 # ---------------------------------------------------------------------------

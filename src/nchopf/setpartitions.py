@@ -47,6 +47,9 @@ class Arc(tuple):
             raise ValueError(f"arc label must be a nonzero field residue >= 1, got {label}")
         return tuple.__new__(cls, (left, right, label))
 
+    def __getnewargs__(self):
+        return tuple(self)
+
     @property
     def left(self) -> int:
         return self[0]
@@ -66,17 +69,41 @@ class Arc(tuple):
 _PARTITIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+def _labeled(n: int, arcs: tuple) -> "LabeledSetPartition":
+    """The shared instance of the labeled set partition of [n] with these
+    arcs, built without checks: for arcs derived from partitions that are
+    already valid.  The caller guarantees a tuple of (left, right, label)
+    triples, plain or ``Arc``, sorted by left endpoint, with
+    1 <= left < right <= n, label >= 1, and no left or right endpoint
+    repeated.  Plain triples are looked up as they are (a triple equals and
+    hashes like its ``Arc``) and made into arcs only when the pool misses."""
+    lam = _PARTITIONS.get((n, arcs))
+    if lam is None:
+        arcs = tuple(a if type(a) is Arc else tuple.__new__(Arc, a) for a in arcs)
+        lam = object.__new__(LabeledSetPartition)
+        object.__setattr__(lam, "n", n)
+        object.__setattr__(lam, "arcs", arcs)
+        object.__setattr__(lam, "_hash", hash((n, arcs)))
+        object.__setattr__(lam, "_max_label", max((a[2] for a in arcs), default=1))
+        object.__setattr__(lam, "_underlying", None)
+        lam = _PARTITIONS.setdefault((n, arcs), lam)
+    return lam
+
+
 class LabeledSetPartition:
     """An element of S_n(q): arcs with distinct lefts and distinct rights.
 
     Immutable and hash-consed: the constructor validates and sorts the arcs,
     then returns the instance held under (n, arcs) in a weak pool, so equal
     partitions built by different routes are one object while any reference
-    to it is alive.  Equality and hashing are still determined by
-    (n, sorted arcs), with arcs kept in (left, right) lexicographic order.
+    to it is alive.  Partitions derived from valid ones inside the package
+    skip the checks through ``_labeled``.  Equality and hashing are still
+    determined by (n, sorted arcs), with arcs kept in (left, right)
+    lexicographic order.  The largest label and the underlying set partition
+    are computed once per pooled instance.
     """
 
-    __slots__ = ("n", "arcs", "_hash", "__weakref__")
+    __slots__ = ("n", "arcs", "_hash", "_max_label", "_underlying", "__weakref__")
 
     def __new__(cls, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         if n < 0:
@@ -91,15 +118,7 @@ class LabeledSetPartition:
             raise ValueError(f"arcs share a left endpoint: {list(normalized)}")
         if len(set(rights)) != len(rights):
             raise ValueError(f"arcs share a right endpoint: {list(normalized)}")
-        key = (n, normalized)
-        lam = _PARTITIONS.get(key)
-        if lam is None:
-            lam = object.__new__(cls)
-            object.__setattr__(lam, "n", n)
-            object.__setattr__(lam, "arcs", normalized)
-            object.__setattr__(lam, "_hash", hash(key))
-            lam = _PARTITIONS.setdefault(key, lam)
-        return lam
+        return _labeled(n, normalized)
 
     def __init__(self, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         """Nothing to do: ``__new__`` built or found the shared instance.
@@ -137,13 +156,11 @@ class LabeledSetPartition:
         return frozenset(a.right for a in self.arcs)
 
     def max_label(self) -> int:
-        return max((a.label for a in self.arcs), default=1)
+        return self._max_label
 
     def shift(self, k: int) -> "LabeledSetPartition":
         """Translate all positions by +k, enlarging the ground set to [n + k]."""
-        return LabeledSetPartition(
-            self.n + k, ((a.left + k, a.right + k, a.label) for a in self.arcs)
-        )
+        return _labeled(self.n + k, tuple((l + k, r + k, a) for l, r, a in self.arcs))
 
     def to_text(self) -> str:
         arcs = ", ".join(f"{a.left}-{a.label}-{a.right}" for a in self.arcs)
@@ -171,16 +188,40 @@ class LabeledSetPartition:
         return cls(int(data["n"]), [tuple(arc) for arc in data["arcs"]])
 
 
+_SET_PARTITIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _set_partition(n: int, blocks: tuple) -> "SetPartition":
+    """The shared instance of the set partition of [n] with these blocks,
+    built without checks: for blocks derived from partitions that are
+    already valid.  The caller guarantees a tuple of nonempty increasing
+    tuples, ordered by their minima, that partition [n]."""
+    sp = _SET_PARTITIONS.get((n, blocks))
+    if sp is None:
+        sp = object.__new__(SetPartition)
+        object.__setattr__(sp, "n", n)
+        object.__setattr__(sp, "blocks", blocks)
+        object.__setattr__(sp, "_hash", hash((n, blocks)))
+        sp = _SET_PARTITIONS.setdefault((n, blocks), sp)
+    return sp
+
+
 class SetPartition:
     """A partition of [n] into disjoint nonempty blocks covering [n].
 
     Blocks are stored sorted internally and ordered by their minima.
+    Hash-consed like ``LabeledSetPartition``: the constructor validates, then
+    returns the instance held under (n, blocks) in a weak pool; partitions
+    derived from valid ones inside the package skip the checks through
+    ``_set_partition``.
     """
 
-    __slots__ = ("n", "blocks", "_hash")
+    __slots__ = ("n", "blocks", "_hash", "__weakref__")
 
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        normalized = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
+        normalized = tuple(
+            sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0)
+        )
         seen: list[int] = []
         for block in normalized:
             if not block:
@@ -188,15 +229,16 @@ class SetPartition:
             seen.extend(block)
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks {normalized} do not partition [1, {n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", normalized)
-        object.__setattr__(self, "_hash", hash((n, normalized)))
+        return _set_partition(n, normalized)
+
+    def __reduce__(self):
+        return SetPartition, (self.n, self.blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, SetPartition)
             and self.n == other.n
             and self.blocks == other.blocks
@@ -334,11 +376,9 @@ def enumerate_labeled_partitions(n: int, q: int) -> list[LabeledSetPartition]:
 
     extend(0, [], set(), set())
     result = []
-    for pattern in patterns:
+    for pattern in patterns:  # each pattern lists its positions in increasing order
         for labels in itertools.product(range(1, q), repeat=len(pattern)):
-            result.append(
-                LabeledSetPartition(n, ((i, j, a) for (i, j), a in zip(pattern, labels)))
-            )
+            result.append(_labeled(n, tuple((i, j, a) for (i, j), a in zip(pattern, labels))))
     result.sort(key=LabeledSetPartition.sort_key)
     return result
 
@@ -355,7 +395,16 @@ def count_labeled_partitions(n: int, q: int) -> int:
 
 
 def underlying_set_partition(lam: LabeledSetPartition) -> SetPartition:
-    """Blocks are the connected components of the arc diagram, labels ignored."""
+    """Blocks are the connected components of the arc diagram, labels ignored.
+    Computed once per pooled partition and kept with it."""
+    sp = lam._underlying
+    if sp is None:
+        sp = _components(lam)
+        object.__setattr__(lam, "_underlying", sp)
+    return sp
+
+
+def _components(lam: LabeledSetPartition) -> SetPartition:
     parent = {i: i for i in range(1, lam.n + 1)}
 
     def find(i: int) -> int:
@@ -367,30 +416,26 @@ def underlying_set_partition(lam: LabeledSetPartition) -> SetPartition:
     for a in lam.arcs:
         parent[find(a.left)] = find(a.right)
     components: dict[int, list[int]] = {}
-    for i in range(1, lam.n + 1):
+    for i in range(1, lam.n + 1):  # blocks come out increasing, in order of their minima
         components.setdefault(find(i), []).append(i)
-    return SetPartition(lam.n, components.values())
+    return _set_partition(lam.n, tuple(tuple(block) for block in components.values()))
 
 
 def arc_encoding(sp: SetPartition) -> LabeledSetPartition:
     """The inverse of ``underlying_set_partition`` on S_n(2): consecutive block
     members joined by arcs labeled 1."""
-    arcs = []
-    for block in sp.blocks:
-        for a, b in zip(block, block[1:]):
-            arcs.append((a, b, 1))
-    return LabeledSetPartition(sp.n, arcs)
+    arcs = [(a, b, 1) for block in sp.blocks for a, b in zip(block, block[1:])]
+    return _labeled(sp.n, tuple(sorted(arcs)))
 
 
 def concat(lam: LabeledSetPartition, mu: LabeledSetPartition) -> LabeledSetPartition:
     """Place mu to the right of lam: mu's positions are shifted by lam.n."""
-    shifted = mu.shift(lam.n)
-    return LabeledSetPartition(lam.n + mu.n, lam.arcs + shifted.arcs)
+    return _labeled(lam.n + mu.n, lam.arcs + mu.shift(lam.n).arcs)
 
 
 def concat_set_partitions(lam: SetPartition, mu: SetPartition) -> SetPartition:
-    shifted = [[i + lam.n for i in block] for block in mu.blocks]
-    return SetPartition(lam.n + mu.n, list(lam.blocks) + shifted)
+    shifted = tuple(tuple(i + lam.n for i in block) for block in mu.blocks)
+    return _set_partition(lam.n + mu.n, lam.blocks + shifted)
 
 
 def straighten(lam: LabeledSetPartition, J: SetComposition) -> list[LabeledSetPartition]:
@@ -409,10 +454,9 @@ def straighten(lam: LabeledSetPartition, J: SetComposition) -> list[LabeledSetPa
         split[part_index[a.left]].append(a)
     out = []
     for part, arcs in zip(J.parts, split):
+        # relabeling is increasing, so the arcs stay sorted
         relabel = {pos: idx + 1 for idx, pos in enumerate(part)}
-        out.append(
-            LabeledSetPartition(len(part), ((relabel[a[0]], relabel[a[1]], a[2]) for a in arcs))
-        )
+        out.append(_labeled(len(part), tuple((relabel[l], relabel[r], a) for l, r, a in arcs)))
     return out
 
 
@@ -431,9 +475,7 @@ def unstraighten(mu: LabeledSetPartition, A: Iterable[int], n: int) -> LabeledSe
 def restrict_arcs(lam: LabeledSetPartition, A: Iterable[int]) -> LabeledSetPartition:
     """Keep exactly the arcs with both endpoints in A; positions unchanged."""
     members = set(A)
-    return LabeledSetPartition(
-        lam.n, (a for a in lam.arcs if a.left in members and a.right in members)
-    )
+    return _labeled(lam.n, tuple(a for a in lam.arcs if a.left in members and a.right in members))
 
 
 def common_refinement(rho: SetPartition, sigma: SetPartition) -> SetPartition:

@@ -36,10 +36,12 @@ from .elements import (
     register_basis,
     register_transported,
 )
-from .limits import DEFAULT_TABLE_BOUND, BoundExceededError
+from .limits import DEFAULT_TABLE_BOUND, TABLE_SIZE_BOUND, BoundExceededError
 from .setpartitions import (
     LabeledSetPartition,
+    _labeled,
     check_prime,
+    count_labeled_partitions,
     crossing_statistic,
     enumerate_labeled_partitions,
 )
@@ -64,7 +66,7 @@ def chi_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElement:
 
 
 def _kappa_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    return AlgebraElement(q, "kappa", connecting_arc_sums(q, a.partition, b.partition))
+    return AlgebraElement._trusted(q, "kappa", connecting_arc_sums(q, a.partition, b.partition))
 
 
 def connecting_arc_sums(
@@ -75,7 +77,6 @@ def connecting_arc_sums(
     k = mu.n
     n = k + nu.n
     shifted = nu.shift(k)
-    base = mu.arcs + shifted.arcs
     free_lefts = [i for i in range(1, k + 1) if i not in mu.lefts()]
     free_rights = [j for j in range(k + 1, n + 1) if j not in shifted.rights()]
     terms: dict[BasisIndex, int] = {}
@@ -83,8 +84,9 @@ def connecting_arc_sums(
         for lefts in itertools.combinations(free_lefts, s):
             for rights in itertools.permutations(free_rights, s):
                 for labels in itertools.product(range(1, q), repeat=s):
-                    crossing = tuple(zip(lefts, rights, labels))
-                    lam = LabeledSetPartition(n, base + crossing)
+                    # every left endpoint in [k] precedes the shifted arcs of nu
+                    arcs = tuple(sorted(mu.arcs + tuple(zip(lefts, rights, labels))))
+                    lam = _labeled(n, arcs + shifted.arcs)
                     terms[BasisIndex("kappa", n, lam)] = 1
     return terms
 
@@ -97,15 +99,12 @@ def _straighten_pair(
     left_map = {pos: r + 1 for r, pos in enumerate(subset)}
     right_map = {pos: r + 1 for r, pos in enumerate(complement)}
     left_arcs, right_arcs = [], []
-    for arc in lam.arcs:
-        if arc.left in members:
-            left_arcs.append((left_map[arc.left], left_map[arc.right], arc.label))
+    for left, right, label in lam.arcs:  # the relabelings are increasing: arcs stay sorted
+        if left in members:
+            left_arcs.append((left_map[left], left_map[right], label))
         else:
-            right_arcs.append((right_map[arc.left], right_map[arc.right], arc.label))
-    return (
-        LabeledSetPartition(len(subset), left_arcs),
-        LabeledSetPartition(len(complement), right_arcs),
-    )
+            right_arcs.append((right_map[left], right_map[right], label))
+    return _labeled(len(subset), tuple(left_arcs)), _labeled(len(complement), tuple(right_arcs))
 
 
 def kappa_coproduct_terms(q: int, lam: LabeledSetPartition) -> TensorElement:
@@ -118,7 +117,7 @@ def kappa_coproduct_terms(q: int, lam: LabeledSetPartition) -> TensorElement:
                 continue
             left, right = _straighten_pair(lam, subset)
             terms[BasisIndex("kappa", size, left), BasisIndex("kappa", n - size, right)] += 1
-    return TensorElement(q, "kappa", terms)
+    return TensorElement._trusted(q, "kappa", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +332,12 @@ def supercharacter_table(
     with _TABLE_LOCK:
         if key in _TABLE_CACHE:
             return _TABLE_CACHE[key]
+    size = count_labeled_partitions(n, q)
+    if size > TABLE_SIZE_BOUND:
+        raise BoundExceededError(
+            f"table for n={n}, q={q} has {size} indices, over the configured bound"
+            f" {TABLE_SIZE_BOUND}"
+        )
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _table_path(n, q, directory)
     table = None
@@ -440,8 +445,7 @@ def inner_product(x: AlgebraElement, y: AlgebraElement, **table_options) -> CycR
     for n in sorted(x.grades() & y.grades()):
         table = supercharacter_table(n, q, **table_options)
         scale = Fraction(1, table.group_order)
-        for j, mu in enumerate(table.order):
-            idx = BasisIndex("kappa", n, mu)
+        for j, idx in enumerate(table.indices("kappa")):
             cx = x.terms.get(idx)
             cy = y.terms.get(idx)
             if cx is None or cy is None:

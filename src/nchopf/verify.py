@@ -176,8 +176,8 @@ def is_coassociative(x: AlgebraElement) -> bool:
 def satisfies_counit_law(x: AlgebraElement) -> bool:
     unit = unit_index(x.basis)
     t = coproduct(x).terms
-    left = AlgebraElement(x.q, x.basis, {r: c for (l, r), c in t.items() if l == unit})
-    right = AlgebraElement(x.q, x.basis, {l: c for (l, r), c in t.items() if r == unit})
+    left = AlgebraElement._trusted(x.q, x.basis, {r: c for (l, r), c in t.items() if l == unit})
+    right = AlgebraElement._trusted(x.q, x.basis, {l: c for (l, r), c in t.items() if r == unit})
     return left == x and right == x
 
 
@@ -187,7 +187,7 @@ def satisfies_antipode_identity(x: AlgebraElement) -> bool:
     expected = AlgebraElement.unit(x.q, x.basis).scale(counit(x))
 
     def single(idx: BasisIndex) -> AlgebraElement:
-        return AlgebraElement(x.q, x.basis, {idx: 1})
+        return AlgebraElement._trusted(x.q, x.basis, {idx: 1})
 
     left = linear_combination(
         (c, product(antipode(single(l)), single(r)).terms) for (l, r), c in t.items()
@@ -195,7 +195,7 @@ def satisfies_antipode_identity(x: AlgebraElement) -> bool:
     right = linear_combination(
         (c, product(single(l), antipode(single(r))).terms) for (l, r), c in t.items()
     )
-    return all(AlgebraElement(x.q, x.basis, side) == expected for side in (left, right))
+    return all(AlgebraElement._trusted(x.q, x.basis, side) == expected for side in (left, right))
 
 
 def is_bialgebra_pair(x: AlgebraElement, y: AlgebraElement) -> bool:
@@ -204,7 +204,7 @@ def is_bialgebra_pair(x: AlgebraElement, y: AlgebraElement) -> bool:
 
 def respects_grading(a: BasisIndex, b: BasisIndex, q: int) -> bool:
     prod = product(
-        AlgebraElement(q, a.basis, {a: 1}), AlgebraElement(q, b.basis, {b: 1})
+        AlgebraElement._trusted(q, a.basis, {a: 1}), AlgebraElement._trusted(q, b.basis, {b: 1})
     )
     if not all(idx.grade == a.grade + b.grade for idx in prod.terms):
         return False

@@ -9,7 +9,7 @@ from nchopf.cli import EXIT_BOUND, EXIT_INVALID, EXIT_OK, run
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, TensorElement
-from nchopf.limits import DEFAULT_TABLE_BOUND, HOPF_WORK_BOUND
+from nchopf.limits import DEFAULT_TABLE_BOUND, HOPF_WORK_BOUND, TABLE_SIZE_BOUND
 from nchopf.ncsym import ColoredIndex
 from nchopf.serialize import (
     canonical_dumps,
@@ -18,7 +18,7 @@ from nchopf.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from nchopf.setpartitions import LabeledSetPartition, SetPartition
+from nchopf.setpartitions import LabeledSetPartition, SetPartition, count_labeled_partitions
 from nchopf.superfunctions import kappa_element
 from nchopf.verify import hopf_work
 
@@ -99,6 +99,19 @@ class TestCliBasics:
         code, _, _ = invoke(["enumerate", "--n", "3", "--q", "4"])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "blocks, colors, r",
+        [([[1], []], [0], 2), ([[1, 2]], [0, 1], 4)],
+        ids=["empty-block", "colors-of-another-prime"],
+    )
+    def test_invalid_colored_index_exits_one(self, blocks, colors, r):
+        term = {"n": 2, "blocks": blocks, "colors": colors, "r": r}
+        term["coeff"] = {"p": 3, "coeffs": ["1", "0"]}
+        payload = json.dumps({"q": 3, "basis": "m_colored", "terms": [term]})
+        code, out, err = invoke(["antipode"], payload)
+        assert code == EXIT_INVALID and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+
     def test_bound_exceeded_exits_two(self):
         code, _, err = invoke(["table", "--n", "9", "--q", "2"])
         assert code == EXIT_BOUND
@@ -167,6 +180,39 @@ class TestCliWorkBounds:
         assert hopf_work(n, q) > HOPF_WORK_BOUND
         start = time.perf_counter()
         code, out, err = invoke(["verify", "--suite", "hopf", "--n", str(n), "--q", str(q)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_table_runs_up_to_its_size_bound(self, monkeypatch):
+        argv = ["table", "--n", "3", "--q", "3"]
+        size = count_labeled_partitions(3, 3)
+        monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
+        monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size)
+        assert invoke(argv)[0] == EXIT_OK
+        # refused before the table is enumerated, computed or read from disk
+        monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
+        monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size - 1)
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_table_size_bound_admits_the_largest_measured_solve(self):
+        # (5, 3) was solved in 24.7 s; (4, 7) is the smallest refused table
+        # that no other bound catches
+        assert count_labeled_partitions(5, 3) == 257 <= TABLE_SIZE_BOUND
+        assert count_labeled_partitions(4, 7) == 505 > TABLE_SIZE_BOUND
+
+    @pytest.mark.parametrize("n, q", [(DEFAULT_TABLE_BOUND, 2), (7, 5), (4, 7)])
+    def test_table_over_the_size_bound_exits_two_at_once(self, n, q):
+        assert count_labeled_partitions(n, q) > TABLE_SIZE_BOUND
+        start = time.perf_counter()
+        code, out, err = invoke(["table", "--n", str(n), "--q", str(q)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_convert_needing_an_oversized_table_exits_two_at_once(self):
+        payload = canonical_dumps(element_to_json(kappa_element(5, lsp("5; 1-4-5"))))
+        start = time.perf_counter()
+        code, out, err = invoke(["convert", "--from", "kappa", "--to", "chi"], payload)
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 

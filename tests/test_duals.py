@@ -202,6 +202,17 @@ class TestPermutations:
     def test_from_cycles(self):
         assert Permutation.from_cycles(5, [(5, 1)]) == Permutation([5, 2, 3, 4, 1])
 
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        sigma = Permutation([3, 1, 2])
+        assert sigma.cycles() == ((1, 3, 2),)
+        for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            copied = clone(sigma)
+            assert copied == sigma and hash(copied) == hash(sigma)
+            assert copied.cycles() == sigma.cycles()
+
     def test_csupp_examples(self):
         assert csupp(Permutation([3, 2, 1])) == sp("13|2")
         assert csupp(Permutation([1, 2, 3])) == sp("1|2|3")

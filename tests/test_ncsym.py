@@ -1,6 +1,13 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
 from collections import Counter
 
 import pytest
+
+from nchopf import ncsym
 
 from nchopf.cyclotomic import CycRational
 from nchopf.elements import (
@@ -153,6 +160,19 @@ class TestColoredExpansion:
         table = discrete_log_table(3)
         assert table == {1: 0, 2: 1}
 
+    def test_root_tables_are_computed_once_and_read_only(self):
+        table = discrete_log_table(7)
+        assert discrete_log_table(7) is table
+        assert dict(table) == {1: 0, 3: 1, 2: 2, 6: 3, 4: 4, 5: 5}
+        with pytest.raises(TypeError):
+            table[1] = 5
+        assert discrete_log_table(7)[1] == 0
+        assert primitive_root.cache_info().currsize >= 1
+        with pytest.raises(ValueError):
+            primitive_root(9)
+        with pytest.raises(ValueError):
+            discrete_log_table(1)
+
     def test_q2_single_term(self):
         lam = LabeledSetPartition(3, [(1, 2, 1)])
         expansion = expand_k_in_colored_m(lam, 2)
@@ -201,6 +221,22 @@ class TestColoredExpansion:
         (unit_idx,) = unit.terms
         assert any(l == unit_idx for (l, r) in t.terms)
         assert counit(product(unit, x)) == counit(x)
+
+    def test_elements_need_the_colors_of_their_prime(self):
+        from nchopf.ncsym import colored_element
+
+        idx = ColoredIndex(SetPartition(2, [[1, 2]]), (0, 1), 4)
+        with pytest.raises(ValueError):
+            AlgebraElement(3, "m_colored", {BasisIndex("m_colored", 2, idx): 1})
+        with pytest.raises(ValueError):
+            colored_element(3, idx)
+        assert AlgebraElement(5, "m_colored", {BasisIndex("m_colored", 2, idx): 1})
+        assert AlgebraElement.unit(3, "m_colored")
+
+    def test_collect_checks_the_prime(self):
+        x = expand_k_in_colored_m(LabeledSetPartition(2, [(1, 2, 1)]), 3)
+        with pytest.raises(ValueError):
+            collect_k(x, 5)
 
     def test_collect_rejects_off_span(self):
         q = 3
@@ -284,3 +320,74 @@ class TestDimensions:
                     next(iter(ch(kappa_element(q, lam)).terms)) for lam in indices
                 }
                 assert len(images) == len(indices)
+
+
+class TestColoredIndexPool:
+    def test_equal_indices_built_by_different_routes_are_one_object(self):
+        first = ColoredIndex(SetPartition(3, [[1, 3], [2]]), (0, 1, 0), 2)
+        assert ColoredIndex(SetPartition(3, [[2], [3, 1]]), [2, -1, 4], 2) is first
+        assert ColoredIndex.from_json(first.to_json()) is first
+        lam = LabeledSetPartition(3, [(1, 3, 1)])
+        assert first in {idx.partition for idx in expand_k_in_colored_m(lam, 3).terms}
+        # the empty index is shared by every color group
+        empty = ColoredIndex(SetPartition(0, []), (), 1)
+        assert ColoredIndex(SetPartition(0, []), (), 4) is empty
+        assert ColoredIndex(SetPartition(0, []), (), 4).r == 1
+        assert expand_k_in_colored_m(LabeledSetPartition(0), 5).terms.keys() == {
+            BasisIndex("m_colored", 0, empty)
+        }
+
+    def test_pool_entry_is_freed_with_its_last_reference(self):
+        partition = SetPartition(7, [[1, 7], [2, 3, 4, 5, 6]])
+        key = (partition, (5, 1, 2, 3, 4, 5, 6), 10)
+        idx = ColoredIndex(partition, key[1], 10)
+        assert ncsym._COLORED.get(key) is idx
+        del idx
+        gc.collect()
+        assert ncsym._COLORED.get(key) is None
+
+    def test_validation_still_applies(self):
+        with pytest.raises(ValueError):
+            ColoredIndex(SetPartition(2, [[1, 2]]), (0,), 2)
+        with pytest.raises(ValueError):
+            ColoredIndex(SetPartition(2, [[1, 2]]), (0, 1), 0)
+        with pytest.raises(AttributeError):
+            ColoredIndex(SetPartition(1, [[1]]), (0,), 2).r = 3
+
+    def test_pickle_and_copy_return_the_pooled_instance(self):
+        idx = ColoredIndex(SetPartition(3, [[1, 2], [3]]), (1, 0, 1), 2)
+        assert pickle.loads(pickle.dumps(idx)) is idx
+        assert copy.deepcopy(idx) is idx
+
+    def test_threads_building_the_same_indices_agree(self):
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                results[slot] = [
+                    idx.partition
+                    for lam in enumerate_labeled_partitions(4, 3)
+                    for idx in expand_k_in_colored_m(lam, 3).terms
+                ]
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(built == results[0] for built in results)
+        # a lost race leaves an equal twin outside the pool, never a wrong index
+        for built in results:
+            for idx, first in zip(built, results[0]):
+                assert hash(idx) == hash(first) and idx.colors == first.colors

@@ -1,5 +1,9 @@
+import copy
 import gc
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +46,10 @@ def bell(n):
 
 def lsp(text):
     return LabeledSetPartition.from_text(text)
+
+
+def sp(text):
+    return SetPartition.from_text(text)
 
 
 @st.composite
@@ -382,3 +390,89 @@ class TestHashConsing:
             LabeledSetPartition(2, [(1, 2, 1), (1, 2, 2)])
         with pytest.raises(ValueError):
             LabeledSetPartition(2, [(1, 3, 1)])
+
+    def test_derived_partitions_skip_the_constructor_but_join_the_pool(self):
+        lam = lsp("5; 1-2-3, 2-1-4")
+        assert lam.shift(2) is lsp("7; 3-2-5, 4-1-6")
+        left, right = straighten(lam, SetComposition.from_text("13|245"))
+        assert left is lsp("2; 1-2-2") and right is lsp("3; 1-1-2")
+        assert restrict_arcs(lam, {1, 3}) is lsp("5; 1-2-3")
+        assert arc_encoding(sp("14|235")) is lsp("5; 1-1-4, 2-1-3, 3-1-5")
+        enumerated = enumerate_labeled_partitions(4, 3)
+        assert all(lam is LabeledSetPartition(lam.n, lam.arcs) for lam in enumerated)
+
+    def test_largest_label_and_underlying_partition_are_kept(self):
+        lam = LabeledSetPartition(6, [(1, 4, 3), (4, 6, 2), (2, 5, 4)])
+        assert lam.max_label() == 4 and LabeledSetPartition(3).max_label() == 1
+        blocks = underlying_set_partition(lam)
+        assert blocks == sp("146|25|3")
+        assert underlying_set_partition(lam) is blocks is lam._underlying
+
+    def test_arcs_and_partitions_pickle_and_copy_to_the_pooled_instance(self):
+        lam = lsp("4; 1-2-3, 2-1-4")
+        arc = lam.arcs[0]
+        for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert clone(lam) is lam
+            assert clone(arc) == arc and type(clone(arc)) is Arc
+
+
+class TestSetPartitionPool:
+    def test_equal_partitions_built_by_different_routes_are_one_object(self):
+        first = SetPartition(5, [[4, 1], [5, 3, 2]])
+        assert sp("14|235") is first
+        assert sp("235|14") is first
+        assert underlying_set_partition(lsp("5; 1-1-4, 2-1-3, 3-2-5")) is first
+        assert concat_set_partitions(sp("1"), sp("134|2")) is sp("1|245|3")
+        assert first in coarsenings(sp("1|4|235")) and first in refinements(sp("12345"))
+        assert hash(first) == hash((5, ((1, 4), (2, 3, 5))))
+
+    def test_pool_entry_is_freed_with_its_last_reference(self):
+        blocks = ((1, 9), (2, 3, 8), (4, 5, 6, 7))
+        first = SetPartition(9, blocks)
+        assert setpartitions._SET_PARTITIONS.get((9, blocks)) is first
+        del first
+        gc.collect()
+        assert setpartitions._SET_PARTITIONS.get((9, blocks)) is None
+
+    def test_validation_still_applies(self):
+        for n, blocks in ((3, [[1, 2]]), (2, [[1, 2], [2]]), (1, [[1], []]), (2, [[0, 1, 2]])):
+            with pytest.raises(ValueError):
+                SetPartition(n, blocks)
+        with pytest.raises(AttributeError):
+            sp("12").n = 3
+
+    def test_pickle_and_copy_return_the_pooled_instance(self):
+        first = sp("13|2")
+        assert pickle.loads(pickle.dumps(first)) is first
+        assert copy.deepcopy(first) is first
+
+    def test_threads_building_the_same_partitions_agree(self):
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                built = []
+                for lam in enumerate_labeled_partitions(5, 2):
+                    blocks = underlying_set_partition(lam)
+                    built.append((blocks, SetPartition(blocks.n, reversed(blocks.blocks))))
+                results[slot] = built
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(built == results[0] for built in results)
+        # a lost race leaves an equal twin outside the pool, never a wrong partition
+        assert all(hash(a) == hash(b) for built in results for a, b in built)

@@ -243,6 +243,9 @@ class TestTables:
             supercharacter_table(8, 2)
         with pytest.raises(BoundExceededError):
             supercharacter_table(5, 2, bound=4)
+        # within the grade bound but over the size bound: (4, 7) has 505 indices
+        with pytest.raises(BoundExceededError):
+            supercharacter_table(4, 7)
 
     def test_disk_cache_roundtrip(self, tmp_path):
         from nchopf import superfunctions
