@@ -343,21 +343,8 @@ def solve_linear_system(
     n = _check_square(matrix)
     if len(rhs) != n:
         raise ValueError(f"vector length {len(rhs)} does not match matrix size {n}")
-    if n == 0:
-        return []
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrixError(f"singular matrix (no pivot in column {col})")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    aug = _gauss_jordan([list(row) + [rhs[i]] for i, row in enumerate(matrix)], n)
+    return [row[n] for row in aug]
 
 
 def invert_matrix(matrix: Sequence[Sequence[CycRational]]) -> list[list[CycRational]]:
@@ -367,10 +354,16 @@ def invert_matrix(matrix: Sequence[Sequence[CycRational]]) -> list[list[CycRatio
         return []
     p = matrix[0][0].p
     zero, one = CycRational.zero(p), CycRational.one(p)
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    aug = _gauss_jordan(
+        [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(matrix)],
+        n,
+    )
+    return [row[n:] for row in aug]
+
+
+def _gauss_jordan(aug: list[list[CycRational]], n: int) -> list[list[CycRational]]:
+    """Reduce the n x n block on the left of the augmented rows ``aug`` to the
+    identity, in place, carrying the columns to its right along."""
     for col in range(n):
         pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if pivot is None:
@@ -382,4 +375,4 @@ def invert_matrix(matrix: Sequence[Sequence[CycRational]]) -> list[list[CycRatio
             if r != col and not aug[r][col].is_zero():
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return aug

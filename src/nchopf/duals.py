@@ -76,9 +76,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.word[i - 1]
 
-    def max_label(self) -> int:
-        return 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.word == other.word
 
@@ -215,10 +212,10 @@ def duality_pairing_tensor(f: TensorElement, x: TensorElement) -> CycRational:
     return total
 
 
-def z_scalar(mu: LabeledSetPartition, q: int, **table_options) -> int:
+def z_scalar(mu: LabeledSetPartition, q: int) -> int:
     """Group order over superclass size: kappa_star is this multiple of kappa
     under the class-function inner product."""
-    table = supercharacter_table(mu.n, q, **table_options)
+    table = supercharacter_table(mu.n, q)
     return group_order(mu.n, q) // table.class_size(mu)
 
 
@@ -226,13 +223,13 @@ def chi_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElemen
     return AlgebraElement.monomial(q, "chi_star", lam, coeff)
 
 
-def chi_star_to_kappa_star(x: AlgebraElement, **table_options) -> AlgebraElement:
+def chi_star_to_kappa_star(x: AlgebraElement) -> AlgebraElement:
     """Dual basis change: the dual of a supercharacter expands on kappa_star
     with the table row rescaled by superclass size times the table weight
     1 / (group order * q^crs)."""
 
     def image(idx):
-        table = supercharacter_table(idx.grade, x.q, **table_options)
+        table = supercharacter_table(idx.grade, x.q)
         i = table.index(idx.partition)
         row = table.values[i]
         scale = table.weights()[i]
@@ -245,12 +242,12 @@ def chi_star_to_kappa_star(x: AlgebraElement, **table_options) -> AlgebraElement
     return linear_map(x, "kappa_star", image, source="chi_star")
 
 
-def kappa_star_to_chi_star(x: AlgebraElement, **table_options) -> AlgebraElement:
+def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
     """kappa_star_mu = sum_lam conj(chi^lam(mu)) chi_star_lam: the inverse of
     chi_star_to_kappa_star is the conjugated table column, by orthogonality."""
 
     def image(idx):
-        table = supercharacter_table(idx.grade, x.q, **table_options)
+        table = supercharacter_table(idx.grade, x.q)
         i = table.index(idx.partition)
         return {
             key: row[i].conj()
@@ -288,7 +285,7 @@ def _M_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     return AlgebraElement._trusted(q, "M", terms)
 
 
-register_basis("M", product=_M_product, unit_key=lambda: Permutation(()))
+register_basis("M", product=_M_product, unit_key=lambda: Permutation(()), index_type=Permutation)
 
 
 def product_M(alpha: Permutation, beta: Permutation, q: int = 2) -> AlgebraElement:

@@ -55,9 +55,10 @@ class BasisIndex:
 
     The indexing object is a ``LabeledSetPartition`` for the arc bases, a
     ``Permutation`` for the "M" basis, and a ``ColoredIndex`` for the colored
-    monomial basis "m_colored".  Hash-consed like the partitions: the
-    constructor returns the instance held under (basis, grade, partition) in
-    a weak pool, validating only when it builds a new one.
+    monomial basis "m_colored": the type each basis registers.  Hash-consed
+    like the partitions: the constructor returns the instance held under
+    (basis, grade, partition) in a weak pool, validating only when it builds
+    a new one.
     """
 
     __slots__ = ("basis", "grade", "partition", "_hash", "__weakref__")
@@ -67,7 +68,9 @@ class BasisIndex:
         idx = _INDICES.get(key)
         if idx is not None:
             return idx
-        if getattr(partition, "n", None) != grade:
+        if not isinstance(partition, _INDEX_TYPES.get(basis, ())):
+            raise ValueError(f"{partition!r} is not an index of basis {basis!r}")
+        if partition.n != grade:
             raise ValueError(f"index {partition!r} does not have grade {grade}")
         if basis in SET_PARTITION_BASES and partition.max_label() != 1:
             raise ValueError(f"basis {basis!r} is indexed by unlabeled set partitions")
@@ -114,6 +117,8 @@ CoproductRule = Callable[[int, BasisIndex], "TensorElement"]
 _PRODUCT_RULES: dict[str, ProductRule] = {}
 _COPRODUCT_RULES: dict[str, CoproductRule] = {}
 _UNIT_KEYS: dict[str, Callable[[], object]] = {}
+#: The type of a basis's indexing objects; the arc bases share one.
+_INDEX_TYPES: dict[str, type] = dict.fromkeys(ARC_BASES, LabeledSetPartition)
 
 
 def register_basis(
@@ -122,6 +127,7 @@ def register_basis(
     product: ProductRule | None = None,
     coproduct: CoproductRule | None = None,
     unit_key: Callable[[], object] | None = None,
+    index_type: type | None = None,
 ) -> None:
     if product is not None:
         _PRODUCT_RULES[tag] = product
@@ -129,6 +135,8 @@ def register_basis(
         _COPRODUCT_RULES[tag] = coproduct
     if unit_key is not None:
         _UNIT_KEYS[tag] = unit_key
+    if index_type is not None:
+        _INDEX_TYPES[tag] = index_type
 
 
 _TO_BASE: dict[str, Callable[["AlgebraElement"], "AlgebraElement"]] = {}

@@ -1,19 +1,23 @@
 """Computation bounds shared by the table builder, the group oracle and the
-command line."""
+command line.  They are constants, not per-call options: each module reads
+its copy when it is called, so a test can monkeypatch it there."""
 
 from __future__ import annotations
 
-#: Largest grade for which supercharacter tables are computed by default.
+#: Largest grade for which supercharacter tables are computed.
 DEFAULT_TABLE_BOUND = 7
 
 #: Largest table, in indices (``count_labeled_partitions(n, q)``), that
-#: ``supercharacter_table`` builds.  The class-size solve is O(N^3): on a
-#: 2-vCPU VM it took 7.6 s at (6, 2), N = 203, and 24.7 s at (5, 3),
-#: N = 257, so this bound stands near 40 s; (7, 2) at N = 877, (4, 7) at
-#: N = 505 and (5, 5) at N = 1657 are refused.
+#: ``supercharacter_table`` and the oracle's ``UTGroup.oracle_table`` build
+#: (one check, ``superfunctions.check_table_size``).  The class-size solve is
+#: O(N^3): on a 2-vCPU VM it took 7.6 s at (6, 2), N = 203, and 24.7 s at
+#: (5, 3), N = 257, so this bound stands near 40 s; (7, 2) at N = 877,
+#: (4, 7) at N = 505 and (5, 5) at N = 1657 are refused.  The largest
+#: admitted oracle tables took 2.8 s at (4, 5), 11.6 s at (5, 3) and 9.1 s
+#: at (6, 2) on the same VM (``nchopf table --oracle``).
 TABLE_SIZE_BOUND = 300
 
-#: Largest group order the brute-force oracle will enumerate by default.
+#: Largest group order the brute-force oracle will enumerate.
 DEFAULT_GROUP_BOUND = 10**6
 
 #: Largest work estimate (``verify.hopf_work``: basis elements, element

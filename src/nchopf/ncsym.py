@@ -104,9 +104,6 @@ class ColoredIndex:
     def n(self) -> int:
         return self.partition.n
 
-    def max_label(self) -> int:
-        return 1
-
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, ColoredIndex)
@@ -336,7 +333,7 @@ def _colored_coproduct(q: int, a: BasisIndex) -> TensorElement:
 
 
 register_basis("m_colored", product=_colored_product, coproduct=_colored_coproduct,
-               unit_key=lambda: ColoredIndex(SetPartition(0, []), (), 1))
+               unit_key=lambda: ColoredIndex(SetPartition(0, []), (), 1), index_type=ColoredIndex)
 
 
 # ---------------------------------------------------------------------------
@@ -378,53 +375,37 @@ def _labeled_from_colored(idx: ColoredIndex, q: int) -> LabeledSetPartition:
     return _labeled(idx.n, tuple(sorted(arcs)))
 
 
-def collect_k(x: AlgebraElement, q: int) -> AlgebraElement:
-    """Rewrite a colored-monomial element on the k basis, verifying membership."""
+def collect_k(x: AlgebraElement | TensorElement, q: int) -> AlgebraElement | TensorElement:
+    """Rewrite a colored-monomial element or tensor on the k basis,
+    verifying membership in the span of k (or of k (x) k)."""
     if x.basis != "m_colored" or x.q != q:
         raise ValueError(
-            f"expected a colored-monomial element at q = {q}, got basis {x.basis!r} at q = {x.q}"
+            f"expected colored monomials at q = {q}, got basis {x.basis!r} at q = {x.q}"
         )
-    groups: dict[LabeledSetPartition, dict[BasisIndex, CycRational]] = {}
-    for idx, coeff in x.terms.items():
-        lam = _labeled_from_colored(idx.partition, q)
-        groups.setdefault(lam, {})[idx] = coeff
-    terms = {}
-    for lam, present in groups.items():
-        expected = expand_k_in_colored_m(lam, q).terms.keys()
-        coeffs = set(present.values())
-        if present.keys() != expected or len(coeffs) != 1:
-            raise ValueError(f"element is not in the span of the labeled basis near {lam!r}")
-        terms[BasisIndex("k_colored", lam.n, lam)] = coeffs.pop()
-    return AlgebraElement._trusted(q, "k_colored", terms)
+    return _collect_k(x, q)
 
 
-def collect_k_tensor(t: TensorElement, q: int) -> TensorElement:
-    if t.basis != "m_colored" or t.q != q:
-        raise ValueError(
-            f"expected a colored-monomial tensor at q = {q}, got basis {t.basis!r} at q = {t.q}"
-        )
+def _collect_k(x: AlgebraElement | TensorElement, q: int) -> AlgebraElement | TensorElement:
+    """``collect_k`` on an input already known to be colored monomials at q.
+    Keys are handled as tuples of indices (one for an element, two for a
+    tensor): they are grouped by their tuple of labeled partitions, and each
+    group must be exactly that tuple's expansion, with one coefficient."""
+    tensor = isinstance(x, TensorElement)
     groups: dict[tuple, dict[tuple, CycRational]] = {}
-    for (li, ri), coeff in t.terms.items():
-        pair = (_labeled_from_colored(li.partition, q), _labeled_from_colored(ri.partition, q))
-        groups.setdefault(pair, {})[(li, ri)] = coeff
+    for key, coeff in x.terms.items():
+        indices = key if tensor else (key,)
+        lams = tuple(_labeled_from_colored(idx.partition, q) for idx in indices)
+        groups.setdefault(lams, {})[indices] = coeff
     terms = {}
-    for (lam_l, lam_r), present in groups.items():
-        expected = {
-            (el, er)
-            for el in expand_k_in_colored_m(lam_l, q).terms
-            for er in expand_k_in_colored_m(lam_r, q).terms
-        }
+    for lams, present in groups.items():
+        expected = itertools.product(*(expand_k_in_colored_m(lam, q).terms for lam in lams))
         coeffs = set(present.values())
-        if present.keys() != expected or len(coeffs) != 1:
-            raise ValueError(
-                f"tensor is not in the span of the labeled basis near {lam_l!r} (x) {lam_r!r}"
-            )
-        key = (
-            BasisIndex("k_colored", lam_l.n, lam_l),
-            BasisIndex("k_colored", lam_r.n, lam_r),
-        )
-        terms[key] = coeffs.pop()
-    return TensorElement._trusted(q, "k_colored", terms)
+        if present.keys() != set(expected) or len(coeffs) != 1:
+            near = " (x) ".join(repr(lam) for lam in lams)
+            raise ValueError(f"{type(x).__name__} is not in the span of the labeled basis near {near}")
+        key = tuple(BasisIndex("k_colored", lam.n, lam) for lam in lams)
+        terms[key if tensor else key[0]] = coeffs.pop()
+    return type(x)._trusted(q, "k_colored", terms)
 
 
 def _k_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
@@ -435,7 +416,7 @@ def _k_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
 
 
 def _k_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    return collect_k_tensor(coproduct(expand_k_in_colored_m(a.partition, q)), q)
+    return _collect_k(coproduct(expand_k_in_colored_m(a.partition, q)), q)
 
 
 register_basis("k_colored", product=_k_product, coproduct=_k_coproduct)

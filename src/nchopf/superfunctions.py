@@ -314,11 +314,21 @@ def _compute_table(n: int, q: int) -> SupercharTable:
     return table
 
 
+def check_table_size(n: int, q: int) -> None:
+    """Refuse, before any work, a full table of UT_n(q) with more than
+    ``TABLE_SIZE_BOUND`` indices: the formula table and the oracle's."""
+    size = count_labeled_partitions(n, q)
+    if size > TABLE_SIZE_BOUND:
+        raise BoundExceededError(
+            f"table for n={n}, q={q} has {size} indices, over the configured bound"
+            f" {TABLE_SIZE_BOUND}"
+        )
+
+
 def supercharacter_table(
     n: int,
     q: int,
     *,
-    bound: int = DEFAULT_TABLE_BOUND,
     cache_dir: str | os.PathLike | None = None,
     use_disk_cache: bool = True,
 ) -> SupercharTable:
@@ -326,18 +336,15 @@ def supercharacter_table(
     check_prime(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > bound:
-        raise BoundExceededError(f"table for n={n} exceeds the configured bound {bound}")
+    if n > DEFAULT_TABLE_BOUND:
+        raise BoundExceededError(
+            f"table for n={n} exceeds the configured bound {DEFAULT_TABLE_BOUND}"
+        )
     key = (n, q)
     with _TABLE_LOCK:
         if key in _TABLE_CACHE:
             return _TABLE_CACHE[key]
-    size = count_labeled_partitions(n, q)
-    if size > TABLE_SIZE_BOUND:
-        raise BoundExceededError(
-            f"table for n={n}, q={q} has {size} indices, over the configured bound"
-            f" {TABLE_SIZE_BOUND}"
-        )
+    check_table_size(n, q)
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _table_path(n, q, directory)
     table = None
@@ -403,30 +410,30 @@ def clear_table_cache() -> None:
 # basis change and inner product
 
 
-def chi_to_kappa(x: AlgebraElement, **table_options) -> AlgebraElement:
+def chi_to_kappa(x: AlgebraElement) -> AlgebraElement:
     """chi^lam = sum_mu table[lam][mu] kappa_mu, per grade."""
 
     def image(idx):
-        table = supercharacter_table(idx.grade, x.q, **table_options)
+        table = supercharacter_table(idx.grade, x.q)
         row = table.values[table.index(idx.partition)]
         return {key: v for key, v in zip(table.indices("kappa"), row) if v}
 
     return linear_map(x, "kappa", image, source="chi")
 
 
-def kappa_to_chi(x: AlgebraElement, **table_options) -> AlgebraElement:
+def kappa_to_chi(x: AlgebraElement) -> AlgebraElement:
     """kappa_mu = sum_lam T^-1[mu][lam] chi^lam, per grade, reading only the
     inverse rows of the indices in x."""
 
     def image(idx):
-        table = supercharacter_table(idx.grade, x.q, **table_options)
+        table = supercharacter_table(idx.grade, x.q)
         row = table.inverse_row(table.index(idx.partition))
         return {key: v for key, v in zip(table.indices("chi"), row) if v}
 
     return linear_map(x, "chi", image, source="kappa")
 
 
-def inner_product(x: AlgebraElement, y: AlgebraElement, **table_options) -> CycRational:
+def inner_product(x: AlgebraElement, y: AlgebraElement) -> CycRational:
     """The class-function inner product, conjugate-linear in its second slot.
 
     Computed per grade as (1/|G|) sum over superclasses of
@@ -436,14 +443,14 @@ def inner_product(x: AlgebraElement, y: AlgebraElement, **table_options) -> CycR
         raise ValueError(f"q mismatch: {x.q} vs {y.q}")
     q = x.q
     if x.basis == "chi":
-        x = chi_to_kappa(x, **table_options)
+        x = chi_to_kappa(x)
     if y.basis == "chi":
-        y = chi_to_kappa(y, **table_options)
+        y = chi_to_kappa(y)
     if x.basis != "kappa" or y.basis != "kappa":
         raise ValueError("inner products are defined for kappa/chi elements")
     total = CycRational.zero(q)
     for n in sorted(x.grades() & y.grades()):
-        table = supercharacter_table(n, q, **table_options)
+        table = supercharacter_table(n, q)
         scale = Fraction(1, table.group_order)
         for j, idx in enumerate(table.indices("kappa")):
             cx = x.terms.get(idx)

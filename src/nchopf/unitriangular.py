@@ -14,7 +14,7 @@ i < j, in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycRational, theta
@@ -25,7 +25,7 @@ from .setpartitions import (
     check_prime,
     enumerate_labeled_partitions,
 )
-from .superfunctions import SupercharTable
+from .superfunctions import SupercharTable, check_table_size
 
 
 class UTElement:
@@ -102,13 +102,12 @@ def nilpotent_of(lam: LabeledSetPartition, q: int) -> tuple[int, ...]:
 class UTGroup:
     """Computation context for one (n, q): caches elements, orbits, traces."""
 
-    def __init__(self, n: int, q: int, bound: int = DEFAULT_GROUP_BOUND):
+    def __init__(self, n: int, q: int):
         check_prime(q)
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         self.n = n
         self.q = q
-        self.bound = bound
         self.num_positions = n * (n - 1) // 2
         self.order = q**self.num_positions
         self.positions = positions(n)
@@ -122,9 +121,10 @@ class UTGroup:
         self._sandwich_counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def _check_bound(self) -> None:
-        if self.order > self.bound:
+        if self.order > DEFAULT_GROUP_BOUND:
             raise BoundExceededError(
-                f"UT_{self.n}({self.q}) has {self.order} elements, over the bound {self.bound}"
+                f"UT_{self.n}({self.q}) has {self.order} elements, over the bound"
+                f" {DEFAULT_GROUP_BOUND}"
             )
 
     # -- raw tuple arithmetic
@@ -285,19 +285,20 @@ class UTGroup:
             out.append(total % q)
         return tuple(out)
 
-    def trace_supercharacter(self, lam: LabeledSetPartition, u: UTElement) -> CycRational:
-        """Trace of u on the orbit module of lam: fixed orbit functionals mu
-        contribute theta(mu(u^-1 - 1))."""
-        if (u.n, u.q) != (self.n, self.q):
-            raise ValueError("group element does not belong to this group")
-        orbit = self.functional_orbit(lam)
-        uinv = self.inv(u.entries)
+    def _trace(self, orbit: tuple[tuple[int, ...], ...], uinv: tuple[int, ...]) -> CycRational:
+        """Trace on an orbit module of the element with inverse entries uinv:
+        the orbit functionals mu it fixes contribute theta(mu(u^-1 - 1))."""
         total = CycRational.zero(self.q)
         for mu in orbit:
             if self._act_left(uinv, mu) == mu:
-                pairing = sum(c * x for c, x in zip(mu, uinv)) % self.q
-                total = total + theta(self.q, pairing)
+                total = total + theta(self.q, sum(c * x for c, x in zip(mu, uinv)) % self.q)
         return total
+
+    def trace_supercharacter(self, lam: LabeledSetPartition, u: UTElement) -> CycRational:
+        """Trace of u on the orbit module of lam."""
+        if (u.n, u.q) != (self.n, self.q):
+            raise ValueError("group element does not belong to this group")
+        return self._trace(self.functional_orbit(lam), self.inv(u.entries))
 
     def inverses(self) -> tuple[tuple[int, ...], ...]:
         """Entry tuples of the inverses, aligned with ``elements()``; cached."""
@@ -310,19 +311,15 @@ class UTGroup:
         if cached is not None:
             return cached
         orbit = self.functional_orbit(lam)
-        values = {}
-        for u, uinv in zip(self.elements(), self.inverses()):
-            total = CycRational.zero(self.q)
-            for mu in orbit:
-                if self._act_left(uinv, mu) == mu:
-                    total = total + theta(self.q, sum(c * x for c, x in zip(mu, uinv)) % self.q)
-            values[u] = total
+        values = {u: self._trace(orbit, uinv) for u, uinv in zip(self.elements(), self.inverses())}
         result = ClassFunctionRaw(self.n, self.q, values)
         self._raw_characters[lam] = result
         return result
 
     def oracle_table(self) -> SupercharTable:
-        """The supercharacter table from orbit traces, sizes from orbit sizes."""
+        """The supercharacter table from orbit traces, sizes from orbit sizes.
+        Refused, like the formula table, over the table size bound."""
+        check_table_size(self.n, self.q)
         order = enumerate_labeled_partitions(self.n, self.q)
         classes = self.superclasses()
         reps = [self.wrap(nilpotent_of(mu, self.q)) for mu in order]
@@ -384,21 +381,20 @@ class UTGroup:
 _GROUPS: dict[tuple[int, int], UTGroup] = {}
 
 
-def get_group(n: int, q: int, bound: int = DEFAULT_GROUP_BOUND) -> UTGroup:
+def get_group(n: int, q: int) -> UTGroup:
     key = (n, q)
     group = _GROUPS.get(key)
-    if group is None or group.bound != bound:
-        group = UTGroup(n, q, bound)
-        _GROUPS[key] = group
+    if group is None:
+        group = _GROUPS[key] = UTGroup(n, q)
     return group
 
 
-def enumerate_group(n: int, q: int, bound: int = DEFAULT_GROUP_BOUND) -> list[UTElement]:
-    return list(get_group(n, q, bound).elements())
+def enumerate_group(n: int, q: int) -> list[UTElement]:
+    return list(get_group(n, q).elements())
 
 
-def superclass_of(lam: LabeledSetPartition, q: int, bound: int = DEFAULT_GROUP_BOUND) -> frozenset[UTElement]:
-    group = get_group(lam.n, q, bound)
+def superclass_of(lam: LabeledSetPartition, q: int) -> frozenset[UTElement]:
+    group = get_group(lam.n, q)
     return frozenset(group.wrap(x) for x in group.superclass_orbit(lam))
 
 
@@ -406,8 +402,8 @@ def trace_supercharacter(lam: LabeledSetPartition, u: UTElement) -> CycRational:
     return get_group(u.n, u.q).trace_supercharacter(lam, u)
 
 
-def oracle_supercharacter_table(n: int, q: int, bound: int = DEFAULT_GROUP_BOUND) -> SupercharTable:
-    return get_group(n, q, bound).oracle_table()
+def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
+    return get_group(n, q).oracle_table()
 
 
 # ---------------------------------------------------------------------------
@@ -585,126 +581,23 @@ def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ProductClassFuncti
     return ProductClassFunction(tuple(sizes), q, values)
 
 
+def _mean_product(q: int, order: int, f: dict, g: dict) -> CycRational:
+    """(1/order) sum over the keys of f of f * conj(g)."""
+    total = CycRational.zero(q)
+    for key, value in f.items():
+        total = total + value * g[key].conj()
+    return total * CycRational.from_rational(q, Fraction(1, order))
+
+
 def raw_inner_product(f: ClassFunctionRaw, g: ClassFunctionRaw) -> CycRational:
     """(1/|G|) sum over the group of f * conj(g)."""
     if (f.n, f.q) != (g.n, g.q):
         raise ValueError("inner product needs functions on the same group")
-    q = f.q
-    total = CycRational.zero(q)
-    for u, value in f.values.items():
-        total = total + value * g.values[u].conj()
-    return total * CycRational.from_rational(q, Fraction(1, q ** (f.n * (f.n - 1) // 2)))
+    return _mean_product(f.q, f.q ** (f.n * (f.n - 1) // 2), f.values, g.values)
 
 
 def product_inner_product(f: ProductClassFunction, g: ProductClassFunction) -> CycRational:
     if (f.ns, f.q) != (g.ns, g.q):
         raise ValueError("inner product needs functions on the same product group")
-    q = f.q
-    order = q ** sum(size * (size - 1) // 2 for size in f.ns)
-    total = CycRational.zero(q)
-    for us, value in f.values.items():
-        total = total + value * g.values[us].conj()
-    return total * CycRational.from_rational(q, Fraction(1, order))
-
-
-# ---------------------------------------------------------------------------
-# supercharacter-theory axioms
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    witness: str | None = None
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    n: int
-    q: int
-    num_superclasses: int
-    checks: tuple[AxiomCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "num_superclasses": self.num_superclasses,
-            "passed": self.passed,
-            "checks": [check.to_json() for check in self.checks],
-        }
-
-
-def verify_supercharacter_axioms(n: int, q: int, bound: int = DEFAULT_GROUP_BOUND) -> AxiomReport:
-    """Check the four compatibility axioms by direct enumeration:
-
-    (a) each superclass is a union of conjugacy classes;
-    (b) the identity forms its own superclass and the empty index gives the
-        trivial character;
-    (c) every supercharacter is constant on every superclass;
-    (d) the number of superclasses equals the number of supercharacters,
-        both indexed by the labeled set partitions.
-    """
-    group = get_group(n, q, bound)
-    superclasses = group.superclasses()
-    checks = []
-
-    conj_of: dict[tuple[int, ...], int] = {}
-    for class_id, members in enumerate(group.conjugacy_classes()):
-        for member in members:
-            conj_of[member] = class_id
-    class_sizes = {i: len(c) for i, c in enumerate(group.conjugacy_classes())}
-    witness = None
-    for lam, orbit in superclasses.items():
-        covered = {conj_of[member] for member in orbit}
-        if sum(class_sizes[i] for i in covered) != len(orbit):
-            witness = f"superclass of {lam.to_text()} cuts a conjugacy class"
-            break
-    checks.append(AxiomCheck("superclasses-union-of-conjugacy-classes", witness is None, witness))
-
-    empty = LabeledSetPartition(n)
-    identity_orbit = superclasses[empty]
-    ok_identity = identity_orbit == frozenset({UTElement.identity(n, q).entries})
-    trivial = group.supercharacter_raw(empty)
-    ok_trivial = all(value == 1 for value in trivial.values.values())
-    checks.append(
-        AxiomCheck(
-            "identity-superclass-and-trivial-character",
-            ok_identity and ok_trivial,
-            None if ok_identity and ok_trivial else "identity orbit or trivial character mismatch",
-        )
-    )
-
-    witness = None
-    for lam in superclasses:
-        function = group.supercharacter_raw(lam)
-        for mu, orbit in superclasses.items():
-            values = {function.values[group.wrap(member)] for member in orbit}
-            if len(values) != 1:
-                witness = f"character of {lam.to_text()} varies on the superclass of {mu.to_text()}"
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("supercharacters-constant-on-superclasses", witness is None, witness))
-
-    expected = len(enumerate_labeled_partitions(n, q))
-    ok_count = len(superclasses) == expected
-    checks.append(
-        AxiomCheck(
-            "superclass-and-supercharacter-counts-match",
-            ok_count,
-            None if ok_count else f"{len(superclasses)} superclasses, {expected} indices",
-        )
-    )
-
-    return AxiomReport(n, q, len(superclasses), tuple(checks))
+    order = f.q ** sum(size * (size - 1) // 2 for size in f.ns)
+    return _mean_product(f.q, order, f.values, g.values)

@@ -34,6 +34,7 @@ from .duals import (
     kappa_star_element,
 )
 from .setpartitions import (
+    LabeledSetPartition,
     SetComposition,
     all_set_partitions,
     arc_encoding,
@@ -143,12 +144,12 @@ def hopf_work(n: int, q: int) -> int:
     return total
 
 
-def random_element(
-    rng: random.Random, q: int, tag: str, max_grade: int, max_terms: int = 3
-) -> AlgebraElement:
+def random_element(rng: random.Random, q: int, tag: str, max_grade: int) -> AlgebraElement:
+    """One to three distinct basis elements of grade at most max_grade, with
+    small nonzero integer coefficients."""
     pool = [idx for g in range(max_grade + 1) for idx in basis_indices(q, tag, g)]
     terms = {}
-    for idx in rng.sample(pool, k=min(len(pool), rng.randint(1, max_terms))):
+    for idx in rng.sample(pool, k=min(len(pool), rng.randint(1, 3))):
         terms[idx] = rng.choice([-3, -2, -1, 1, 2, 3])
     return AlgebraElement(q, tag, terms)
 
@@ -216,7 +217,7 @@ def respects_grading(a: BasisIndex, b: BasisIndex, q: int) -> bool:
 # the suites
 
 
-def suite_hopf(n: int, q: int, seed: int = 0, samples: int = HOPF_SAMPLES) -> SuiteReport:
+def suite_hopf(n: int, q: int, seed: int = 0) -> SuiteReport:
     """Coassociativity, counit, bialgebra compatibility, (co)commutativity,
     and the antipode identity on all basis elements up to grade n and on
     random combinations, per basis."""
@@ -257,7 +258,7 @@ def suite_hopf(n: int, q: int, seed: int = 0, samples: int = HOPF_SAMPLES) -> Su
             checks.append(CheckResult(f"{tag}:commutativity:basis", ok))
 
         ok = True
-        for _ in range(samples):
+        for _ in range(HOPF_SAMPLES):
             x = random_element(rng, q, tag, max_grade=min(n, 3))
             if not (
                 is_coassociative(x)
@@ -269,7 +270,7 @@ def suite_hopf(n: int, q: int, seed: int = 0, samples: int = HOPF_SAMPLES) -> Su
         checks.append(CheckResult(f"{tag}:unary-axioms:random", ok))
 
         ok = True
-        for _ in range(samples):
+        for _ in range(HOPF_SAMPLES):
             x = random_element(rng, q, tag, max_grade=n // 2)
             y = random_element(rng, q, tag, max_grade=n - n // 2)
             if not is_bialgebra_pair(x, y):
@@ -367,13 +368,9 @@ def suite_oracle(n: int, q: int) -> SuiteReport:
     checks.append(
         CheckResult("superclass-count", len(group.superclasses()) == expected_count)
     )
-    report = oracle.verify_supercharacter_axioms(n, q)
+    failed = [c.name for c in _axiom_checks(n, q) if not c.passed]
     checks.append(
-        CheckResult(
-            "supercharacter-theory-axioms",
-            report.passed,
-            None if report.passed else "; ".join(c.name for c in report.checks if not c.passed),
-        )
+        CheckResult("supercharacter-theory-axioms", not failed, "; ".join(failed) or None)
     )
     # Both adjointness checks run over the two-part compositions of n; below
     # n = 2 there are none, and a check over no cases would pass vacuously.
@@ -454,11 +451,72 @@ def _check_inf_adjointness(n: int, q: int) -> bool:
 
 
 def suite_axioms(n: int, q: int) -> SuiteReport:
-    report = oracle.verify_supercharacter_axioms(n, q)
-    checks = tuple(
-        CheckResult(check.name, check.passed, check.witness) for check in report.checks
+    """The four supercharacter-theory axioms, checked by direct enumeration."""
+    return SuiteReport("axioms", n, q, None, tuple(_axiom_checks(n, q)))
+
+
+def _axiom_checks(n: int, q: int) -> list[CheckResult]:
+    """Check the four compatibility axioms by direct enumeration:
+
+    (a) each superclass is a union of conjugacy classes;
+    (b) the identity forms its own superclass and the empty index gives the
+        trivial character;
+    (c) every supercharacter is constant on every superclass;
+    (d) the number of superclasses equals the number of supercharacters,
+        both indexed by the labeled set partitions.
+    """
+    group = oracle.get_group(n, q)
+    superclasses = group.superclasses()
+    checks = []
+
+    conj_of: dict[tuple[int, ...], int] = {}
+    for class_id, members in enumerate(group.conjugacy_classes()):
+        for member in members:
+            conj_of[member] = class_id
+    class_sizes = {i: len(c) for i, c in enumerate(group.conjugacy_classes())}
+    witness = None
+    for lam, orbit in superclasses.items():
+        covered = {conj_of[member] for member in orbit}
+        if sum(class_sizes[i] for i in covered) != len(orbit):
+            witness = f"superclass of {lam.to_text()} cuts a conjugacy class"
+            break
+    checks.append(CheckResult("superclasses-union-of-conjugacy-classes", witness is None, witness))
+
+    empty = LabeledSetPartition(n)
+    identity_orbit = superclasses[empty]
+    ok_identity = identity_orbit == frozenset({oracle.UTElement.identity(n, q).entries})
+    trivial = group.supercharacter_raw(empty)
+    ok_trivial = all(value == 1 for value in trivial.values.values())
+    checks.append(
+        CheckResult(
+            "identity-superclass-and-trivial-character",
+            ok_identity and ok_trivial,
+            None if ok_identity and ok_trivial else "identity orbit or trivial character mismatch",
+        )
     )
-    return SuiteReport("axioms", n, q, None, checks)
+
+    witness = None
+    for lam in superclasses:
+        function = group.supercharacter_raw(lam)
+        for mu, orbit in superclasses.items():
+            values = {function.values[group.wrap(member)] for member in orbit}
+            if len(values) != 1:
+                witness = f"character of {lam.to_text()} varies on the superclass of {mu.to_text()}"
+                break
+        if witness:
+            break
+    checks.append(CheckResult("supercharacters-constant-on-superclasses", witness is None, witness))
+
+    expected = len(enumerate_labeled_partitions(n, q))
+    ok_count = len(superclasses) == expected
+    checks.append(
+        CheckResult(
+            "superclass-and-supercharacter-counts-match",
+            ok_count,
+            None if ok_count else f"{len(superclasses)} superclasses, {expected} indices",
+        )
+    )
+    return checks
 
 
 def suite_duality(n: int, q: int) -> SuiteReport:

@@ -194,7 +194,7 @@ def test_criterion_1_worked_examples():
 def test_criterion_2_hopf_axiom_suites():
     with criterion("2-hopf-axioms", 60.0):
         for q in (2, 3):
-            report = suite_hopf(4, q, seed=20240809, samples=100)
+            report = suite_hopf(4, q, seed=20240809)
             assert report.passed, [c.name for c in report.failures]
 
 

@@ -184,16 +184,17 @@ class TestCliWorkBounds:
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
     def test_table_runs_up_to_its_size_bound(self, monkeypatch):
-        argv = ["table", "--n", "3", "--q", "3"]
         size = count_labeled_partitions(3, 3)
-        monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
-        monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size)
-        assert invoke(argv)[0] == EXIT_OK
-        # refused before the table is enumerated, computed or read from disk
-        monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
-        monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size - 1)
-        code, out, err = invoke(argv)
-        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        for oracle in ([], ["--oracle"]):
+            argv = ["table", *oracle, "--n", "3", "--q", "3"]
+            monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
+            monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size)
+            assert invoke(argv)[0] == EXIT_OK
+            # refused before the table is enumerated, computed or read from disk
+            monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
+            monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size - 1)
+            code, out, err = invoke(argv)
+            assert code == EXIT_BOUND and not out and "Traceback" not in err
 
     def test_table_size_bound_admits_the_largest_measured_solve(self):
         # (5, 3) was solved in 24.7 s; (4, 7) is the smallest refused table
@@ -204,10 +205,11 @@ class TestCliWorkBounds:
     @pytest.mark.parametrize("n, q", [(DEFAULT_TABLE_BOUND, 2), (7, 5), (4, 7)])
     def test_table_over_the_size_bound_exits_two_at_once(self, n, q):
         assert count_labeled_partitions(n, q) > TABLE_SIZE_BOUND
-        start = time.perf_counter()
-        code, out, err = invoke(["table", "--n", str(n), "--q", str(q)])
-        assert time.perf_counter() - start < 1
-        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        for oracle in ([], ["--oracle"]):
+            start = time.perf_counter()
+            code, out, err = invoke(["table", *oracle, "--n", str(n), "--q", str(q)])
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_BOUND and not out and "Traceback" not in err
 
     def test_convert_needing_an_oversized_table_exits_two_at_once(self):
         payload = canonical_dumps(element_to_json(kappa_element(5, lsp("5; 1-4-5"))))

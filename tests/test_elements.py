@@ -7,7 +7,7 @@ import pytest
 from nchopf import elements
 
 from nchopf.cyclotomic import CycRational
-from nchopf.duals import u_to_v
+from nchopf.duals import Permutation, u_to_v
 from nchopf.elements import (
     AlgebraElement,
     BasisIndex,
@@ -17,7 +17,8 @@ from nchopf.elements import (
     linear_map,
     map_tensor,
 )
-from nchopf.setpartitions import LabeledSetPartition, enumerate_labeled_partitions
+from nchopf.ncsym import ColoredIndex
+from nchopf.setpartitions import LabeledSetPartition, SetPartition, enumerate_labeled_partitions
 from nchopf.superfunctions import chi_to_kappa
 
 
@@ -132,6 +133,20 @@ class TestBasisIndexPool:
             BasisIndex("kappa", 2, lsp("3;"))
         with pytest.raises(ValueError):
             BasisIndex("m", 2, lsp("2; 1-2-2"))
+        # the indexing object must have the type its basis registers
+        colored = ColoredIndex(SetPartition(2, [[1, 2]]), (0, 0), 1)
+        wrong = [
+            ("kappa", Permutation((2, 1))),
+            ("m", colored),
+            ("M", lsp("2; 1-1-2")),
+            ("m_colored", lsp("2;")),
+            ("no-such-basis", lsp("2;")),
+        ]
+        for basis, index in wrong:
+            with pytest.raises(ValueError):
+                BasisIndex(basis, 2, index)
+        assert BasisIndex("M", 2, Permutation((2, 1))).partition == Permutation((2, 1))
+        assert BasisIndex("m_colored", 2, colored).partition is colored
 
     def test_threads_building_the_same_indices_agree(self):
         barrier = threading.Barrier(4)

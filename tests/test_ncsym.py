@@ -13,6 +13,7 @@ from nchopf.cyclotomic import CycRational
 from nchopf.elements import (
     AlgebraElement,
     BasisIndex,
+    TensorElement,
     antipode,
     coproduct,
     counit,
@@ -244,8 +245,12 @@ class TestColoredExpansion:
         stray = AlgebraElement(
             q, "m_colored", {BasisIndex("m_colored", 2, ColoredIndex(partition, (0, 0), 2)): 1}
         )
-        with pytest.raises(ValueError):
-            collect_k(stray, q)
+        lam, mu = LabeledSetPartition(2, [(1, 2, 2)]), LabeledSetPartition(1)
+        k_span = TensorElement.tensor(expand_k_in_colored_m(lam, q), expand_k_in_colored_m(mu, q))
+        assert collect_k(k_span, q) == TensorElement.tensor(k_element(q, lam), k_element(q, mu))
+        for x in (stray, TensorElement.tensor(expand_k_in_colored_m(mu, q), stray)):
+            with pytest.raises(ValueError):
+                collect_k(x, q)
 
 
 class TestLabeledBasis:

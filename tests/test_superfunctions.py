@@ -238,11 +238,14 @@ class TestTables:
                     else:
                         assert acc.is_zero()
 
-    def test_bound_enforced(self):
+    def test_bound_enforced(self, monkeypatch):
+        from nchopf import superfunctions
+
         with pytest.raises(BoundExceededError):
             supercharacter_table(8, 2)
+        monkeypatch.setattr(superfunctions, "DEFAULT_TABLE_BOUND", 4)
         with pytest.raises(BoundExceededError):
-            supercharacter_table(5, 2, bound=4)
+            supercharacter_table(5, 2)
         # within the grade bound but over the size bound: (4, 7) has 505 indices
         with pytest.raises(BoundExceededError):
             supercharacter_table(4, 7)
