@@ -20,13 +20,25 @@ from .duals import (
     v_to_u,
 )
 from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
-from .limits import DEFAULT_TABLE_BOUND, HOPF_WORK_BOUND, BoundExceededError
+from .limits import (
+    DEFAULT_TABLE_BOUND,
+    ENUMERATE_SIZE_BOUND,
+    HOPF_WORK_BOUND,
+    ORACLE_WORK_BOUND,
+    BoundExceededError,
+)
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
-from .setpartitions import arc_encoding, underlying_set_partition, enumerate_labeled_partitions
-from .superfunctions import chi_to_kappa, kappa_to_chi, supercharacter_table
+from .setpartitions import (
+    arc_encoding,
+    check_prime,
+    count_labeled_partitions,
+    enumerate_labeled_partitions,
+    underlying_set_partition,
+)
+from .superfunctions import chi_to_kappa, inner_product, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
-from .verify import SUITES, hopf_work, run_suite
+from .verify import SUITES, hopf_work, oracle_work, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,6 +133,15 @@ def _read_json(stdin) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON on standard input: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError("invalid JSON on standard input: nested too deeply") from exc
+
+
+def _read_pair(stdin, command: str, basis: str | None = None, q: int | None = None) -> tuple:
+    data = _read_json(stdin)
+    if not isinstance(data, dict) or "left" not in data or "right" not in data:
+        raise CliError(f'{command} expects {{"left": <element>, "right": <element>}}')
+    return _read_element(data["left"], basis, q), _read_element(data["right"], basis, q)
 
 
 def _read_element(data: dict, basis: str | None, q: int | None) -> AlgebraElement:
@@ -184,9 +205,35 @@ def _check_elements(*elements: AlgebraElement) -> None:
     _check_grade(sum(max(x.grades(), default=0) for x in elements), "grade ")
 
 
+def _check_work(work: int, bound: int, what: str) -> None:
+    """Refuse, before any of it is done, work whose estimate is over its bound."""
+    if work > bound:
+        raise BoundExceededError(f"{what}, over the configured bound {bound}")
+
+
+def _check_suite_work(suite: str, n: int, q: int) -> None:
+    """Refuse a suite whose estimated work is over its bound: the grade bound
+    alone does not cap the hopf suite or the brute-force axioms and oracle
+    suites.  The bounds are read here, when the command runs."""
+    estimates = {
+        "hopf": (hopf_work, HOPF_WORK_BOUND, "basis elements and pairs"),
+        "axioms": (oracle_work, ORACLE_WORK_BOUND, "supercharacter values"),
+        "oracle": (oracle_work, ORACLE_WORK_BOUND, "supercharacter values"),
+    }
+    if suite in estimates:
+        estimate, bound, unit = estimates[suite]
+        work = estimate(n, q)
+        _check_work(work, bound, f"the {suite} suite at n={n}, q={q} checks {work} {unit}")
+
+
 def _dispatch(args, stdin, stdout) -> int:
     if args.command == "enumerate":
         _check_grade(args.n)
+        check_prime(args.q)
+        size = count_labeled_partitions(args.n, args.q)
+        _check_work(
+            size, ENUMERATE_SIZE_BOUND, f"n={args.n}, q={args.q} has {size} labeled set partitions"
+        )
         partitions = enumerate_labeled_partitions(args.n, args.q)
         if args.as_json:
             print(canonical_dumps([lam.to_json() for lam in partitions]), file=stdout)
@@ -207,11 +254,7 @@ def _dispatch(args, stdin, stdout) -> int:
         return EXIT_OK
 
     if args.command == "mul":
-        data = _read_json(stdin)
-        if not isinstance(data, dict) or "left" not in data or "right" not in data:
-            raise CliError('mul expects {"left": <element>, "right": <element>}')
-        left = _read_element(data["left"], args.basis, args.q)
-        right = _read_element(data["right"], args.basis, args.q)
+        left, right = _read_pair(stdin, "mul", args.basis, args.q)
         _check_elements(left, right)
         print(canonical_dumps(element_to_json(product(left, right))), file=stdout)
         return EXIT_OK
@@ -241,11 +284,7 @@ def _dispatch(args, stdin, stdout) -> int:
         return EXIT_OK
 
     if args.command == "pair":
-        data = _read_json(stdin)
-        if not isinstance(data, dict) or "left" not in data or "right" not in data:
-            raise CliError('pair expects {"left": <element>, "right": <element>}')
-        left = _read_element(data["left"], None, None)
-        right = _read_element(data["right"], None, None)
+        left, right = _read_pair(stdin, "pair")
         _check_elements(left)
         _check_elements(right)
         mode = args.mode
@@ -254,22 +293,13 @@ def _dispatch(args, stdin, stdout) -> int:
         if mode == "dual":
             value = duality_pairing(left, right)
         else:
-            from .superfunctions import inner_product
-
             value = inner_product(left, right)
         print(canonical_dumps({"value": value.to_json()}), file=stdout)
         return EXIT_OK
 
     if args.command == "verify":
-        if args.suite in ("hopf", "iso", "duality"):
-            _check_grade(args.n)
-        if args.suite == "hopf":
-            work = hopf_work(args.n, args.q)
-            if work > HOPF_WORK_BOUND:
-                raise BoundExceededError(
-                    f"the hopf suite at n={args.n}, q={args.q} checks {work} basis elements"
-                    f" and pairs, over the configured bound {HOPF_WORK_BOUND}"
-                )
+        _check_grade(args.n)
+        _check_suite_work(args.suite, args.n, args.q)
         report = run_suite(args.suite, args.n, args.q, seed=args.seed)
         print(canonical_dumps(report.to_json()), file=stdout)
         return EXIT_OK if report.passed else EXIT_VERIFY

@@ -292,7 +292,11 @@ class CycRational:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycRational":
-        return cls(int(data["p"]), [Fraction(s) for s in data["coeffs"]])
+        try:
+            p, coeffs = int(data["p"]), [Fraction(s) for s in data["coeffs"]]
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"invalid scalar {data!r}: {exc}") from exc
+        return cls(p, coeffs)
 
 
 # The slot setters, bypassing the immutability guard in ``_intern``.

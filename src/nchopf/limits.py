@@ -1,5 +1,5 @@
-"""Computation bounds shared by the table builder, the group oracle and the
-command line.  They are constants, not per-call options: each module reads
+"""Computation bounds shared by the table builder, the group oracle, the
+verify suites and the command line.  They are constants, not per-call options: each module reads
 its copy when it is called, so a test can monkeypatch it there."""
 
 from __future__ import annotations
@@ -26,6 +26,27 @@ DEFAULT_GROUP_BOUND = 10**6
 #: e.g. (6, 2) at 5,970 units in 34 s, (3, 7) at 6,798 in 33 s, and (2, 23),
 #: refused at 7,770, in 54 s.
 HOPF_WORK_BOUND = 7000
+
+#: Largest work estimate (``verify.oracle_work``: N supercharacters, each
+#: traced over the |UT_n(q)| = q^(n(n-1)/2) group elements) that
+#: ``nchopf verify --suite axioms`` and ``--suite oracle`` accept.  On a
+#: 2-vCPU VM the admitted (5, 2), at 53,248 units, took 2.4 s (axioms) and
+#: 17.8 s (oracle), (4, 3) at 35,721 took 1.1 s and 11.9 s, and (3, 5) at
+#: 3,625 took 0.3 s and 8.8 s.  The refused (4, 5) at 3,140,625, (6, 2) at
+#: 6,651,904 and (5, 3) at 15,175,593 had not finished the axioms suite
+#: after 45 s.
+ORACLE_WORK_BOUND = 60_000
+
+#: Brute-force superinduction sums over |G|^2 sandwiches per group element,
+#: so ``verify.suite_oracle`` runs SInd/Res adjointness only while |G|^3
+#: stays below this.
+SIND_ADJOINTNESS_BOUND = 2_000_000
+
+#: Largest listing, in labeled set partitions (``count_labeled_partitions(n,
+#: q)``), that ``nchopf enumerate`` prints.  It admits (7, 5) at 170,389,
+#: which took 5.3 s on a 2-vCPU VM, and refuses (7, 7) at 1,007,407 and
+#: (5, 101) at 115,251,001.
+ENUMERATE_SIZE_BOUND = 200_000
 
 
 class BoundExceededError(RuntimeError):

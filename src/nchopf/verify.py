@@ -8,6 +8,7 @@ deterministic in (suite, n, q, seed).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -27,12 +28,7 @@ from .elements import (
     unit_index,
 )
 from .ncsym import ch
-from .duals import (
-    dual_ch,
-    duality_pairing,
-    duality_pairing_tensor,
-    kappa_star_element,
-)
+from .duals import dual_ch, duality_pairing, duality_pairing_tensor
 from .setpartitions import (
     LabeledSetPartition,
     SetComposition,
@@ -42,7 +38,8 @@ from .setpartitions import (
     count_labeled_partitions,
     enumerate_labeled_partitions,
 )
-from .superfunctions import kappa_element, supercharacter_table
+from .limits import SIND_ADJOINTNESS_BOUND
+from .superfunctions import supercharacter_table
 from . import unitriangular as oracle
 
 
@@ -128,9 +125,7 @@ def hopf_work(n: int, q: int) -> int:
     pool they draw from, over all the suite's bases.  The k basis works on
     colored-monomial expansions, so its indices of grade g count as the
     Bell(g) (q-1)^g colored monomials they expand into."""
-    check_prime(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_arguments(n, q)
     total = 0
     pool = min(n, 3) + 1
     for tag in hopf_bases(q):
@@ -144,18 +139,34 @@ def hopf_work(n: int, q: int) -> int:
     return total
 
 
+def oracle_work(n: int, q: int) -> int:
+    """What ``suite_axioms`` and ``suite_oracle`` enumerate, counted without
+    building it: the N = |S_n(q)| supercharacters, each traced over the
+    q^(n(n-1)/2) elements of UT_n(q)."""
+    _check_arguments(n, q)
+    return count_labeled_partitions(n, q) * q ** (n * (n - 1) // 2)
+
+
+def _check_arguments(n: int, q: int) -> None:
+    check_prime(q)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 def random_element(rng: random.Random, q: int, tag: str, max_grade: int) -> AlgebraElement:
     """One to three distinct basis elements of grade at most max_grade, with
     small nonzero integer coefficients."""
     pool = [idx for g in range(max_grade + 1) for idx in basis_indices(q, tag, g)]
-    terms = {}
-    for idx in rng.sample(pool, k=min(len(pool), rng.randint(1, 3))):
-        terms[idx] = rng.choice([-3, -2, -1, 1, 2, 3])
-    return AlgebraElement(q, tag, terms)
+    chosen = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
+    return AlgebraElement(q, tag, {idx: rng.choice([-3, -2, -1, 1, 2, 3]) for idx in chosen})
 
 
 # ---------------------------------------------------------------------------
 # Hopf-axiom building blocks
+
+
+def _single(q: int, idx: BasisIndex) -> AlgebraElement:
+    return AlgebraElement._trusted(q, idx.basis, {idx: 1})
 
 
 def _coproduct_on_factor(t: TensorElement, side: int) -> dict:
@@ -186,15 +197,11 @@ def satisfies_antipode_identity(x: AlgebraElement) -> bool:
     """m(S (x) id)Delta = unit . counit = m(id (x) S)Delta, exactly."""
     t = coproduct(x).terms
     expected = AlgebraElement.unit(x.q, x.basis).scale(counit(x))
-
-    def single(idx: BasisIndex) -> AlgebraElement:
-        return AlgebraElement._trusted(x.q, x.basis, {idx: 1})
-
     left = linear_combination(
-        (c, product(antipode(single(l)), single(r)).terms) for (l, r), c in t.items()
+        (c, product(antipode(_single(x.q, l)), _single(x.q, r)).terms) for (l, r), c in t.items()
     )
     right = linear_combination(
-        (c, product(single(l), antipode(single(r))).terms) for (l, r), c in t.items()
+        (c, product(_single(x.q, l), antipode(_single(x.q, r))).terms) for (l, r), c in t.items()
     )
     return all(AlgebraElement._trusted(x.q, x.basis, side) == expected for side in (left, right))
 
@@ -204,9 +211,7 @@ def is_bialgebra_pair(x: AlgebraElement, y: AlgebraElement) -> bool:
 
 
 def respects_grading(a: BasisIndex, b: BasisIndex, q: int) -> bool:
-    prod = product(
-        AlgebraElement._trusted(q, a.basis, {a: 1}), AlgebraElement._trusted(q, b.basis, {b: 1})
-    )
+    prod = product(_single(q, a), _single(q, b))
     if not all(idx.grade == a.grade + b.grade for idx in prod.terms):
         return False
     t = basis_coproduct(q, a)
@@ -217,163 +222,132 @@ def respects_grading(a: BasisIndex, b: BasisIndex, q: int) -> bool:
 # the suites
 
 
+def _check(name: str, cases, holds, witness=None) -> CheckResult:
+    """One named check: ``holds`` runs over ``cases`` in order and the check
+    stops at the first case where it is false; ``witness(case)`` of that case,
+    if given, becomes the detail.  Cases may be a generator, so nothing past
+    the failing case is built.  A check that saw no cases fails: it would
+    otherwise pass vacuously."""
+    seen = False
+    for case in cases:
+        if not holds(case):
+            return CheckResult(name, False, witness(case) if witness else None)
+        seen = True
+    return CheckResult(name, seen, None if seen else "no cases")
+
+
+def _index(x: AlgebraElement) -> BasisIndex:
+    return next(iter(x.terms))
+
+
+def _basis_elements(q: int, tag: str, n: int) -> list[AlgebraElement]:
+    """The basis elements of grade at most n, grade by grade."""
+    return [_single(q, idx) for g in range(n + 1) for idx in basis_indices(q, tag, g)]
+
+
+def _pairs_up_to(elements: list[AlgebraElement], n: int) -> list[tuple]:
+    """The pairs of basis elements whose grades sum to at most n."""
+    return [(x, y) for x in elements for y in elements if _index(x).grade + _index(y).grade <= n]
+
+
 def suite_hopf(n: int, q: int, seed: int = 0) -> SuiteReport:
     """Coassociativity, counit, bialgebra compatibility, (co)commutativity,
     and the antipode identity on all basis elements up to grade n and on
     random combinations, per basis."""
     rng = random.Random(seed)
-    checks = []
-    for tag in hopf_bases(q):
-        elements = [
-            AlgebraElement(q, tag, {idx: 1})
-            for g in range(n + 1)
-            for idx in basis_indices(q, tag, g)
-        ]
-        ok = all(is_coassociative(x) for x in elements)
-        checks.append(CheckResult(f"{tag}:coassociativity:basis", ok))
-        ok = all(satisfies_counit_law(x) for x in elements)
-        checks.append(CheckResult(f"{tag}:counit-law:basis", ok))
-        ok = all(satisfies_antipode_identity(x) for x in elements)
-        checks.append(CheckResult(f"{tag}:antipode-identity:basis", ok))
-
-        pairs = [
-            (x, y)
-            for x in elements
-            for y in elements
-            if next(iter(x.terms)).grade + next(iter(y.terms)).grade <= n
-        ]
-        ok = all(is_bialgebra_pair(x, y) for (x, y) in pairs)
-        checks.append(CheckResult(f"{tag}:bialgebra-compatibility:basis", ok))
-        ok = all(
-            respects_grading(next(iter(x.terms)), next(iter(y.terms)), q)
-            for (x, y) in pairs
-        )
-        checks.append(CheckResult(f"{tag}:grading:basis", ok))
-
-        if tag in COCOMMUTATIVE_BASES:
-            ok = all(coproduct(x).swap() == coproduct(x) for x in elements)
-            checks.append(CheckResult(f"{tag}:cocommutativity:basis", ok))
-        if tag in COMMUTATIVE_BASES:
-            ok = all(product(x, y) == product(y, x) for (x, y) in pairs)
-            checks.append(CheckResult(f"{tag}:commutativity:basis", ok))
-
-        ok = True
-        for _ in range(HOPF_SAMPLES):
-            x = random_element(rng, q, tag, max_grade=min(n, 3))
-            if not (
-                is_coassociative(x)
-                and satisfies_counit_law(x)
-                and satisfies_antipode_identity(x)
-            ):
-                ok = False
-                break
-        checks.append(CheckResult(f"{tag}:unary-axioms:random", ok))
-
-        ok = True
-        for _ in range(HOPF_SAMPLES):
-            x = random_element(rng, q, tag, max_grade=n // 2)
-            y = random_element(rng, q, tag, max_grade=n - n // 2)
-            if not is_bialgebra_pair(x, y):
-                ok = False
-                break
-            if tag in COMMUTATIVE_BASES and product(x, y) != product(y, x):
-                ok = False
-                break
-        checks.append(CheckResult(f"{tag}:bialgebra:random", ok))
+    checks = [check for tag in hopf_bases(q) for check in _hopf_checks(tag, n, q, rng)]
     return SuiteReport("hopf", n, q, seed, tuple(checks))
+
+
+def _hopf_checks(tag: str, n: int, q: int, rng: random.Random) -> list[CheckResult]:
+    def commute(pair) -> bool:
+        return tag not in COMMUTATIVE_BASES or product(*pair) == product(*reversed(pair))
+
+    def cocommute(x: AlgebraElement) -> bool:
+        return coproduct(x).swap() == coproduct(x)
+
+    def unary(x: AlgebraElement) -> bool:
+        return is_coassociative(x) and satisfies_counit_law(x) and satisfies_antipode_identity(x)
+
+    def bialgebra(pair) -> bool:
+        return is_bialgebra_pair(*pair) and commute(pair)
+
+    elements = _basis_elements(q, tag, n)
+    pairs = _pairs_up_to(elements, n)
+    checks = [
+        _check(f"{tag}:coassociativity:basis", elements, is_coassociative),
+        _check(f"{tag}:counit-law:basis", elements, satisfies_counit_law),
+        _check(f"{tag}:antipode-identity:basis", elements, satisfies_antipode_identity),
+        _check(f"{tag}:bialgebra-compatibility:basis", pairs, lambda p: is_bialgebra_pair(*p)),
+        _check(f"{tag}:grading:basis", pairs, lambda p: respects_grading(*map(_index, p), q)),
+    ]
+    if tag in COCOMMUTATIVE_BASES:
+        checks.append(_check(f"{tag}:cocommutativity:basis", elements, cocommute))
+    if tag in COMMUTATIVE_BASES:
+        checks.append(_check(f"{tag}:commutativity:basis", pairs, commute))
+    # drawn lazily, so a failing sample stops the draws of its check
+    samples = (random_element(rng, q, tag, max_grade=min(n, 3)) for _ in range(HOPF_SAMPLES))
+    halves = (n // 2, n - n // 2)
+    sample_pairs = (
+        tuple(random_element(rng, q, tag, max_grade=g) for g in halves) for _ in range(HOPF_SAMPLES)
+    )
+    return checks + [
+        _check(f"{tag}:unary-axioms:random", samples, unary),
+        _check(f"{tag}:bialgebra:random", sample_pairs, bialgebra),
+    ]
+
+
+def _morphism_checks(name: str, f, elements: list[AlgebraElement], n: int) -> list[CheckResult]:
+    """f(x y) = f(x) f(y) on the basis pairs up to total grade n, and
+    (f (x) f) Delta = Delta f on the basis elements."""
+
+    def multiplicative(pair) -> bool:
+        return f(product(*pair)) == product(*map(f, pair))
+
+    def comultiplicative(x: AlgebraElement) -> bool:
+        return map_tensor(coproduct(x), f) == coproduct(f(x))
+
+    return [
+        _check(f"{name}:multiplicative", _pairs_up_to(elements, n), multiplicative),
+        _check(f"{name}:comultiplicative", elements, comultiplicative),
+    ]
 
 
 def suite_iso(n: int, q: int) -> SuiteReport:
     """The characteristic map (and at q = 2 its dual) commutes with product,
     coproduct, counit, and antipode on all basis pairs up to total grade n."""
-    checks = []
-    indices = [lam for g in range(n + 1) for lam in enumerate_labeled_partitions(g, q)]
-
-    ok_prod = True
-    for lam in indices:
-        for mu in indices:
-            if lam.n + mu.n > n:
-                continue
-            x, y = kappa_element(q, lam), kappa_element(q, mu)
-            if ch(product(x, y)) != product(ch(x), ch(y)):
-                ok_prod = False
-    checks.append(CheckResult("ch:multiplicative", ok_prod))
-
-    ok_cop = all(
-        map_tensor(coproduct(kappa_element(q, lam)), ch) == coproduct(ch(kappa_element(q, lam)))
-        for lam in indices
-    )
-    checks.append(CheckResult("ch:comultiplicative", ok_cop))
-
-    ok_counit = all(
-        counit(ch(kappa_element(q, lam))) == counit(kappa_element(q, lam)) for lam in indices
-    )
-    checks.append(CheckResult("ch:counit", ok_counit))
-
-    ok_antipode = all(
-        ch(antipode(kappa_element(q, lam))) == antipode(ch(kappa_element(q, lam)))
-        for lam in indices
-    )
-    checks.append(CheckResult("ch:antipode", ok_antipode))
-
-    ok_bijective = True
-    for g in range(n + 1):
-        images = {next(iter(ch(kappa_element(q, lam)).terms)) for lam in enumerate_labeled_partitions(g, q)}
-        if len(images) != len(enumerate_labeled_partitions(g, q)):
-            ok_bijective = False
-    checks.append(CheckResult("ch:bijective-on-bases", ok_bijective))
-
+    kappas = _basis_elements(q, "kappa", n)
+    grades = [[x for x in kappas if _index(x).grade == g] for g in range(n + 1)]
+    checks = _morphism_checks("ch", ch, kappas, n) + [
+        _check("ch:counit", kappas, lambda x: counit(ch(x)) == counit(x)),
+        _check("ch:antipode", kappas, lambda x: ch(antipode(x)) == antipode(ch(x))),
+        _check("ch:bijective-on-bases", grades, lambda g: len({_index(ch(x)) for x in g}) == len(g)),
+    ]
     if q == 2:
-        ok_dprod = True
-        for lam in indices:
-            for mu in indices:
-                if lam.n + mu.n > n:
-                    continue
-                f, g = kappa_star_element(q, lam), kappa_star_element(q, mu)
-                if dual_ch(product(f, g)) != product(dual_ch(f), dual_ch(g)):
-                    ok_dprod = False
-        checks.append(CheckResult("dual_ch:multiplicative", ok_dprod))
-        ok_dcop = all(
-            map_tensor(coproduct(kappa_star_element(q, lam)), dual_ch)
-            == coproduct(dual_ch(kappa_star_element(q, lam)))
-            for lam in indices
-        )
-        checks.append(CheckResult("dual_ch:comultiplicative", ok_dcop))
+        checks += _morphism_checks("dual_ch", dual_ch, _basis_elements(q, "kappa_star", n), n)
     return SuiteReport("iso", n, q, None, tuple(checks))
-
-
-#: Brute-force superinduction sums over |G|^2 sandwiches per group element,
-#: so suite_oracle runs SInd/Res adjointness only while |G|^3 stays below this.
-SIND_ADJOINTNESS_BOUND = 2_000_000
 
 
 def suite_oracle(n: int, q: int) -> SuiteReport:
     """Formula-vs-group equivalence at one (n, q): tables, sizes, counts,
     axioms, and (when the group is small enough) functor adjointness."""
-    checks = []
     group = oracle.get_group(n, q)
     formula = supercharacter_table(n, q)
     direct = group.oracle_table()
-
-    checks.append(
-        CheckResult("tables-entrywise-equal", formula.values == direct.values)
-    )
-    checks.append(
-        CheckResult(
-            "orthogonality-sizes-equal-orbit-sizes",
-            formula.class_sizes == direct.class_sizes,
-        )
-    )
-    expected_count = len(enumerate_labeled_partitions(n, q))
-    checks.append(
-        CheckResult("superclass-count", len(group.superclasses()) == expected_count)
-    )
     failed = [c.name for c in _axiom_checks(n, q) if not c.passed]
-    checks.append(
-        CheckResult("supercharacter-theory-axioms", not failed, "; ".join(failed) or None)
-    )
+    count = len(enumerate_labeled_partitions(n, q))
+    checks = [
+        _check("tables-entrywise-equal", [formula], lambda t: t.values == direct.values),
+        _check(
+            "orthogonality-sizes-equal-orbit-sizes",
+            [formula],
+            lambda t: t.class_sizes == direct.class_sizes,
+        ),
+        _check("superclass-count", [group], lambda g: len(g.superclasses()) == count),
+        _check("supercharacter-theory-axioms", [failed], lambda names: not names, "; ".join),
+    ]
     # Both adjointness checks run over the two-part compositions of n; below
-    # n = 2 there are none, and a check over no cases would pass vacuously.
+    # n = 2 there are none, so they are reported skipped rather than failed.
     if n < 2:
         reason = f"skipped: n = {n} has no two-part composition"
         checks.append(CheckResult("sind-res-adjointness", False, reason, skipped=True))
@@ -381,73 +355,51 @@ def suite_oracle(n: int, q: int) -> SuiteReport:
         return SuiteReport("oracle", n, q, None, tuple(checks))
     cube = group.order**3
     if cube <= SIND_ADJOINTNESS_BOUND:
-        checks.append(CheckResult("sind-res-adjointness", _check_sind_adjointness(n, q)))
+        points = range(1, n + 1)
+        shapes = [
+            (SetComposition([list(part), [i for i in points if i not in part]]), (k, n - k))
+            for k in range(1, n)
+            for part in itertools.combinations(points, k)
+        ]
+        checks.append(_adjointness("sind-res-adjointness", n, q, shapes, oracle.sind_J, oracle.res_J))
     else:
         reason = (
             f"skipped: |G|^3 = {cube} exceeds {SIND_ADJOINTNESS_BOUND}, "
             "the work bound for brute-force superinduction"
         )
         checks.append(CheckResult("sind-res-adjointness", False, reason, skipped=True))
-    checks.append(CheckResult("inf-def-adjointness", _check_inf_adjointness(n, q)))
+    shapes = [((k, n - k), (k, n - k)) for k in range(1, n)]
+    checks.append(_adjointness("inf-def-adjointness", n, q, shapes, oracle.inf_parts, oracle.def_parts))
     return SuiteReport("oracle", n, q, None, tuple(checks))
 
 
-def _two_part_set_compositions(n: int) -> list[SetComposition]:
-    import itertools
+def _adjointness(name: str, n: int, q: int, shapes, up, down) -> CheckResult:
+    """<up(psi), chi> = <psi, down(chi)> for every (shape, part sizes) in
+    shapes, every product psi of supercharacters on the two parts and every
+    supercharacter chi of UT_n(q): SInd/Res over the two-part set
+    compositions of n, Inf/Def over its two-part integer compositions."""
+    raw = _supercharacters(n, q)
 
-    out = []
-    for size in range(1, n):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            complement = [i for i in range(1, n + 1) if i not in set(subset)]
-            out.append(SetComposition([list(subset), complement]))
-    return out
+    def cases():
+        for shape, sizes in shapes:
+            lowered = [down(chi, shape) for chi in raw]
+            first, second = (_supercharacters(k, q) for k in sizes)
+            for f1 in first:
+                for f2 in second:
+                    psi = oracle.outer_product([f1, f2])
+                    raised = up(psi, shape)
+                    yield from ((raised, chi, psi, low) for chi, low in zip(raw, lowered))
+
+    def holds(case) -> bool:
+        raised, chi, psi, lowered = case
+        return oracle.raw_inner_product(raised, chi) == oracle.product_inner_product(psi, lowered)
+
+    return _check(name, cases(), holds)
 
 
-def _check_sind_adjointness(n: int, q: int) -> bool:
-    """<SInd psi, chi> = <psi, Res chi> over every two-part set composition
-    and every pair of supercharacters on the parts."""
+def _supercharacters(n: int, q: int) -> list:
     group = oracle.get_group(n, q)
-    raw = {lam: group.supercharacter_raw(lam) for lam in enumerate_labeled_partitions(n, q)}
-    for J in _two_part_set_compositions(n):
-        a, b = (len(part) for part in J.parts)
-        part_chars = [
-            [oracle.get_group(size, q).supercharacter_raw(lam) for lam in enumerate_labeled_partitions(size, q)]
-            for size in (a, b)
-        ]
-        restrictions = {lam: oracle.res_J(raw[lam], J) for lam in raw}
-        for f1 in part_chars[0]:
-            for f2 in part_chars[1]:
-                psi = oracle.outer_product([f1, f2])
-                sind = oracle.sind_J(psi, J)
-                for lam, chi_raw in raw.items():
-                    lhs = oracle.raw_inner_product(sind, chi_raw)
-                    rhs = oracle.product_inner_product(psi, restrictions[lam])
-                    if lhs != rhs:
-                        return False
-    return True
-
-
-def _check_inf_adjointness(n: int, q: int) -> bool:
-    """<Inf psi, chi> = <psi, Def chi> over every two-part integer composition."""
-    group = oracle.get_group(n, q)
-    raw = {lam: group.supercharacter_raw(lam) for lam in enumerate_labeled_partitions(n, q)}
-    for k in range(1, n):
-        sizes = (k, n - k)
-        deflations = {lam: oracle.def_parts(raw[lam], sizes) for lam in raw}
-        part_chars = [
-            [oracle.get_group(size, q).supercharacter_raw(lam) for lam in enumerate_labeled_partitions(size, q)]
-            for size in sizes
-        ]
-        for f1 in part_chars[0]:
-            for f2 in part_chars[1]:
-                psi = oracle.outer_product([f1, f2])
-                inflated = oracle.inf_parts(psi, sizes)
-                for lam, chi_raw in raw.items():
-                    lhs = oracle.raw_inner_product(inflated, chi_raw)
-                    rhs = oracle.product_inner_product(psi, deflations[lam])
-                    if lhs != rhs:
-                        return False
-    return True
+    return [group.supercharacter_raw(lam) for lam in enumerate_labeled_partitions(n, q)]
 
 
 def suite_axioms(n: int, q: int) -> SuiteReport:
@@ -467,90 +419,78 @@ def _axiom_checks(n: int, q: int) -> list[CheckResult]:
     """
     group = oracle.get_group(n, q)
     superclasses = group.superclasses()
-    checks = []
-
-    conj_of: dict[tuple[int, ...], int] = {}
-    for class_id, members in enumerate(group.conjugacy_classes()):
-        for member in members:
-            conj_of[member] = class_id
-    class_sizes = {i: len(c) for i, c in enumerate(group.conjugacy_classes())}
-    witness = None
-    for lam, orbit in superclasses.items():
-        covered = {conj_of[member] for member in orbit}
-        if sum(class_sizes[i] for i in covered) != len(orbit):
-            witness = f"superclass of {lam.to_text()} cuts a conjugacy class"
-            break
-    checks.append(CheckResult("superclasses-union-of-conjugacy-classes", witness is None, witness))
-
+    classes = group.conjugacy_classes()
+    class_of = {member: i for i, members in enumerate(classes) for member in members}
     empty = LabeledSetPartition(n)
-    identity_orbit = superclasses[empty]
-    ok_identity = identity_orbit == frozenset({oracle.UTElement.identity(n, q).entries})
-    trivial = group.supercharacter_raw(empty)
-    ok_trivial = all(value == 1 for value in trivial.values.values())
-    checks.append(
-        CheckResult(
-            "identity-superclass-and-trivial-character",
-            ok_identity and ok_trivial,
-            None if ok_identity and ok_trivial else "identity orbit or trivial character mismatch",
-        )
-    )
-
-    witness = None
-    for lam in superclasses:
-        function = group.supercharacter_raw(lam)
-        for mu, orbit in superclasses.items():
-            values = {function.values[group.wrap(member)] for member in orbit}
-            if len(values) != 1:
-                witness = f"character of {lam.to_text()} varies on the superclass of {mu.to_text()}"
-                break
-        if witness:
-            break
-    checks.append(CheckResult("supercharacters-constant-on-superclasses", witness is None, witness))
-
+    identity = oracle.UTElement.identity(n, q).entries
+    trivial = group.supercharacter_raw(empty).values.values()
+    characters = ((lam, group.supercharacter_raw(lam)) for lam in superclasses)
     expected = len(enumerate_labeled_partitions(n, q))
-    ok_count = len(superclasses) == expected
-    checks.append(
-        CheckResult(
+
+    def union_of_classes(item) -> bool:
+        orbit = item[1]
+        return sum(len(classes[i]) for i in {class_of[member] for member in orbit}) == len(orbit)
+
+    def constant(case) -> bool:
+        _, function, _, orbit = case
+        return len({function.values[group.wrap(member)] for member in orbit}) == 1
+
+    return [
+        _check(
+            "superclasses-union-of-conjugacy-classes",
+            superclasses.items(),
+            union_of_classes,
+            lambda item: f"superclass of {item[0].to_text()} cuts a conjugacy class",
+        ),
+        _check(
+            "identity-superclass-and-trivial-character",
+            [superclasses[empty] == {identity}, *(value == 1 for value in trivial)],
+            bool,
+            lambda _: "identity orbit or trivial character mismatch",
+        ),
+        _check(
+            "supercharacters-constant-on-superclasses",
+            ((lam, f, mu, orbit) for lam, f in characters for mu, orbit in superclasses.items()),
+            constant,
+            lambda c: f"character of {c[0].to_text()} varies on the superclass of {c[2].to_text()}",
+        ),
+        _check(
             "superclass-and-supercharacter-counts-match",
-            ok_count,
-            None if ok_count else f"{len(superclasses)} superclasses, {expected} indices",
-        )
-    )
-    return checks
+            [len(superclasses)],
+            lambda count: count == expected,
+            lambda count: f"{count} superclasses, {expected} indices",
+        ),
+    ]
 
 
 def suite_duality(n: int, q: int) -> SuiteReport:
     """Product-coproduct adjointness under the Kronecker pairing, exhaustive
     over basis tuples with total grade at most n."""
-    checks = []
-    ok_product_side = True
-    ok_coproduct_side = True
-    for total in range(n + 1):
-        lambdas = enumerate_labeled_partitions(total, q)
-        coproducts = {lam: coproduct(kappa_element(q, lam)) for lam in lambdas}
-        star_coproducts = {lam: coproduct(kappa_star_element(q, lam)) for lam in lambdas}
-        for a in range(total + 1):
-            for alpha in enumerate_labeled_partitions(a, q):
-                for beta in enumerate_labeled_partitions(total - a, q):
-                    f, g = kappa_star_element(q, alpha), kappa_star_element(q, beta)
-                    fg = product(f, g)
-                    fg_tensor = TensorElement.tensor(f, g)
-                    x = kappa_element(q, alpha)
-                    y_beta = kappa_element(q, beta)
-                    xy = product(x, y_beta)
-                    xy_tensor = TensorElement.tensor(x, y_beta)
-                    for lam in lambdas:
-                        if duality_pairing(fg, kappa_element(q, lam)) != duality_pairing_tensor(
-                            fg_tensor, coproducts[lam]
-                        ):
-                            ok_product_side = False
-                        if duality_pairing_tensor(
-                            star_coproducts[lam], xy_tensor
-                        ) != duality_pairing(kappa_star_element(q, lam), xy):
-                            ok_coproduct_side = False
-    checks.append(CheckResult("pairing:product-vs-coproduct", ok_product_side))
-    checks.append(CheckResult("pairing:coproduct-vs-product", ok_coproduct_side))
-    return SuiteReport("duality", n, q, None, tuple(checks))
+
+    def cases(factors: str, paired: str):
+        """For every pair x, y of factors-basis elements and every
+        paired-basis element z of their total grade, the two pairings that
+        adjointness makes equal: of z with x y and of Delta z with x (x) y,
+        each written kappa_star side first.  Products are built once per pair
+        and coproducts once per z."""
+        coproducts = {z: coproduct(z) for z in _basis_elements(q, paired, n)}
+        for x, y in _pairs_up_to(_basis_elements(q, factors, n), n):
+            xy, xy_tensor = product(x, y), TensorElement.tensor(x, y)
+            grade = _index(x).grade + _index(y).grade
+            for z, z_coproduct in coproducts.items():
+                if _index(z).grade == grade:
+                    pairings = ((z, xy), (z_coproduct, xy_tensor))
+                    yield pairings if paired == "kappa_star" else tuple(p[::-1] for p in pairings)
+
+    def adjoint(pairings) -> bool:
+        (f, x), (f_tensor, x_tensor) = pairings
+        return duality_pairing(f, x) == duality_pairing_tensor(f_tensor, x_tensor)
+
+    checks = (
+        _check("pairing:product-vs-coproduct", cases("kappa_star", "kappa"), adjoint),
+        _check("pairing:coproduct-vs-product", cases("kappa", "kappa_star"), adjoint),
+    )
+    return SuiteReport("duality", n, q, None, checks)
 
 
 SUITES = {
@@ -565,6 +505,5 @@ SUITES = {
 def run_suite(name: str, n: int, q: int, seed: int = 0) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if name == "hopf":
-        return suite_hopf(n, q, seed=seed)
-    return SUITES[name](n, q)
+    _check_arguments(n, q)
+    return suite_hopf(n, q, seed=seed) if name == "hopf" else SUITES[name](n, q)

@@ -3,13 +3,21 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nchopf import cli, superfunctions
 from nchopf.cli import EXIT_BOUND, EXIT_INVALID, EXIT_OK, run
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, TensorElement
-from nchopf.limits import DEFAULT_TABLE_BOUND, HOPF_WORK_BOUND, TABLE_SIZE_BOUND
+from nchopf.limits import (
+    DEFAULT_TABLE_BOUND,
+    ENUMERATE_SIZE_BOUND,
+    HOPF_WORK_BOUND,
+    ORACLE_WORK_BOUND,
+    TABLE_SIZE_BOUND,
+)
 from nchopf.ncsym import ColoredIndex
 from nchopf.serialize import (
     canonical_dumps,
@@ -20,7 +28,7 @@ from nchopf.serialize import (
 )
 from nchopf.setpartitions import LabeledSetPartition, SetPartition, count_labeled_partitions
 from nchopf.superfunctions import kappa_element
-from nchopf.verify import hopf_work
+from nchopf.verify import hopf_work, oracle_work
 
 
 def lsp(text):
@@ -100,6 +108,27 @@ class TestCliBasics:
         assert code == EXIT_INVALID
 
     @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"q": 2, "basis": "kappa", "terms": [{"n": 1, "arcs": [], '
+            '"coeff": {"p": 2, "coeffs": ["1/0"]}}]}',
+            "[" * 100_000,
+        ],
+        ids=["zero-denominator", "deeply-nested"],
+    )
+    def test_malformed_element_json_exits_one(self, payload):
+        code, out, err = invoke(["antipode"], payload)
+        assert code == EXIT_INVALID and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("suite", ["iso", "duality"])
+    def test_verify_at_negative_n_exits_one(self, suite):
+        # these suites would otherwise run over no cases at all
+        code, out, err = invoke(["verify", "--suite", suite, "--n", "-1", "--q", "2"])
+        assert code == EXIT_INVALID and not out and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "blocks, colors, r",
         [([[1], []], [0], 2), ([[1, 2]], [0, 1], 4)],
         ids=["empty-block", "colors-of-another-prime"],
@@ -121,7 +150,7 @@ class TestCliBasics:
         code, out, err = invoke(["enumerate", "--n", str(DEFAULT_TABLE_BOUND + 1), "--q", "2"])
         assert code == EXIT_BOUND and not out and err
 
-    @pytest.mark.parametrize("suite", ["hopf", "iso", "duality"])
+    @pytest.mark.parametrize("suite", ["hopf", "iso", "duality", "axioms", "oracle"])
     def test_verify_over_the_grade_bound_exits_two(self, suite):
         argv = ["verify", "--suite", suite, "--n", str(DEFAULT_TABLE_BOUND + 1), "--q", "2"]
         code, out, err = invoke(argv)
@@ -182,6 +211,51 @@ class TestCliWorkBounds:
         code, out, err = invoke(["verify", "--suite", "hopf", "--n", str(n), "--q", str(q)])
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_oracle_work_counts_characters_times_group_elements(self):
+        assert oracle_work(3, 2) == 5 * 2**3
+        assert oracle_work(5, 2) == 53_248 <= ORACLE_WORK_BOUND
+        assert oracle_work(4, 3) == 35_721 and oracle_work(3, 5) == 3_625
+        assert oracle_work(4, 5) == 3_140_625 > ORACLE_WORK_BOUND
+        for n, q in [(2, 4), (-1, 2)]:
+            with pytest.raises(ValueError):
+                oracle_work(n, q)
+
+    @pytest.mark.parametrize("suite", ["axioms", "oracle"])
+    def test_oracle_suites_run_up_to_their_work_bound(self, suite, monkeypatch):
+        argv = ["verify", "--suite", suite, "--n", "3", "--q", "2"]
+        monkeypatch.setattr(cli, "ORACLE_WORK_BOUND", oracle_work(3, 2))
+        assert invoke(argv)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "ORACLE_WORK_BOUND", oracle_work(3, 2) - 1)
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["axioms", "oracle"])
+    @pytest.mark.parametrize("n, q", [(6, 2), (4, 5), (5, 3)])
+    def test_oracle_suites_over_the_work_bound_exit_two_at_once(self, suite, n, q):
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--suite", suite, "--n", str(n), "--q", str(q)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_enumerate_runs_up_to_its_size_bound(self, monkeypatch):
+        argv = ["enumerate", "--n", "3", "--q", "3"]
+        monkeypatch.setattr(cli, "ENUMERATE_SIZE_BOUND", count_labeled_partitions(3, 3))
+        assert invoke(argv)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "ENUMERATE_SIZE_BOUND", count_labeled_partitions(3, 3) - 1)
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_enumerate_size_bound_admits_the_largest_measured_listing(self):
+        assert count_labeled_partitions(7, 5) == 170_389 <= ENUMERATE_SIZE_BOUND
+
+    def test_enumerate_over_the_size_bound_exits_two_at_once(self):
+        start = time.perf_counter()
+        code, out, err = invoke(["enumerate", "--n", "5", "--q", "101"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        # the prime is checked first: a non-prime q is invalid input
+        assert invoke(["enumerate", "--n", "5", "--q", "100"])[0] == EXIT_INVALID
 
     def test_table_runs_up_to_its_size_bound(self, monkeypatch):
         size = count_labeled_partitions(3, 3)
@@ -362,3 +436,94 @@ class TestCliVerify:
     def test_unknown_suite_exits_one(self):
         code, _, _ = invoke(["verify", "--suite", "nope", "--n", "2", "--q", "2"])
         assert code == EXIT_INVALID
+
+
+
+# Fuzzing the command line: each command is given its required options most
+# of the time, and elements are drawn near the valid ones, so that draws get
+# past argument parsing and JSON decoding into the commands themselves.
+_BASES = st.sampled_from(["kappa", "chi", "kappa_star", "chi_star", "m", "p", "M", "U", "V", "x"])
+_VALUES = st.fixed_dictionaries(
+    {
+        "--n": st.integers(-1, 2).map(str),
+        "--q": st.sampled_from(["2", "3", "2", "3", "5", "4", "0", "x"]),
+        "--suite": st.sampled_from(["hopf", "iso", "oracle", "axioms", "duality", "x"]),
+        "--from": _BASES,
+        "--to": _BASES,
+        "--mode": st.sampled_from(["auto", "dual", "inner", "x"]),
+        "--basis": _BASES,
+        "--seed": st.integers(-1, 2).map(str),
+    }
+)
+_REQUIRED = {
+    "enumerate": ["--n", "--q"],
+    "table": ["--n", "--q"],
+    "convert": ["--from", "--to"],
+    "verify": ["--suite", "--n", "--q"],
+}
+
+
+@st.composite
+def _argv(draw):
+    commands = ["enumerate", "table", "mul", "comul", "antipode", "convert", "pair", "verify", "x"]
+    command = draw(st.sampled_from(commands))
+    values = draw(_VALUES)
+    flags = [flag for flag in _REQUIRED.get(command, []) if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 3)):
+        flags.append(draw(st.sampled_from(sorted(values))))
+    argv = [command] + [token for flag in flags for token in (flag, values[flag])]
+    if not draw(st.integers(0, 3)):
+        argv.append(draw(st.sampled_from(["--json", "--oracle", "--pretty", "--x"])))
+    return argv
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 7),
+    st.floats(),
+    st.sampled_from(["1", "-1/2", "1/0", "x", "", "kappa", "chi_star", "M", "m_colored"]),
+)
+_KEYS = st.sampled_from(
+    ["q", "basis", "terms", "n", "arcs", "coeff", "p", "coeffs", "word", "blocks", "colors", "r"]
+)
+_JSONISH = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _element(draw):
+    q = draw(st.sampled_from([2, 3, 3, 4]))
+    coefficient = st.sampled_from(["1", "-2", "1/2", "0"])
+    terms = []
+    for _ in range(draw(st.integers(0, 2))):
+        arcs = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+        coeffs = st.lists(coefficient, min_size=max(q - 1, 1), max_size=max(q - 1, 1))
+        terms.append(
+            {
+                "n": draw(st.integers(-1, 2)),
+                "arcs": draw(st.lists(arcs, max_size=1)),
+                "coeff": {"p": q, "coeffs": draw(coeffs | st.lists(_SCALARS, max_size=2))},
+            }
+        )
+    return {"q": q, "basis": draw(_BASES), "terms": terms}
+
+
+_STDIN = st.one_of(
+    st.text(max_size=12),
+    st.one_of(_JSONISH, _element(), st.fixed_dictionaries({"left": _element(), "right": _element()})).map(
+        json.dumps
+    ),
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(argv=_argv(), stdin_text=_STDIN)
+    def test_every_command_exits_with_a_documented_code(self, argv, stdin_text):
+        code, _, err = invoke(argv, stdin_text)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -349,6 +349,19 @@ class TestHashConsing:
         with pytest.raises(TypeError):
             CycRational.coerce(3, "1/2")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"p": 2, "coeffs": ["1/0"]},
+            {"p": 3, "coeffs": [float("inf"), "0"]},
+            {"p": float("inf"), "coeffs": ["1"]},
+        ],
+        ids=["zero-denominator", "infinite-coefficient", "infinite-prime"],
+    )
+    def test_from_json_refuses_unrepresentable_numbers_with_value_error(self, data):
+        with pytest.raises(ValueError):
+            CycRational.from_json(data)
+
     def test_immutable_and_picklable(self):
         import pickle
 

@@ -1,10 +1,13 @@
 import ast
+import hashlib
 import importlib
+import io
 from pathlib import Path
 
 import pytest
 
-from nchopf.verify import suite_oracle
+from nchopf import cli, verify
+from nchopf.verify import CheckResult, suite_oracle
 
 
 class TestOracleSuite:
@@ -55,3 +58,96 @@ def test_every_tracer_target_resolves():
             owner = getattr(owner, part)
         found = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
         assert found, f"{prefix}: {module_name}.{path} does not resolve"
+
+
+class TestCheckRunner:
+    def test_no_cases_fails(self):
+        result = verify._check("empty", [], lambda case: True)
+        assert not result.passed and not result.skipped
+        assert result.detail == "no cases"
+
+    def test_all_cases_holding_pass_without_detail(self):
+        result = verify._check("small", range(3), lambda i: i < 3, lambda i: f"fails at {i}")
+        assert result == CheckResult("small", True)
+
+    def test_stops_at_the_first_failing_case_and_reports_its_witness(self):
+        drawn = []
+
+        def cases():
+            for i in range(10):
+                drawn.append(i)
+                yield i
+
+        result = verify._check("first", cases(), lambda i: i < 3, lambda i: f"fails at {i}")
+        assert result == CheckResult("first", False, "fails at 3")
+        assert drawn == [0, 1, 2, 3]
+
+    def test_iso_stops_at_the_first_failing_multiplicative_pair(self, monkeypatch):
+        # ch scaled by 2 is not multiplicative: ch(1 * 1) = 2 but ch(1) ch(1) = 4,
+        # so the first pair fails.  Its check calls ch three times; the next
+        # check starts with a coproduct, which marks where the first one ended.
+        ch_calls = []
+        ch_calls_at_first_coproduct = []
+        coproduct = verify.coproduct
+
+        def broken_ch(x):
+            ch_calls.append(x)
+            return x.scale(2)
+
+        def marked_coproduct(x):
+            if not ch_calls_at_first_coproduct:
+                ch_calls_at_first_coproduct.append(len(ch_calls))
+            return coproduct(x)
+
+        monkeypatch.setattr(verify, "ch", broken_ch)
+        monkeypatch.setattr(verify, "coproduct", marked_coproduct)
+        report = verify.suite_iso(3, 2)
+        assert report.checks[0].name == "ch:multiplicative" and not report.checks[0].passed
+        assert ch_calls_at_first_coproduct == [3]
+
+    def test_hopf_random_checks_draw_only_up_to_the_first_failure(self, monkeypatch):
+        # Every bialgebra pair fails, so each basis draws its 100 unary samples
+        # and then one pair of random elements, and no more.
+        draws = []
+        random_element = verify.random_element
+
+        def counted(*args, **kwargs):
+            draws.append(args[2])
+            return random_element(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "random_element", counted)
+        monkeypatch.setattr(verify, "is_bialgebra_pair", lambda x, y: False)
+        report = verify.suite_hopf(1, 2)
+        bases = verify.hopf_bases(2)
+        assert draws == [tag for tag in bases for _ in range(verify.HOPF_SAMPLES + 2)]
+        failed = {c.name for c in report.failures}
+        for tag in bases:
+            assert {f"{tag}:bialgebra-compatibility:basis", f"{tag}:bialgebra:random"} <= failed
+
+
+# sha256 of ``nchopf verify`` stdout before the suites shared one check
+# runner.  Every one of these reports passes, so the digests pin the check
+# names, their order and their details.
+VERIFY_DIGESTS = {
+    ("hopf", 3, 2): "b3a5acd2e959172e394b28931f58d7d9a768fa85755b594459e35999d90f9167",
+    ("hopf", 1, 3): "f18fc3562be81d3cb9b6d28158caeff52bbf7f4421c02d470dd3f471bee1c587",
+    ("iso", 4, 2): "040bdcfb2e290d5d29cd1e4d7cfcc895e2e846f2851269ca5cc20adc2f2ab347",
+    ("iso", 3, 3): "c687e028769fd8b80eda67a13094129cc228d8e55f2538724341e6e95a6f68c9",
+    ("iso", 2, 5): "92139515853051cfc259233fe9f63a023c0a6e7bacea6d6fbf11f0f1793f44a5",
+    ("duality", 3, 2): "b00ff35e4dc0fba1904afd4426e4b448ceff91cf0ea15b26dc8a746dab51e9f4",
+    ("duality", 2, 3): "15dbab78d18135cd994e4d8d941c48ba96d8702ccba1f7ede20bcc1e7795a801",
+    ("duality", 2, 5): "fcc05b3ca9d250f754fd14ddbc67fbb20469e68423b9ebb8f1cb9d794d7d77cd",
+    ("axioms", 4, 2): "40e62037a598455756d02557219d5dda4587b27eeaac6c641b6d8d821fb98092",
+    ("axioms", 3, 3): "e070749e54a2d60c53899ac0f097eab21fd8de3a801a72dd0cc91e2ef65efafb",
+    ("oracle", 1, 2): "3e7457a5172815b6d8fb9f4780b01de3742534290f276d2f2d44fdc4444e20c7",
+    ("oracle", 3, 2): "37ec22ddddaf11cc162191d0a63fc71fe413a510f7d4dd45177c50d3277781ba",
+    ("oracle", 3, 3): "9e7002e23a6e74f92f4383c53df6152989b2befacb740c7ae12ee0c2bfbf779c",
+}
+
+
+@pytest.mark.parametrize("suite, n, q", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_is_pinned(suite, n, q):
+    out = io.StringIO()
+    code = cli.run(["verify", "--suite", suite, "--n", str(n), "--q", str(q)], stdout=out)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_DIGESTS[suite, n, q]
