@@ -26,7 +26,7 @@ import weakref
 from fractions import Fraction
 from typing import Sequence
 
-from .setpartitions import check_prime
+from .setpartitions import _no_ref, check_prime
 
 
 class ConductorMismatchError(ValueError):
@@ -38,13 +38,14 @@ class SingularMatrixError(ArithmeticError):
 
 
 _POOL: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_POOL_REFS = _POOL.data
 
 
 def _intern(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
     """The shared instance of sum_i nums[i] zeta^i / den.  The caller
     guarantees den > 0 and gcd(den, *nums) == 1."""
     key = (p, nums, den)
-    x = _POOL.get(key)
+    x = _POOL_REFS.get(key, _no_ref)()
     if x is None:
         x = object.__new__(CycRational)
         _SET_P(x, p)

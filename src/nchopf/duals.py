@@ -43,7 +43,7 @@ from .setpartitions import (
     refinements,
     underlying_set_partition,
 )
-from .superfunctions import chi_to_kappa, group_order, supercharacter_table
+from .superfunctions import SupercharTable, chi_to_kappa, group_order, supercharacter_table
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,15 @@ def chi_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElemen
     return AlgebraElement.monomial(q, "chi_star", lam, coeff)
 
 
+def _scaled_table_row(table: SupercharTable, i: int) -> dict:
+    scale = table.weights()[i]
+    return {
+        key: v * (scale * size)
+        for key, v, size in zip(table.indices("kappa_star"), table.values[i], table.class_sizes)
+        if v
+    }
+
+
 def chi_star_to_kappa_star(x: AlgebraElement) -> AlgebraElement:
     """Dual basis change: the dual of a supercharacter expands on kappa_star
     with the table row rescaled by superclass size times the table weight
@@ -230,16 +239,15 @@ def chi_star_to_kappa_star(x: AlgebraElement) -> AlgebraElement:
 
     def image(idx):
         table = supercharacter_table(idx.grade, x.q)
-        i = table.index(idx.partition)
-        row = table.values[i]
-        scale = table.weights()[i]
-        return {
-            key: v * (scale * size)
-            for key, v, size in zip(table.indices("kappa_star"), row, table.class_sizes)
-            if v
-        }
+        return table.image("chi_star_to_kappa_star", table.index(idx.partition), _scaled_table_row)
 
     return linear_map(x, "kappa_star", image, source="chi_star")
+
+
+def _conjugated_table_column(table: SupercharTable, i: int) -> dict:
+    return {
+        key: row[i].conj() for key, row in zip(table.indices("chi_star"), table.values) if row[i]
+    }
 
 
 def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
@@ -248,12 +256,9 @@ def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
 
     def image(idx):
         table = supercharacter_table(idx.grade, x.q)
-        i = table.index(idx.partition)
-        return {
-            key: row[i].conj()
-            for key, row in zip(table.indices("chi_star"), table.values)
-            if row[i]
-        }
+        return table.image(
+            "kappa_star_to_chi_star", table.index(idx.partition), _conjugated_table_column
+        )
 
     return linear_map(x, "chi_star", image, source="kappa_star")
 

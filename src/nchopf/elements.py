@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycRational, _integer
-from .setpartitions import LabeledSetPartition
+from .setpartitions import LabeledSetPartition, _no_ref
 
 #: Bases indexed by labeled set partitions.  For the set-partition bases
 #: (m, p, U, V) the labels are forced to 1, i.e. the q=2 arc encoding.
@@ -48,6 +48,7 @@ class UnsupportedBasisError(KeyError):
 
 
 _INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INDEX_REFS = _INDICES.data
 
 
 class BasisIndex:
@@ -65,7 +66,7 @@ class BasisIndex:
 
     def __new__(cls, basis: str, grade: int, partition):
         key = (basis, grade, partition)
-        idx = _INDICES.get(key)
+        idx = _INDEX_REFS.get(key, _no_ref)()
         if idx is not None:
             return idx
         if not isinstance(partition, _INDEX_TYPES.get(basis, ())):
@@ -446,9 +447,19 @@ def linear_map(x: LinearCombination, target: str, image, source: str | None = No
     """The linear map sending each key of x to ``image(key)``, a map from
     valid keys of basis ``target`` to scalars, applied to x.  The result has
     the shape of x (element or tensor) and is built without re-checking the
-    keys.  With ``source`` given, x must live in that basis."""
+    keys.  With ``source`` given, x must live in that basis.
+
+    An image holds no zero values.  A single term with coefficient 1 maps to
+    ``image(key)`` itself, with no copy, so an image the caller caches (the
+    table basis changes do) is shared by every result built from it, like a
+    cached antipode: such an image holds only ``CycRational`` values and is
+    never mutated."""
     if source is not None and x.basis != source:
         raise ValueError(f"expected an element of basis {source!r}, got {x.basis!r}")
+    if len(x.terms) == 1:
+        ((key, c),) = x.terms.items()
+        if c == 1:
+            return type(x)._trusted(x.q, target, image(key))
     terms = linear_combination((c, image(key)) for key, c in x.terms.items())
     return type(x)._trusted(x.q, target, terms)
 

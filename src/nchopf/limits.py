@@ -7,15 +7,25 @@ from __future__ import annotations
 #: Largest grade for which supercharacter tables are computed.
 DEFAULT_TABLE_BOUND = 7
 
-#: Largest table, in indices (``count_labeled_partitions(n, q)``), that
+#: Largest table work estimate (``superfunctions.table_work``: N^3 (q-1)^2
+#: for the N = ``count_labeled_partitions(n, q)`` indices, since the
+#: class-size solve is cubic in N and each value has degree q - 1) that
 #: ``supercharacter_table`` and the oracle's ``UTGroup.oracle_table`` build
-#: (one check, ``superfunctions.check_table_size``).  The class-size solve is
-#: O(N^3): on a 2-vCPU VM it took 7.6 s at (6, 2), N = 203, and 24.7 s at
-#: (5, 3), N = 257, so this bound stands near 40 s; (7, 2) at N = 877,
-#: (4, 7) at N = 505 and (5, 5) at N = 1657 are refused.  The largest
-#: admitted oracle tables took 2.8 s at (4, 5), 11.6 s at (5, 3) and 9.1 s
-#: at (6, 2) on the same VM (``nchopf table --oracle``).
-TABLE_SIZE_BOUND = 300
+#: (one check, ``superfunctions.check_table_size``).  On a 2-vCPU VM the
+#: admitted (6, 2) at 8.4e6 took 7.6 s, (5, 3) at 6.8e7 took 24.7 s, (4, 5) at
+#: 1.3e8 took 19.1 s and (3, 7) at 6.0e6 took 1.2 s; the refused (2, 47) at
+#: 2.2e8 took 14.6 s, (3, 11) at 2.2e8 17.0 s, (2, 53) at 4.0e8 28.2 s,
+#: (3, 13) at 8.5e8 49 s, and (2, 101) at 1.0e10 had not finished after
+#: 60 s.  (7, 2), (4, 7) and (5, 5) are refused too.  The largest admitted
+#: oracle tables took 2.8 s at (4, 5), 11.6 s at (5, 3) and 9.1 s at (6, 2)
+#: on the same VM (``nchopf table --oracle``).
+TABLE_WORK_BOUND = 150_000_000
+
+#: The prime test (``setpartitions.is_prime``) is a deterministic
+#: Miller-Rabin test with the prime bases up to 41, exact below this number
+#: (the least strong pseudoprime to all of those bases), so a larger q that
+#: none of them divides is refused.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 #: Largest group order the brute-force oracle will enumerate.
 DEFAULT_GROUP_BOUND = 10**6

@@ -41,6 +41,7 @@ from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
     _labeled,
+    _no_ref,
     _set_partition,
     arc_encoding,
     check_prime,
@@ -56,6 +57,7 @@ from .setpartitions import (
 
 
 _COLORED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_COLORED_REFS = _COLORED.data
 
 
 def _colored_index(partition: SetPartition, colors: tuple[int, ...], r: int) -> "ColoredIndex":
@@ -65,7 +67,7 @@ def _colored_index(partition: SetPartition, colors: tuple[int, ...], r: int) -> 
     if not colors:
         r = 1
     key = (partition, colors, r)
-    idx = _COLORED.get(key)
+    idx = _COLORED_REFS.get(key, _no_ref)()
     if idx is None:
         idx = object.__new__(ColoredIndex)
         object.__setattr__(idx, "partition", partition)

@@ -20,9 +20,7 @@ from .setpartitions import LabeledSetPartition, check_prime
 def _index_payload(idx: BasisIndex) -> dict:
     if idx.basis in ARC_BASES:
         return idx.partition.to_json()
-    if idx.basis == "M":
-        return {"n": idx.grade, **idx.partition.to_json()}
-    if idx.basis == "m_colored":
+    if idx.basis in ("M", "m_colored"):
         return {"n": idx.grade, **idx.partition.to_json()}
     raise ValueError(f"no JSON form for basis {idx.basis!r}")
 

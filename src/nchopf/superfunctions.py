@@ -36,7 +36,7 @@ from .elements import (
     register_basis,
     register_transported,
 )
-from .limits import DEFAULT_TABLE_BOUND, TABLE_SIZE_BOUND, BoundExceededError
+from .limits import DEFAULT_TABLE_BOUND, TABLE_WORK_BOUND, BoundExceededError
 from .setpartitions import (
     LabeledSetPartition,
     _labeled,
@@ -187,6 +187,7 @@ class SupercharTable:
         self._keys: dict[str, tuple[BasisIndex, ...]] = {}
         self._weights: tuple[Fraction, ...] | None = None
         self._inverse_rows: list[tuple[CycRational, ...] | None] = [None] * len(self.order)
+        self._images: dict[str, list[dict | None]] = {}
         if len(self.values) != len(self.order) or any(
             len(row) != len(self.order) for row in self.values
         ):
@@ -238,6 +239,20 @@ class SupercharTable:
                 v.conj() * (size * w) if v else v for v, w in zip(column, self.weights())
             )
         return row
+
+    def image(self, change: str, i: int, build) -> dict:
+        """The sparse image of index order[i] under the basis change named
+        ``change``: ``build(self, i)``, a map from basis indices to nonzero
+        ``CycRational`` values, built on first use and cached per index like
+        ``inverse_row``; a thread race only builds an entry twice.  Every
+        caller shares the cached map, so none may mutate it."""
+        images = self._images.get(change)
+        if images is None:
+            images = self._images.setdefault(change, [None] * len(self.order))
+        image = images[i]
+        if image is None:
+            image = images[i] = build(self, i)
+        return image
 
     def inverse(self) -> tuple[tuple[CycRational, ...], ...]:
         """The exact inverse of the value matrix, as the tuple of its rows."""
@@ -314,14 +329,21 @@ def _compute_table(n: int, q: int) -> SupercharTable:
     return table
 
 
+def table_work(n: int, q: int) -> int:
+    """The cost of a full table of UT_n(q), estimated without building it:
+    N^3 (q - 1)^2 for its N indices, since the class-size solve is cubic in N
+    and each value is a cyclotomic of degree q - 1."""
+    return count_labeled_partitions(n, q) ** 3 * (q - 1) ** 2
+
+
 def check_table_size(n: int, q: int) -> None:
-    """Refuse, before any work, a full table of UT_n(q) with more than
-    ``TABLE_SIZE_BOUND`` indices: the formula table and the oracle's."""
-    size = count_labeled_partitions(n, q)
-    if size > TABLE_SIZE_BOUND:
+    """Refuse, before any work, a full table of UT_n(q) whose ``table_work``
+    is over ``TABLE_WORK_BOUND``: the formula table and the oracle's."""
+    work = table_work(n, q)
+    if work > TABLE_WORK_BOUND:
         raise BoundExceededError(
-            f"table for n={n}, q={q} has {size} indices, over the configured bound"
-            f" {TABLE_SIZE_BOUND}"
+            f"table for n={n}, q={q} has work estimate {work}, over the configured bound"
+            f" {TABLE_WORK_BOUND}"
         )
 
 
@@ -410,15 +432,22 @@ def clear_table_cache() -> None:
 # basis change and inner product
 
 
+def _table_row(table: SupercharTable, i: int) -> dict:
+    return {key: v for key, v in zip(table.indices("kappa"), table.values[i]) if v}
+
+
 def chi_to_kappa(x: AlgebraElement) -> AlgebraElement:
     """chi^lam = sum_mu table[lam][mu] kappa_mu, per grade."""
 
     def image(idx):
         table = supercharacter_table(idx.grade, x.q)
-        row = table.values[table.index(idx.partition)]
-        return {key: v for key, v in zip(table.indices("kappa"), row) if v}
+        return table.image("chi_to_kappa", table.index(idx.partition), _table_row)
 
     return linear_map(x, "kappa", image, source="chi")
+
+
+def _inverse_table_row(table: SupercharTable, i: int) -> dict:
+    return {key: v for key, v in zip(table.indices("chi"), table.inverse_row(i)) if v}
 
 
 def kappa_to_chi(x: AlgebraElement) -> AlgebraElement:
@@ -427,8 +456,7 @@ def kappa_to_chi(x: AlgebraElement) -> AlgebraElement:
 
     def image(idx):
         table = supercharacter_table(idx.grade, x.q)
-        row = table.inverse_row(table.index(idx.partition))
-        return {key: v for key, v in zip(table.indices("chi"), row) if v}
+        return table.image("kappa_to_chi", table.index(idx.partition), _inverse_table_row)
 
     return linear_map(x, "chi", image, source="kappa")
 

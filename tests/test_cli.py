@@ -16,7 +16,8 @@ from nchopf.limits import (
     ENUMERATE_SIZE_BOUND,
     HOPF_WORK_BOUND,
     ORACLE_WORK_BOUND,
-    TABLE_SIZE_BOUND,
+    PRIME_BOUND,
+    TABLE_WORK_BOUND,
 )
 from nchopf.ncsym import ColoredIndex
 from nchopf.serialize import (
@@ -27,7 +28,7 @@ from nchopf.serialize import (
     tensor_to_json,
 )
 from nchopf.setpartitions import LabeledSetPartition, SetPartition, count_labeled_partitions
-from nchopf.superfunctions import kappa_element
+from nchopf.superfunctions import kappa_element, table_work
 from nchopf.verify import hopf_work, oracle_work
 
 
@@ -238,6 +239,32 @@ class TestCliWorkBounds:
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
+    def test_oracle_suite_needing_an_oversized_table_exits_two_at_once(self, monkeypatch):
+        # (2, 101) checks only 10,201 values, but its formula table is refused
+        assert oracle_work(2, 101) <= ORACLE_WORK_BOUND < table_work(2, 101)
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--suite", "oracle", "--n", "2", "--q", "101"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        assert "table" in err
+        # the table estimate is read when the command runs
+        monkeypatch.setattr(cli, "TABLE_WORK_BOUND", table_work(2, 3) - 1)
+        assert invoke(["verify", "--suite", "oracle", "--n", "2", "--q", "3"])[0] == EXIT_BOUND
+
+    @pytest.mark.parametrize("command", ["enumerate", "table"])
+    def test_a_huge_prime_exits_two_at_once(self, command):
+        # 10^18 + 3 is prime: the prime test takes well under a second and the
+        # size bounds then refuse it; a composite of the same size is invalid
+        for q, exit_code in (
+            (10**18 + 3, EXIT_BOUND),
+            (PRIME_BOUND, EXIT_BOUND),
+            (1000000007 * 1000000009, EXIT_INVALID),
+        ):
+            start = time.perf_counter()
+            code, out, err = invoke([command, "--n", "2", "--q", str(q)])
+            assert time.perf_counter() - start < 1
+            assert code == exit_code and not out and "Traceback" not in err
+
     def test_enumerate_runs_up_to_its_size_bound(self, monkeypatch):
         argv = ["enumerate", "--n", "3", "--q", "3"]
         monkeypatch.setattr(cli, "ENUMERATE_SIZE_BOUND", count_labeled_partitions(3, 3))
@@ -258,27 +285,38 @@ class TestCliWorkBounds:
         assert invoke(["enumerate", "--n", "5", "--q", "100"])[0] == EXIT_INVALID
 
     def test_table_runs_up_to_its_size_bound(self, monkeypatch):
-        size = count_labeled_partitions(3, 3)
+        work = table_work(3, 3)
         for oracle in ([], ["--oracle"]):
             argv = ["table", *oracle, "--n", "3", "--q", "3"]
             monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
-            monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size)
+            monkeypatch.setattr(superfunctions, "TABLE_WORK_BOUND", work)
             assert invoke(argv)[0] == EXIT_OK
             # refused before the table is enumerated, computed or read from disk
             monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
-            monkeypatch.setattr(superfunctions, "TABLE_SIZE_BOUND", size - 1)
+            monkeypatch.setattr(superfunctions, "TABLE_WORK_BOUND", work - 1)
             code, out, err = invoke(argv)
             assert code == EXIT_BOUND and not out and "Traceback" not in err
 
-    def test_table_size_bound_admits_the_largest_measured_solve(self):
-        # (5, 3) was solved in 24.7 s; (4, 7) is the smallest refused table
-        # that no other bound catches
-        assert count_labeled_partitions(5, 3) == 257 <= TABLE_SIZE_BOUND
-        assert count_labeled_partitions(4, 7) == 505 > TABLE_SIZE_BOUND
+    def test_table_work_weighs_the_cube_of_the_size_by_the_squared_degree(self):
+        assert table_work(3, 3) == count_labeled_partitions(3, 3) ** 3 * 4
+        assert table_work(2, 101) == 101**3 * 100**2
+        assert table_work(0, 2) == table_work(1, 2) == 1
 
-    @pytest.mark.parametrize("n, q", [(DEFAULT_TABLE_BOUND, 2), (7, 5), (4, 7)])
+    def test_table_size_bound_admits_the_largest_measured_solve(self):
+        # the largest measured solves, 7.6 s at (6, 2), 24.7 s at (5, 3) and
+        # 19.1 s at (4, 5), are admitted; (3, 11) took 17 s, (3, 13) 49 s,
+        # and (2, 101) had not finished after 60 s
+        for n, q in ((6, 2), (5, 3), (4, 5), (3, 7)):
+            assert table_work(n, q) <= TABLE_WORK_BOUND
+        for n, q in ((3, 11), (3, 13), (2, 47), (2, 101), (4, 7), (7, 2)):
+            assert table_work(n, q) > TABLE_WORK_BOUND
+
+    @pytest.mark.parametrize(
+        "n, q",
+        [(DEFAULT_TABLE_BOUND, 2), (7, 5), (4, 7), (2, 101), (3, 13), (2, 1000000000000000003)],
+    )
     def test_table_over_the_size_bound_exits_two_at_once(self, n, q):
-        assert count_labeled_partitions(n, q) > TABLE_SIZE_BOUND
+        assert table_work(n, q) > TABLE_WORK_BOUND
         for oracle in ([], ["--oracle"]):
             start = time.perf_counter()
             code, out, err = invoke(["table", *oracle, "--n", str(n), "--q", str(q)])

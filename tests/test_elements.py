@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from nchopf import elements
+from nchopf import cyclotomic, elements, ncsym, setpartitions
 
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation, u_to_v
@@ -62,6 +62,48 @@ class TestLinearCombination:
         t = TensorElement(2, "kappa", {(A, B): 2})
         result = linear_map(t, "kappa", lambda key: {key[::-1]: 1})
         assert result == TensorElement(2, "kappa", {(B, A): 2})
+
+    def test_a_single_unit_term_maps_to_its_image_without_a_copy(self):
+        one = CycRational.one(3)
+        image = {B: one, C: CycRational.zeta_power(3, 1)}
+        x = AlgebraElement(3, "kappa", {A: 1})
+        first, second = (linear_map(x, "kappa", {A: image}.__getitem__) for _ in range(2))
+        assert first == second == AlgebraElement(3, "kappa", image)
+        assert first.terms is image and second.terms is image
+        t = TensorElement(3, "kappa", {(A, B): 1})
+        pair = {(B, A): one}
+        assert linear_map(t, "kappa", {(A, B): pair}.__getitem__).terms is pair
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_every_input_shape_matches_the_general_path(self, q):
+        # coefficient 1 takes the copy-free path; any other coefficient, more
+        # than one term, and tensors (through map_tensor) must agree with the
+        # one summing pass of linear_combination
+        lams = enumerate_labeled_partitions(3, q)[:4]
+        keys = [BasisIndex("chi", 3, lam) for lam in lams]
+        image = lambda key: chi_to_kappa(AlgebraElement._trusted(q, "chi", {key: 1})).terms
+
+        def general(x):
+            terms = linear_combination((c, image(key)) for key, c in x.terms.items())
+            return AlgebraElement._trusted(q, "kappa", terms)
+
+        coefficients = [1, 2, -1, CycRational.zeta_power(q, 1)]
+        inputs = [AlgebraElement(q, "chi", {key: c}) for key in keys for c in coefficients]
+        inputs += [AlgebraElement(q, "chi", dict(zip(keys, coefficients)))]
+        inputs += [AlgebraElement(q, "chi", {keys[0]: 1, keys[1]: -1})]
+        for x in inputs:
+            assert linear_map(x, "kappa", image, source="chi") == general(x)
+            assert linear_map(x, "kappa", image) == chi_to_kappa(x)
+        for c in coefficients:
+            t = TensorElement(q, "chi", {(keys[0], keys[1]): c, (keys[2], keys[2]): 1})
+            single = TensorElement(q, "chi", {(keys[1], keys[3]): c})
+            for tensor in (t, single):
+                pairs = (
+                    (c, {(a, b): ca * cb for a, ca in image(l).items() for b, cb in image(r).items()})
+                    for (l, r), c in tensor.terms.items()
+                )
+                expected = TensorElement._trusted(q, "kappa", linear_combination(pairs))
+                assert map_tensor(tensor, chi_to_kappa) == expected
 
 
 class TestTensorElement:
@@ -176,3 +218,44 @@ class TestBasisIndexPool:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert all(keys == results[0] for keys in results)
+
+
+def _fresh_values():
+    """For each weak pool, a builder of one value no other test builds."""
+    partition = SetPartition(9, [[1, 9], [2, 3], [4], [5, 6, 7, 8]])
+    return {
+        "scalars": (cyclotomic._POOL, lambda: CycRational(5, [3, 1, 4, 1])),
+        "labeled": (setpartitions._PARTITIONS, lambda: lsp("9; 1-4-9, 2-3-8")),
+        "set-partitions": (
+            setpartitions._SET_PARTITIONS,
+            lambda: SetPartition(9, [[1, 9], [2, 8, 3], [4, 5, 6, 7]]),
+        ),
+        "colored": (
+            ncsym._COLORED,
+            lambda: ColoredIndex(partition, (0, 1, 2, 3, 0, 1, 2, 3, 0), 4),
+        ),
+        "indices": (elements._INDICES, lambda: BasisIndex("kappa_star", 9, lsp("9; 1-2-9, 3-3-4"))),
+    }
+
+
+@pytest.mark.parametrize("pool_name", sorted(_fresh_values()))
+def test_a_dead_reference_pending_while_its_pool_is_iterated_reads_as_a_miss(pool_name):
+    # While a WeakValueDictionary is iterated, the entry of a freed value
+    # stays in its dict of weak references, dead, until the iteration ends.
+    # A pool hit reads that dict directly, so a dead entry must read as a
+    # miss and the value must come back as a fresh, equal instance.
+    pool, build = _fresh_values()[pool_name]
+    value = build()
+    text = repr(value)
+    walk = pool.keys()  # holds the key it yielded, not the value
+    next(walk)
+    try:
+        del value
+        gc.collect()
+        assert pool._pending_removals  # a dead reference is waiting in the pool
+        again = build()
+        assert repr(again) == text and again == build()
+        assert build() is again
+    finally:
+        walk.close()
+    assert build() is again

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nchopf import setpartitions
+from nchopf.limits import PRIME_BOUND, BoundExceededError
 from nchopf.setpartitions import (
     Arc,
     LabeledSetPartition,
@@ -114,6 +115,51 @@ class TestTypes:
         b = SetComposition.from_text("3|14|256")
         assert a != b
         assert a.parts == ((1, 4), (3,), (2, 5, 6))
+
+
+class TestPrimeTest:
+    # psi_k: the least strong pseudoprime to all of the first k prime bases
+    # (k = 1, 2, 3, 4, 5, 6, 7, 9, 12); psi_13 is limits.PRIME_BOUND
+    PSEUDOPRIMES = {
+        2047: 1,
+        1373653: 2,
+        25326001: 3,
+        3215031751: 4,
+        2152302898747: 5,
+        3474749660383: 6,
+        341550071728321: 7,
+        3825123056546413051: 9,
+        318665857834031151167461: 12,
+    }
+
+    def test_miller_rabin_agrees_with_trial_division_below_ten_to_the_five(self):
+        for q in range(-2, 10**5):
+            assert setpartitions._miller_rabin(q) == setpartitions._trial_division(q), q
+
+    def test_strong_pseudoprimes_are_found_composite(self):
+        bases = setpartitions._WITNESSES
+        for q, k in self.PSEUDOPRIMES.items():
+            # the first k bases are fooled, so these are real test cases
+            assert all(setpartitions._strong_probable_prime(q, a) for a in bases[:k])
+            assert not setpartitions._miller_rabin(q)
+            assert not setpartitions.is_prime(q)
+        assert all(setpartitions._strong_probable_prime(PRIME_BOUND, a) for a in bases)
+
+    def test_large_primes_and_composites(self):
+        for q in (131071, 1000003, 1000000007, 2**61 - 1, 10**18 + 3, 10**24 + 7):
+            assert setpartitions.is_prime(q)
+        for q in (131071 * 131, 1000000007 * 1000000009, 2**61 + 1, 10**18 + 1):
+            assert not setpartitions.is_prime(q)
+
+    def test_a_q_over_the_prime_bound_is_refused_unless_a_base_divides_it(self):
+        bases = setpartitions._WITNESSES
+        coprime = next(q for q in itertools.count(PRIME_BOUND + 1) if all(q % a for a in bases))
+        for q in (PRIME_BOUND, coprime, 2**89 - 1):
+            with pytest.raises(BoundExceededError):
+                setpartitions.check_prime(q)
+        for q in (PRIME_BOUND + 1, 41 * PRIME_BOUND, 10**30):
+            with pytest.raises(ValueError):
+                setpartitions.check_prime(q)
 
 
 class TestEnumeration:

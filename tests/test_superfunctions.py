@@ -246,9 +246,11 @@ class TestTables:
         monkeypatch.setattr(superfunctions, "DEFAULT_TABLE_BOUND", 4)
         with pytest.raises(BoundExceededError):
             supercharacter_table(5, 2)
-        # within the grade bound but over the size bound: (4, 7) has 505 indices
-        with pytest.raises(BoundExceededError):
-            supercharacter_table(4, 7)
+        # within the grade bound but over the work bound: (4, 7) has 505
+        # indices, (2, 101) has 101 indices of degree 100
+        for n, q in ((4, 7), (2, 101)):
+            with pytest.raises(BoundExceededError):
+                supercharacter_table(n, q)
 
     def test_disk_cache_roundtrip(self, tmp_path):
         from nchopf import superfunctions
@@ -410,6 +412,116 @@ class TestClosedFormInverse:
         finally:
             superfunctions.clear_table_cache()
         assert sorted(read) == [(2, 0), (4, 5), (4, 6), (4, 7)]
+
+
+class TestCachedImages:
+    """The per-index images the four table basis changes cache, against the
+    formulas they were built from, entry for entry."""
+
+    @staticmethod
+    def changes(q):
+        from nchopf.duals import chi_star_element, chi_star_to_kappa_star, kappa_star_to_chi_star
+
+        return (
+            ("chi", chi_element, chi_to_kappa),
+            ("kappa", kappa_element, kappa_to_chi),
+            ("chi_star", chi_star_element, chi_star_to_kappa_star),
+            (
+                "kappa_star",
+                lambda q, lam: AlgebraElement.monomial(q, "kappa_star", lam),
+                kappa_star_to_chi_star,
+            ),
+        )
+
+    @staticmethod
+    def formulas(table):
+        """The four images of index i, uncached: the row; the inverse row
+        |K_mu| conj(T[lam][mu]) / (|G| q^crs(lam)); the row scaled by
+        |K_mu| / (|G| q^crs(lam)); the conjugated column."""
+        n, q, order = table.n, table.q, table.order
+        T, sizes = table.values, table.class_sizes
+
+        def weight(j):
+            return Fraction(1, group_order(n, q) * q ** crossing_statistic(order[j]))
+
+        def sparse(tag, values):
+            return {BasisIndex(tag, n, lam): v for lam, v in zip(order, values) if v}
+
+        N = range(len(order))
+        return (
+            lambda i: sparse("kappa", T[i]),
+            lambda i: sparse("chi", [T[j][i].conj() * (sizes[i] * weight(j)) for j in N]),
+            lambda i: sparse("kappa_star", [T[i][j] * (sizes[j] * weight(i)) for j in N]),
+            lambda i: sparse("chi_star", [T[j][i].conj() for j in N]),
+        )
+
+    @pytest.mark.parametrize("n,q", TABLE_SIZES)
+    def test_images_equal_their_formulas(self, n, q):
+        table = supercharacter_table(n, q)
+        for (source, element, change), formula in zip(self.changes(q), self.formulas(table)):
+            for i, lam in enumerate(table.order):
+                expected = formula(i)
+                first, again = change(element(q, lam)), change(element(q, lam))
+                assert first.terms == again.terms == expected
+                assert again.terms is first.terms  # the cached image itself
+                assert all(type(v) is CycRational and v for v in first.terms.values())
+                # a coefficient other than 1 scales a copy; the cache is untouched
+                doubled = {k: 2 * v for k, v in expected.items()}
+                assert change(element(q, lam).scale(2)).terms == doubled
+                assert change(element(q, lam)).terms == expected
+
+    def test_images_under_thread_races(self, monkeypatch):
+        # four threads fill one fresh table's images through the four basis
+        # changes, in different orders; a race may build an image twice, but
+        # every thread gets the images of the shared table
+        import sys
+        import threading
+
+        from nchopf import superfunctions
+
+        n, q = 4, 3
+        table = supercharacter_table(n, q)
+        expected = [
+            [change(element(q, lam)) for lam in table.order]
+            for _, element, change in self.changes(q)
+        ]
+        shared = SupercharTable(n, q, table.order, table.values, table.class_sizes)
+        monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {(n, q): shared})
+        size = len(table.order)
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                changes = self.changes(q)[slot:] + self.changes(q)[:slot]
+                order = range(size) if slot % 2 == 0 else reversed(range(size))
+                images = {
+                    (source, i): change(element(q, table.order[i]))
+                    for i in order
+                    for source, element, change in changes
+                }
+                results[slot] = [
+                    [images[(source, i)] for i in range(size)] for source, _, _ in self.changes(q)
+                ]
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(images == expected for images in results)
+        assert all(None not in images for images in shared._images.values())
+        assert len(shared._images) == 4
 
 
 class TestBasisChange:

@@ -2,6 +2,9 @@ import ast
 import hashlib
 import importlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,23 @@ def test_every_tracer_target_resolves():
             owner = getattr(owner, part)
         found = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
         assert found, f"{prefix}: {module_name}.{path} does not resolve"
+
+
+def test_importing_the_cli_loads_every_tracer_target_module():
+    # Tracer.install imports nchopf.cli and then reads each target's module
+    # from sys.modules, so every such module must be loaded by that import
+    # alone: checked in a fresh interpreter, since this one has imported them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, nchopf.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    missing = {module for _, module, _, _ in _tracer_targets()} - loaded
+    assert not missing, f"not loaded by import nchopf.cli: {sorted(missing)}"
 
 
 class TestCheckRunner:
