@@ -8,8 +8,11 @@ are JSON by default with an opt-in aligned-text rendering.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
+from collections import Counter
 
 from .duals import (
     dual_ch,
@@ -22,8 +25,11 @@ from .duals import (
 from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
 from .limits import (
     DEFAULT_TABLE_BOUND,
+    DUALITY_WORK_BOUND,
+    ELEMENT_WORK_BOUND,
     ENUMERATE_SIZE_BOUND,
     HOPF_WORK_BOUND,
+    ISO_WORK_BOUND,
     ORACLE_WORK_BOUND,
     TABLE_WORK_BOUND,
     BoundExceededError,
@@ -45,7 +51,7 @@ from .superfunctions import (
     table_work,
 )
 from .unitriangular import oracle_supercharacter_table
-from .verify import SUITES, hopf_work, oracle_work, run_suite
+from .verify import SUITES, duality_work, hopf_work, iso_work, oracle_work, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -206,10 +212,69 @@ def _check_grade(n: int, what: str = "n=") -> None:
         raise BoundExceededError(f"{what}{n} exceeds the configured bound {DEFAULT_TABLE_BOUND}")
 
 
-def _check_elements(*elements: AlgebraElement) -> None:
+def _check_elements(command: str, *elements: AlgebraElement) -> None:
     """The grade of a product is the sum of its factors' grades, and every
-    other element command works within the grade of its input."""
+    other element command works within the grade of its input.  Within the
+    grade bound the work of mul, comul and antipode still grows with q, so
+    ``element_work`` bounds it; convert and pair change basis through a
+    table, which has its own bound, or term by term."""
     _check_grade(sum(max(x.grades(), default=0) for x in elements), "grade ")
+    if command in _REACH:
+        work = element_work(command, *elements)
+        _check_work(work, ELEMENT_WORK_BOUND, f"the input reaches {work} basis indices")
+
+
+def _antipode_reach(basis: str, q: int, n: int) -> int:
+    """The indices of grade n that the antipode of one index can reach: all
+    N = |S_n(q)| labeled set partitions for kappa, chi and chi_star, whose
+    products choose arc labels; the Bell(n) (q-1)^n colored monomials that a
+    k index expands into; for a colored monomial, Bell(n) set partitions
+    times the colorings, since its maps permute its colors; and Bell(n) for
+    m, p, U, V and kappa_star, whose maps carry labels along and never
+    choose one, so that their work does not grow with q."""
+    bell = count_labeled_partitions(n, 2)
+    if basis in ("kappa", "chi", "chi_star"):
+        return count_labeled_partitions(n, q)
+    if basis == "k_colored":
+        return bell * (q - 1) ** n
+    if basis == "m_colored":
+        return bell * min(math.factorial(n), (q - 1) ** n)
+    return bell
+
+
+def _coproduct_reach(basis: str, q: int, n: int) -> int:
+    """A coproduct splits an index over at most the 2^n subsets of its
+    points and chooses no label, except that a k index is split through its
+    colored monomials.  A routed basis's coproduct is bounded by its tables."""
+    return _antipode_reach(basis, q, n) if basis == "k_colored" else 2**n
+
+
+def _product_reach(basis: str, q: int, a: int, b: int) -> int:
+    """The indices of grade a + b that the product of an index of grade a
+    with one of grade b can reach.  A kappa product adds connecting arcs to
+    the two indices side by side: s of the a left points, each joined to one
+    of the b right points by one of q - 1 labels.  A colored product keeps
+    the colors."""
+    if basis == "kappa":
+        return sum(math.comb(a, s) * math.perm(b, s) * (q - 1) ** s for s in range(min(a, b) + 1))
+    if basis == "m_colored":
+        return count_labeled_partitions(a + b, 2)
+    return _antipode_reach(basis, q, a + b)
+
+
+_REACH = {"antipode": _antipode_reach, "comul": _coproduct_reach, "mul": _product_reach}
+
+
+def element_work(command: str, *elements: AlgebraElement) -> int:
+    """What ``mul``, ``comul`` or ``antipode`` may build, counted without
+    building it: the command's reach from the grade of each input term, or
+    from the grades of each pair of terms of the two factors of ``mul``."""
+    basis, q, reach = elements[0].basis, elements[0].q, _REACH[command]
+    grades = [Counter(idx.grade for idx in x.terms).items() for x in elements]
+    return sum(
+        math.prod(k for _, k in terms) * reach(basis, q, *(n for n, _ in terms))
+        for terms in itertools.product(*grades)
+    )
 
 
 def _check_work(work: int, bound: int, what: str) -> None:
@@ -220,11 +285,13 @@ def _check_work(work: int, bound: int, what: str) -> None:
 
 def _check_suite_work(suite: str, n: int, q: int) -> None:
     """Refuse a suite whose estimated work is over its bound: the grade bound
-    alone does not cap the hopf suite or the brute-force axioms and oracle
-    suites.  The bounds are read here, when the command runs."""
+    alone caps none of the suites at large q.  The bounds are read here,
+    when the command runs."""
     oracle = (oracle_work, ORACLE_WORK_BOUND, "checks {} supercharacter values")
     estimates = {
         "hopf": [(hopf_work, HOPF_WORK_BOUND, "checks {} basis elements and pairs")],
+        "iso": [(iso_work, ISO_WORK_BOUND, "checks {} weighted basis elements and pairs")],
+        "duality": [(duality_work, DUALITY_WORK_BOUND, "compares {} pairings")],
         "axioms": [oracle],
         # the oracle suite compares against the formula table
         "oracle": [oracle, (table_work, TABLE_WORK_BOUND, "builds a table of work {}")],
@@ -263,19 +330,19 @@ def _dispatch(args, stdin, stdout) -> int:
 
     if args.command == "mul":
         left, right = _read_pair(stdin, "mul", args.basis, args.q)
-        _check_elements(left, right)
+        _check_elements("mul", left, right)
         print(canonical_dumps(element_to_json(product(left, right))), file=stdout)
         return EXIT_OK
 
     if args.command == "comul":
         element = _read_element(_read_json(stdin), args.basis, args.q)
-        _check_elements(element)
+        _check_elements("comul", element)
         print(canonical_dumps(tensor_to_json(coproduct(element))), file=stdout)
         return EXIT_OK
 
     if args.command == "antipode":
         element = _read_element(_read_json(stdin), args.basis, args.q)
-        _check_elements(element)
+        _check_elements("antipode", element)
         print(canonical_dumps(element_to_json(antipode(element))), file=stdout)
         return EXIT_OK
 
@@ -287,14 +354,14 @@ def _dispatch(args, stdin, stdout) -> int:
                 + ", ".join("->".join(k) for k in sorted(CONVERSIONS))
             )
         element = _read_element(_read_json(stdin), args.source, None)
-        _check_elements(element)
+        _check_elements("convert", element)
         print(canonical_dumps(element_to_json(CONVERSIONS[key](element))), file=stdout)
         return EXIT_OK
 
     if args.command == "pair":
         left, right = _read_pair(stdin, "pair")
-        _check_elements(left)
-        _check_elements(right)
+        _check_elements("pair", left)
+        _check_elements("pair", right)
         mode = args.mode
         if mode == "auto":
             mode = "dual" if left.basis in ("kappa_star", "chi_star") else "inner"

@@ -154,8 +154,17 @@ class CycRational:
             return True
         if isinstance(other, CycRational):
             return self.p == other.p and self.den == other.den and self.nums == other.nums
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(self.nums[0], self.den) == other
+        # A rational value is nums[0] / den in lowest terms, as is a Fraction.
+        if isinstance(other, int):
+            nums = self.nums
+            return self.den == 1 and nums[0] == other and not any(nums[1:])
+        if isinstance(other, Fraction):
+            nums = self.nums
+            return (
+                self.den == other.denominator
+                and nums[0] == other.numerator
+                and not any(nums[1:])
+            )
         return False
 
     def __hash__(self) -> int:

@@ -14,11 +14,11 @@ Each basis registers its structure maps (product and coproduct on basis
 indices) in a module-level registry; the generic product, coproduct, counit,
 and antipode dispatch through it.  A basis that is a change of basis away
 from another one (chi from kappa, chi_star from kappa_star, V from U)
-registers through ``register_transported`` instead: its maps are the base
-basis's maps conjugated by the two basis changes.
+registers through ``register_transported`` instead: its product, coproduct
+and antipode are the base basis's maps conjugated by the two basis changes.
 
-The antipode is computed grade by grade from the coproduct: for a basis
-element a of grade n >= 1 with
+In a basis with its own structure maps the antipode is computed grade by
+grade from the coproduct: for a basis element a of grade n >= 1 with
 Delta(a) = a (x) 1 + 1 (x) a + sum_j b_j (x) c_j (middle terms),
 
     S(a) = -a - sum_j S(b_j) * c_j,
@@ -153,10 +153,11 @@ def register_transported(
 
     ``to_base`` changes an element of ``tag`` into the base basis and
     ``from_base`` changes back; both must be linear and mutually inverse.
-    Products and coproducts are computed in the base basis and changed back,
-    so the result is the same algebra written in the basis ``tag``.  The two
-    maps are looked up in the registry at call time, so a wrapper bound over
-    them there (as the perfbench tracer does) sees every call.
+    Products, coproducts and antipodes are computed in the base basis and
+    changed back, so the result is the same Hopf algebra written in the basis
+    ``tag``.  The two maps are looked up in the registry at call time, so a
+    wrapper bound over them there (as the perfbench tracer does) sees every
+    call.
     """
     _TO_BASE[tag] = to_base
     _FROM_BASE[tag] = from_base
@@ -486,8 +487,9 @@ _ANTIPODE_CACHE: dict[tuple[int, str], dict[BasisIndex, AlgebraElement]] = {}
 
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
-    """The Hopf inversion, solved grade by grade from the coproduct.  The
-    antipode of a basis element is its cached solution itself."""
+    """The Hopf inversion, solved grade by grade from the coproduct, or
+    conjugated from the base basis of a transported basis.  The antipode of
+    a basis element is its cached solution itself."""
     if len(x.terms) == 1:
         ((idx, c),) = x.terms.items()
         return _antipode_basis(x.q, idx).scale(c)
@@ -501,6 +503,10 @@ def _antipode_basis(q: int, idx: BasisIndex) -> AlgebraElement:
         return cached
     if idx.grade == 0:
         result = AlgebraElement._trusted(q, idx.basis, {idx: 1})
+    elif idx.basis in _TO_BASE:
+        # The antipode is unique, so a basis change conjugates it.
+        a = AlgebraElement._trusted(q, idx.basis, {idx: 1})
+        result = _FROM_BASE[idx.basis](antipode(_TO_BASE[idx.basis](a)))
     else:
         middle = (
             (

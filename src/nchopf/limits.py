@@ -37,6 +37,35 @@ DEFAULT_GROUP_BOUND = 10**6
 #: refused at 7,770, in 54 s.
 HOPF_WORK_BOUND = 7000
 
+#: Largest work estimate (``verify.iso_work``: pairs of kappa basis
+#: elements, weighted, and the colored monomials of the image side) that
+#: ``nchopf verify --suite iso`` accepts.  On a 2-vCPU VM the suite ran
+#: 0.09-0.18 ms per unit: the admitted (6, 2) at 41,844 units took 6.8 s,
+#: (5, 3) at 49,974 5.8 s, (4, 5) at 44,796 6.0 s and (3, 13) at 54,778
+#: 6.2 s; the refused (4, 7) at 146,390 took 27 s, and (7, 2) at 171,139 and
+#: (5, 5) at 456,040 had not finished after 60 s.
+ISO_WORK_BOUND = 100_000
+
+#: Largest work estimate (``verify.duality_work``: pairs of basis elements
+#: times the basis elements of their total grade, for both checks) that
+#: ``nchopf verify --suite duality`` accepts.  On a 2-vCPU VM the suite ran
+#: about 20 us per unit: the admitted (6, 2) at 259,072 units took 4.9 s and
+#: (5, 3) at 361,798 7.0 s; the refused (4, 7) at 1,194,546 took 23 s, and
+#: (7, 2) at 4,675,644 had not finished after 20 s.
+DUALITY_WORK_BOUND = 600_000
+
+#: Largest work estimate (``cli.element_work``: for each term of the input,
+#: or each pair of terms of a product, the basis indices the command can
+#: reach) that ``nchopf mul``, ``comul`` and ``antipode`` accept;
+#: ``convert`` and ``pair`` go through the table bound.  On a 2-vCPU VM the
+#: antipode of kappa's empty partition ran 50-100 us per unit: (7, 3) at
+#: 10,299 units took 0.6-1.5 s, (6, 5) at 15,821 0.8-1.7 s and (7, 5) at
+#: 170,389 14.9 s; the refused (6, 11) at 506,651, (7, 7) at 1,007,407,
+#: (5, 31) at 1,237,801 and (4, 101) at 1,070,601 had not finished after
+#: 20 s.  The kappa product of the empty partitions of grades 3 and 4
+#: reaches 27,721 indices at q = 11 (1.0 s) and 680,761 at q = 31 (29.6 s).
+ELEMENT_WORK_BOUND = 200_000
+
 #: Largest work estimate (``verify.oracle_work``: N supercharacters, each
 #: traced over the |UT_n(q)| = q^(n(n-1)/2) group elements) that
 #: ``nchopf verify --suite axioms`` and ``--suite oracle`` accept.  On a

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,16 @@ from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, TensorElement
 from nchopf.limits import (
     DEFAULT_TABLE_BOUND,
+    DUALITY_WORK_BOUND,
+    ELEMENT_WORK_BOUND,
     ENUMERATE_SIZE_BOUND,
     HOPF_WORK_BOUND,
+    ISO_WORK_BOUND,
     ORACLE_WORK_BOUND,
     PRIME_BOUND,
     TABLE_WORK_BOUND,
 )
-from nchopf.ncsym import ColoredIndex
+from nchopf.ncsym import ColoredIndex, colored_element
 from nchopf.serialize import (
     canonical_dumps,
     element_from_json,
@@ -29,11 +33,24 @@ from nchopf.serialize import (
 )
 from nchopf.setpartitions import LabeledSetPartition, SetPartition, count_labeled_partitions
 from nchopf.superfunctions import kappa_element, table_work
-from nchopf.verify import hopf_work, oracle_work
+from nchopf.verify import duality_work, hopf_work, iso_work, oracle_work
 
 
 def lsp(text):
     return LabeledSetPartition.from_text(text)
+
+
+def empty(n, q, basis="kappa"):
+    """The basis element of the partition of [n] with no arcs."""
+    return AlgebraElement(q, basis, {BasisIndex(basis, n, LabeledSetPartition(n)): 1})
+
+
+def stdin_of(*elements):
+    """An element command's input: one element, or the two factors of mul."""
+    payloads = [element_to_json(x) for x in elements]
+    if len(payloads) == 1:
+        return canonical_dumps(payloads[0])
+    return canonical_dumps({"left": payloads[0], "right": payloads[1]})
 
 
 def invoke(argv, stdin_text=""):
@@ -341,6 +358,142 @@ class TestCliWorkBounds:
         k_work = sum(k_sizes) + 1 * 11 + 2 * 3 + 8 * 1 + 100 * 11 // 5
         assert hopf_work(2, 3) == 2 * (5 + 1 * 5 + 1 * 2 + 3 * 1 + 100) + k_work
 
+    def test_element_work_counts_the_indices_each_term_reaches(self):
+        work = cli.element_work
+        # an antipode of kappa, chi or chi_star reaches every labeled set
+        # partition of the grade
+        assert work("antipode", empty(7, 3)) == count_labeled_partitions(7, 3) == 10_299
+        assert work("antipode", empty(3, 5, "chi") + empty(2, 5, "chi") * 2) == 29 + 5
+        # kappa_star and the set-partition bases never choose a label
+        assert work("antipode", empty(7, 101, "kappa_star")) == 877
+        assert work("antipode", empty(4, 101, "V")) == 15
+        # a k index expands into Bell(n) (q-1)^n colored monomials
+        assert work("antipode", empty(3, 11, "k_colored")) == 5 * 10**3
+        assert work("comul", empty(3, 11, "k_colored")) == 5 * 10**3
+        # a colored monomial's maps permute its colors
+        colored = colored_element(101, ColoredIndex(SetPartition.from_text("1|2|3"), (0, 1, 2), 100))
+        assert work("antipode", colored) == 5 * 6
+        # any other coproduct splits over the subsets of the points
+        assert work("comul", empty(4, 101)) == work("comul", colored) * 2 == 16
+        # a kappa product adds the connecting arcs, sum_s C(3,s) P(4,s) (q-1)^s
+        assert work("mul", empty(3, 11), empty(4, 11)) == 27_721
+        assert work("mul", empty(3, 101), empty(4, 101)) == 24_361_201
+        # other products reach the grade of the product, per pair of terms
+        assert work("mul", empty(1, 3, "chi"), empty(2, 3, "chi") * 2) == 11
+        two = empty(1, 3, "kappa_star") + empty(2, 3, "kappa_star")
+        assert work("mul", two, two) == 2 + 2 * 5 + 15
+        assert work("mul", colored, colored) == count_labeled_partitions(6, 2) == 203
+        assert work("antipode", AlgebraElement.zero(3, "kappa")) == 0
+
+    def test_element_work_bound_admits_the_largest_measured_antipodes(self):
+        # the antipode of the empty partition took 1.5 s at (7, 3), 1.5 s at
+        # (6, 5) and 14.9 s at (7, 5); each refused one ran for over 20 s
+        for n, q in ((7, 3), (6, 5), (7, 5)):
+            assert cli.element_work("antipode", empty(n, q)) <= ELEMENT_WORK_BOUND
+        for n, q in ((7, 7), (6, 11), (5, 31), (4, 101)):
+            assert cli.element_work("antipode", empty(n, q)) > ELEMENT_WORK_BOUND
+
+    @pytest.mark.parametrize(
+        "command, elements",
+        [
+            ("antipode", [empty(3, 3)]),
+            ("comul", [empty(2, 3, "k_colored")]),
+            ("mul", [empty(1, 3), empty(2, 3)]),
+        ],
+    )
+    def test_element_commands_run_up_to_their_work_bound(self, command, elements, monkeypatch):
+        payload = stdin_of(*elements)
+        work = cli.element_work(command, *elements)
+        monkeypatch.setattr(cli, "ELEMENT_WORK_BOUND", work)
+        assert invoke([command], payload)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "ELEMENT_WORK_BOUND", work - 1)
+        code, out, err = invoke([command], payload)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, elements",
+        [
+            (["comul"], [empty(7, 101)]),
+            (["convert", "--from", "kappa_star", "--to", "chi_star"], [empty(1, 101, "kappa_star")]),
+            (["pair"], [empty(7, 101, "kappa_star"), empty(7, 101)]),
+        ],
+    )
+    def test_commands_whose_work_does_not_grow_with_q_are_admitted(self, argv, elements):
+        # a kappa coproduct splits over subsets, a grade-1 table is one entry
+        # and the duality pairing reads one coefficient per term
+        start = time.perf_counter()
+        assert invoke(argv, stdin_of(*elements))[0] == EXIT_OK
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv, elements",
+        [(["antipode"], [empty(n, q)]) for n, q in ((7, 7), (6, 11), (5, 31), (4, 101))]
+        + [
+            (["mul"], [empty(3, 101), empty(4, 101)]),
+            (["antipode"], [empty(4, 101, "k_colored")]),
+            (["comul"], [empty(4, 101, "k_colored")]),
+            (
+                ["antipode"],
+                [
+                    colored_element(
+                        101,
+                        ColoredIndex(SetPartition.from_text("1|2|3|4|5|6|7"), tuple(range(7)), 100),
+                    )
+                ],
+            ),
+        ],
+    )
+    def test_element_commands_over_the_work_bound_exit_two_at_once(self, argv, elements):
+        # each of these ran for over 20 s before the bound
+        payload = stdin_of(*elements)
+        start = time.perf_counter()
+        code, out, err = invoke(argv, payload)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        assert "basis indices" in err
+
+    @pytest.mark.parametrize("suite, estimate", [("iso", iso_work), ("duality", duality_work)])
+    def test_suites_run_up_to_their_work_bound(self, suite, estimate, monkeypatch):
+        argv = ["verify", "--suite", suite, "--n", "2", "--q", "3"]
+        bound = f"{suite.upper()}_WORK_BOUND"
+        monkeypatch.setattr(cli, bound, estimate(2, 3))
+        assert invoke(argv)[0] == EXIT_OK
+        monkeypatch.setattr(cli, bound, estimate(2, 3) - 1)
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    def test_iso_and_duality_work(self):
+        # q = 2: kappa has 1, 1, 2 indices in grades 0..2, as has m; the pairs
+        # with grades summing to at most 2 are 1 + 1 + 2 + 1 + 1 + 2 = 8
+        assert iso_work(2, 2) == 4 + 50 * 8 + 8
+        # q = 3: the image side counts Bell(g) 2^g = 1, 2, 8 colored monomials
+        assert iso_work(2, 3) == 11 + 50 * (1 + 1 + 3 + 1 + 1 + 3) + (1 + 2 + 8 + 2 + 4 + 8)
+        # each pair of grades (a, b) pairs with the indices of grade a + b:
+        # (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)
+        assert duality_work(2, 2) == 2 * (1 + 1 + 1 * 2 * 2 + 1 + 1 * 1 * 2 + 2 * 1 * 2)
+        # the admitted suites took 5-8 s; the refused (4, 7) took 23-27 s
+        for n, q in ((6, 2), (5, 3), (4, 5), (3, 13)):
+            assert iso_work(n, q) <= ISO_WORK_BOUND
+            assert duality_work(n, q) <= DUALITY_WORK_BOUND
+        for n, q in ((4, 7), (7, 2), (6, 3), (7, 3), (5, 5)):
+            assert iso_work(n, q) > ISO_WORK_BOUND
+            assert duality_work(n, q) > DUALITY_WORK_BOUND
+        for n, q in [(2, 4), (-1, 2)]:
+            for estimate in (iso_work, duality_work):
+                with pytest.raises(ValueError):
+                    estimate(n, q)
+
+    @pytest.mark.parametrize(
+        "suite, n, q",
+        [(suite, n, q) for suite in ("iso", "duality") for n, q in ((7, 3), (7, 2), (4, 7))]
+        + [("iso", 2, 199), ("duality", 3, 31)],
+    )
+    def test_suites_over_the_work_bound_exit_two_at_once(self, suite, n, q):
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--suite", suite, "--n", str(n), "--q", str(q)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+
     @pytest.mark.parametrize("n, q", [(2, 4), (-1, 2)])
     def test_hopf_work_rejects_invalid_input(self, n, q):
         with pytest.raises(ValueError):
@@ -480,7 +633,9 @@ class TestCliVerify:
 # Fuzzing the command line: each command is given its required options most
 # of the time, and elements are drawn near the valid ones, so that draws get
 # past argument parsing and JSON decoding into the commands themselves.
-_BASES = st.sampled_from(["kappa", "chi", "kappa_star", "chi_star", "m", "p", "M", "U", "V", "x"])
+_BASES = st.sampled_from(
+    ["kappa", "chi", "kappa_star", "chi_star", "k_colored", "m", "p", "M", "U", "V", "x"]
+)
 _VALUES = st.fixed_dictionaries(
     {
         "--n": st.integers(-1, 2).map(str),
@@ -534,16 +689,19 @@ _JSONISH = st.recursive(
 
 @st.composite
 def _element(draw):
-    q = draw(st.sampled_from([2, 3, 3, 4]))
+    q = draw(st.sampled_from([2, 3, 5, 7, 101, 4]))
     coefficient = st.sampled_from(["1", "-2", "1/2", "0"])
+    # an arc from left to left + length, most often inside [n]
+    arc = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, q)).map(
+        lambda t: [t[0], t[0] + t[1], t[2]]
+    )
     terms = []
     for _ in range(draw(st.integers(0, 2))):
-        arcs = st.lists(st.integers(0, 3), min_size=3, max_size=3)
         coeffs = st.lists(coefficient, min_size=max(q - 1, 1), max_size=max(q - 1, 1))
         terms.append(
             {
-                "n": draw(st.integers(-1, 2)),
-                "arcs": draw(st.lists(arcs, max_size=1)),
+                "n": draw(st.integers(-1, 8)),
+                "arcs": draw(st.lists(arc, max_size=2)),
                 "coeff": {"p": q, "coeffs": draw(coeffs | st.lists(_SCALARS, max_size=2))},
             }
         )
@@ -552,16 +710,83 @@ def _element(draw):
 
 _STDIN = st.one_of(
     st.text(max_size=12),
-    st.one_of(_JSONISH, _element(), st.fixed_dictionaries({"left": _element(), "right": _element()})).map(
-        json.dumps
-    ),
+    _JSONISH.map(json.dumps),
+    _element().map(json.dumps),
+    st.fixed_dictionaries({"left": _element(), "right": _element()}).map(json.dumps),
 )
 
 
+@st.composite
+def _valid_element(draw, q, basis):
+    """One or two terms of grade at most 8: each term's arcs join the
+    consecutive members of the blocks of a random set partition, with labels
+    below q (1 for the set-partition bases)."""
+    top = 1 if basis in ("m", "p", "U", "V") else q - 1
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.sampled_from(range(9)))
+        blocks = []
+        for point in range(1, n + 1):
+            if blocks and draw(st.booleans()):
+                draw(st.sampled_from(blocks)).append(point)
+            else:
+                blocks.append([point])
+        arcs = [
+            [left, right, draw(st.integers(1, top))]
+            for block in blocks
+            for left, right in zip(block, block[1:])
+        ]
+        coeffs = [str(draw(st.integers(-2, 2))) for _ in range(q - 1)]
+        terms.append({"n": n, "arcs": arcs, "coeff": {"p": q, "coeffs": coeffs}})
+    return {"q": q, "basis": basis, "terms": terms}
+
+
+@st.composite
+def _element_command(draw):
+    """An element command and its valid input, at q up to 101."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    bases = ["kappa", "chi", "kappa_star", "chi_star", "k_colored", "m", "p", "U", "V"]
+    basis = draw(st.sampled_from(bases))
+    command = draw(st.sampled_from(["mul", "comul", "antipode", "convert"]))
+    element = draw(_valid_element(q, basis))
+    if command == "mul":
+        return ["mul"], {"left": element, "right": draw(_valid_element(q, basis))}
+    if command == "convert":
+        targets = sorted(target for source, target in cli.CONVERSIONS if source == basis)
+        if targets:
+            return ["convert", "--from", basis, "--to", draw(st.sampled_from(targets))], element
+        command = "antipode"  # the k basis has no basis change
+    return [command], element
+
+
+#: The fuzz lowers the bounds its draws can reach to about half a second of
+#: work, so that its per-example deadline fails any path that has no bound.
+_FUZZ_BOUNDS = [
+    (cli, "ELEMENT_WORK_BOUND", 5_000),
+    (cli, "TABLE_WORK_BOUND", 500_000),
+    (superfunctions, "TABLE_WORK_BOUND", 500_000),
+]
+
+
 class TestCliFuzz:
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5), database=None)
     @given(argv=_argv(), stdin_text=_STDIN)
     def test_every_command_exits_with_a_documented_code(self, argv, stdin_text):
-        code, _, err = invoke(argv, stdin_text)
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name, bound in _FUZZ_BOUNDS:
+                patch.setattr(module, name, bound)
+            code, _, err = invoke(argv, stdin_text)
         assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, derandomize=True, deadline=timedelta(seconds=5), database=None)
+    @given(command=_element_command())
+    def test_valid_elements_are_computed_or_refused_within_the_deadline(self, command):
+        argv, payload = command
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name, bound in _FUZZ_BOUNDS:
+                patch.setattr(module, name, bound)
+            code, _, err = invoke(argv, json.dumps(payload))
+        # V and kappa_star are identified at q = 2 only
+        assert code in (EXIT_OK, EXIT_BOUND) or (code == EXIT_INVALID and "q = 2" in err), err
         assert "Traceback" not in err

@@ -79,6 +79,20 @@ class TestCanonicalForm:
             assert len({x, value}) == 1
         assert len({CycRational(2, [1]), 1}) == 1
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_comparison_with_a_number_agrees_with_fraction_equality(self, p):
+        numbers = (0, 1, -1, 2, Fraction(-3, 4), Fraction(3, 4), Fraction(4, 1), True, False)
+        values = [CycRational.from_rational(p, v) for v in numbers]
+        if p > 2:
+            values += [CycRational.zeta_power(p, 1), CycRational(p, [1] + [2] * (p - 2))]
+        for x in values:
+            for number in numbers:
+                expected = x.is_rational() and x.rational_value() == Fraction(number)
+                assert (x == number) is expected and (number == x) is expected
+                assert (x != number) is not expected
+                if expected:
+                    assert hash(x) == hash(number)
+
 
 class TestTheta:
     def test_trivial_value(self):
