@@ -226,17 +226,15 @@ def _check_elements(command: str, *elements: AlgebraElement) -> None:
 
 def _antipode_reach(basis: str, q: int, n: int) -> int:
     """The indices of grade n that the antipode of one index can reach: all
-    N = |S_n(q)| labeled set partitions for kappa, chi and chi_star, whose
-    products choose arc labels; the Bell(n) (q-1)^n colored monomials that a
-    k index expands into; for a colored monomial, Bell(n) set partitions
-    times the colorings, since its maps permute its colors; and Bell(n) for
-    m, p, U, V and kappa_star, whose maps carry labels along and never
-    choose one, so that their work does not grow with q."""
+    N = |S_n(q)| labeled set partitions for kappa, k (which carries kappa's
+    maps), chi and chi_star, whose products choose arc labels; for a colored
+    monomial, Bell(n) set partitions times the colorings, since its maps
+    permute its colors; and Bell(n) for m, p, U, V and kappa_star, whose
+    maps carry labels along and never choose one, so that their work does
+    not grow with q."""
     bell = count_labeled_partitions(n, 2)
-    if basis in ("kappa", "chi", "chi_star"):
+    if basis in ("kappa", "k_colored", "chi", "chi_star"):
         return count_labeled_partitions(n, q)
-    if basis == "k_colored":
-        return bell * (q - 1) ** n
     if basis == "m_colored":
         return bell * min(math.factorial(n), (q - 1) ** n)
     return bell
@@ -244,18 +242,18 @@ def _antipode_reach(basis: str, q: int, n: int) -> int:
 
 def _coproduct_reach(basis: str, q: int, n: int) -> int:
     """A coproduct splits an index over at most the 2^n subsets of its
-    points and chooses no label, except that a k index is split through its
-    colored monomials.  A routed basis's coproduct is bounded by its tables."""
-    return _antipode_reach(basis, q, n) if basis == "k_colored" else 2**n
+    points and chooses no label.  A routed basis's coproduct is bounded by
+    its tables."""
+    return 2**n
 
 
 def _product_reach(basis: str, q: int, a: int, b: int) -> int:
     """The indices of grade a + b that the product of an index of grade a
-    with one of grade b can reach.  A kappa product adds connecting arcs to
-    the two indices side by side: s of the a left points, each joined to one
-    of the b right points by one of q - 1 labels.  A colored product keeps
-    the colors."""
-    if basis == "kappa":
+    with one of grade b can reach.  A kappa (or k) product adds connecting
+    arcs to the two indices side by side: s of the a left points, each
+    joined to one of the b right points by one of q - 1 labels.  A colored
+    product keeps the colors."""
+    if basis in ("kappa", "k_colored"):
         return sum(math.comb(a, s) * math.perm(b, s) * (q - 1) ** s for s in range(min(a, b) + 1))
     if basis == "m_colored":
         return count_labeled_partitions(a + b, 2)

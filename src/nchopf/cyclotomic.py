@@ -26,7 +26,7 @@ import weakref
 from fractions import Fraction
 from typing import Sequence
 
-from .setpartitions import _no_ref, check_prime
+from .setpartitions import _no_ref, check_prime, json_int
 
 
 class ConductorMismatchError(ValueError):
@@ -302,8 +302,15 @@ class CycRational:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycRational":
+        """Read {"p", "coeffs"}: p a JSON integer, each coefficient an exact
+        rational given as a string ("-3/4") or a JSON integer; a float is
+        refused, since it holds no exact rational."""
+        p = json_int(data["p"], "p")
+        for s in data["coeffs"]:
+            if isinstance(s, bool) or not isinstance(s, (str, int)):
+                raise ValueError(f"a coefficient must be a string or a JSON integer, got {s!r}")
         try:
-            p, coeffs = int(data["p"]), [Fraction(s) for s in data["coeffs"]]
+            coeffs = [Fraction(s) for s in data["coeffs"]]
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"invalid scalar {data!r}: {exc}") from exc
         return cls(p, coeffs)

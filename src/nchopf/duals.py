@@ -39,6 +39,7 @@ from .setpartitions import (
     _labeled,
     _set_partition,
     arc_encoding,
+    json_int,
     partition_mobius,
     refinements,
     underlying_set_partition,
@@ -128,7 +129,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
-        return cls(data["word"])
+        return cls(json_int(x, "a permutation entry") for x in data["word"])
 
 
 def csupp(sigma: Permutation) -> SetPartition:

@@ -31,10 +31,12 @@ PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 DEFAULT_GROUP_BOUND = 10**6
 
 #: Largest work estimate (``verify.hopf_work``: basis elements, element
-#: pairs and random samples) that ``nchopf verify --suite hopf`` accepts,
-#: about 50 s of checking: on a 2-vCPU VM the suite ran 2-7 ms per unit,
-#: e.g. (6, 2) at 5,970 units in 34 s, (3, 7) at 6,798 in 33 s, and (2, 23),
-#: refused at 7,770, in 54 s.
+#: pairs and random samples, weighed by the scalar degree past
+#: ``verify.HOPF_UNIT_DEGREE``) that ``nchopf verify --suite hopf`` accepts,
+#: about 50 s of checking.  On a 2-vCPU VM the suite ran 2-6 ms per unit:
+#: (6, 2) at 5,970 units in 34 s, and, with k on kappa's maps, (5, 3) at
+#: 3,801 in 12.0 s, (4, 7) at 5,940 in 11.4 s, (3, 23) at 5,622 in 9.2 s,
+#: (2, 373) at 6,835 in 31.9 s and (1, 4441) at 6,993 in 10.1 s.
 HOPF_WORK_BOUND = 7000
 
 #: Largest work estimate (``verify.iso_work``: pairs of kappa basis

@@ -12,10 +12,13 @@ Three layers:
   a fixed identification of the nonzero field residues with the color group
   (smallest primitive root mod q as generator, r = q - 1).
 
-The k product and coproduct are computed by expanding into colored monomials,
-operating there, and collecting back; closure of the k-span is checked at
-collection time.  The map ``ch`` identifies the superclass-function algebra
-with this picture: kappa indices map to m (q = 2) or k (q > 2) indices.
+The map ``ch`` identifies the superclass-function algebra with this picture:
+kappa indices map to m (q = 2) or k (q > 2) indices, and at q > 2 it is a
+Hopf isomorphism onto the span of k (the paper's main theorem).  So the k
+basis carries kappa's product and coproduct rules, and its antipode follows
+from them.  Expanding into colored monomials, operating there and collecting
+back (``via_colored_m``) is the reference that the tests and the iso suite
+compare k against; closure of the k-span is checked at collection time.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ from .setpartitions import (
     check_prime,
     coarsenings,
     concat_set_partitions,
+    json_int,
     partition_mobius,
     underlying_set_partition,
 )
+from .superfunctions import _kappa_coproduct, _kappa_product
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +140,10 @@ class ColoredIndex:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredIndex":
-        blocks = [tuple(b) for b in data["blocks"]]
+        blocks = [tuple(json_int(i, "a block member") for i in b) for b in data["blocks"]]
+        colors = [json_int(c, "a color") for c in data["colors"]]
         n = sum(len(b) for b in blocks)
-        return cls(SetPartition(n, blocks), data["colors"], int(data["r"]))
+        return cls(SetPartition(n, blocks), colors, json_int(data["r"], "r"))
 
 
 @functools.cache
@@ -339,7 +345,7 @@ register_basis("m_colored", product=_colored_product, coproduct=_colored_coprodu
 
 
 # ---------------------------------------------------------------------------
-# the k basis: expansion, collection, structure maps
+# the k basis: structure maps, and the colored expansion as their reference
 
 
 def expand_k_in_colored_m(lam: LabeledSetPartition, q: int) -> AlgebraElement:
@@ -410,18 +416,20 @@ def _collect_k(x: AlgebraElement | TensorElement, q: int) -> AlgebraElement | Te
     return type(x)._trusted(q, "k_colored", terms)
 
 
-def _k_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    expanded = product(
-        expand_k_in_colored_m(a.partition, q), expand_k_in_colored_m(b.partition, q)
-    )
-    return collect_k(expanded, q)
+def via_colored_m(op, *xs: AlgebraElement) -> AlgebraElement | TensorElement:
+    """The reference for a structure map of k: ``op`` (product, coproduct or
+    antipode) applied to the colored-monomial expansions of the k elements
+    xs, and the result collected back on k."""
+    q = xs[0].q
+
+    def image(idx: BasisIndex) -> dict:
+        return expand_k_in_colored_m(idx.partition, q).terms
+
+    return _collect_k(op(*(linear_map(x, "m_colored", image, source="k_colored") for x in xs)), q)
 
 
-def _k_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    return _collect_k(coproduct(expand_k_in_colored_m(a.partition, q)), q)
-
-
-register_basis("k_colored", product=_k_product, coproduct=_k_coproduct)
+# kappa's rules, with the keys in the k tag (see the module docstring)
+register_basis("k_colored", product=_kappa_product, coproduct=_kappa_coproduct)
 
 
 def k_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElement:

@@ -14,7 +14,7 @@ from .cyclotomic import CycRational
 from .duals import Permutation
 from .elements import ARC_BASES, AlgebraElement, BasisIndex, TensorElement, linear_combination
 from .ncsym import ColoredIndex
-from .setpartitions import LabeledSetPartition, check_prime
+from .setpartitions import LabeledSetPartition, check_prime, json_int
 
 
 def _index_payload(idx: BasisIndex) -> dict:
@@ -38,7 +38,7 @@ def _index_from_payload(basis: str, data: dict) -> BasisIndex:
 def _from_json(cls, data: dict, index_of):
     """Read an element or tensor: q and the basis tag are checked before any
     term is, and repeated indices are summed."""
-    q = int(data["q"])
+    q = json_int(data["q"], "q")
     check_prime(q)
     basis = data["basis"]
     if basis not in ARC_BASES | {"M", "m_colored"}:

@@ -88,6 +88,15 @@ def check_prime(q: int) -> None:
         raise ValueError(f"q must be a prime >= 2, got {q}")
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of parsed JSON: an ``int`` that is not a ``bool``.
+    Every ``from_json`` reads its integers through this, so that 2.5, 1e400
+    (parsed as a float) and true are refused instead of truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 class Arc(tuple):
     """An arc left -(label)-> right with 1 <= left < right and label >= 1."""
 
@@ -251,7 +260,8 @@ class LabeledSetPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSetPartition":
-        return cls(int(data["n"]), [tuple(arc) for arc in data["arcs"]])
+        arcs = [tuple(json_int(x, "an arc entry") for x in arc) for arc in data["arcs"]]
+        return cls(json_int(data["n"], "n"), arcs)
 
 
 _SET_PARTITIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()

@@ -44,6 +44,7 @@ from .setpartitions import (
     count_labeled_partitions,
     crossing_statistic,
     enumerate_labeled_partitions,
+    json_int,
 )
 
 TABLE_FORMAT_VERSION = 1
@@ -66,14 +67,11 @@ def chi_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElement:
 
 
 def _kappa_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    return AlgebraElement._trusted(q, "kappa", connecting_arc_sums(q, a.partition, b.partition))
-
-
-def connecting_arc_sums(
-    q: int, mu: LabeledSetPartition, nu: LabeledSetPartition
-) -> dict[BasisIndex, int]:
-    """Indices of the kappa product: mu, nu placed side by side plus every
-    admissible set of labeled arcs crossing from [k] to [k+1, k+m]."""
+    """The two indices side by side plus every admissible set of labeled
+    arcs crossing from [k] to [k+1, k+m].  The keys carry a's tag: the k
+    basis of colored NCSym registers this rule too, since ``ch`` sends kappa
+    to k index for index and is a Hopf isomorphism."""
+    mu, nu = a.partition, b.partition
     k = mu.n
     n = k + nu.n
     shifted = nu.shift(k)
@@ -87,8 +85,8 @@ def connecting_arc_sums(
                     # every left endpoint in [k] precedes the shifted arcs of nu
                     arcs = tuple(sorted(mu.arcs + tuple(zip(lefts, rights, labels))))
                     lam = _labeled(n, arcs + shifted.arcs)
-                    terms[BasisIndex("kappa", n, lam)] = 1
-    return terms
+                    terms[BasisIndex(a.basis, n, lam)] = 1
+    return AlgebraElement._trusted(q, a.basis, terms)
 
 
 def _straighten_pair(
@@ -107,7 +105,11 @@ def _straighten_pair(
     return _labeled(len(subset), tuple(left_arcs)), _labeled(len(complement), tuple(right_arcs))
 
 
-def kappa_coproduct_terms(q: int, lam: LabeledSetPartition) -> TensorElement:
+def _kappa_coproduct(q: int, a: BasisIndex) -> TensorElement:
+    """Every two-coloring of the positions that splits no arc, each side
+    relabeled onto an initial segment.  The keys carry a's tag, as in
+    ``_kappa_product``."""
+    tag, lam = a.basis, a.partition
     n = lam.n
     terms: Counter = Counter()
     for size in range(n + 1):
@@ -116,8 +118,8 @@ def kappa_coproduct_terms(q: int, lam: LabeledSetPartition) -> TensorElement:
             if any((arc.left in members) != (arc.right in members) for arc in lam.arcs):
                 continue
             left, right = _straighten_pair(lam, subset)
-            terms[BasisIndex("kappa", size, left), BasisIndex("kappa", n - size, right)] += 1
-    return TensorElement._trusted(q, "kappa", terms)
+            terms[BasisIndex(tag, size, left), BasisIndex(tag, n - size, right)] += 1
+    return TensorElement._trusted(q, tag, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +283,11 @@ class SupercharTable:
     @classmethod
     def from_json(cls, data: dict) -> "SupercharTable":
         return cls(
-            int(data["n"]),
-            int(data["q"]),
+            json_int(data["n"], "n"),
+            json_int(data["q"], "q"),
             [LabeledSetPartition.from_json(item) for item in data["order"]],
             [[CycRational.from_json(v) for v in row] for row in data["values"]],
-            data["class_sizes"],
+            [json_int(s, "a class size") for s in data["class_sizes"]],
         )
 
 
@@ -508,5 +510,5 @@ def interval_chain(k: int) -> LabeledSetPartition:
     return LabeledSetPartition(k, ((i, i + 1, 1) for i in range(1, k)))
 
 
-register_basis("kappa", product=_kappa_product, coproduct=lambda q, a: kappa_coproduct_terms(q, a.partition))
+register_basis("kappa", product=_kappa_product, coproduct=_kappa_coproduct)
 register_transported("chi", chi_to_kappa, kappa_to_chi)

@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +144,61 @@ class TestCliBasics:
         assert err.startswith("nchopf: ") and "Traceback" not in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "term, q",
+        [
+            ({"n": 1, "arcs": [], "coeff": {"p": 2.5, "coeffs": ["1"]}}, 2.5),
+            ({"n": 2.5, "arcs": [], "coeff": {"p": 2, "coeffs": ["1"]}}, 2),
+            ({"n": 2, "arcs": [[1, 2, 1.5]], "coeff": {"p": 3, "coeffs": ["1", "0"]}}, 3),
+            ({"n": 2, "arcs": [[1, 2, True]], "coeff": {"p": 3, "coeffs": ["1", "0"]}}, 3),
+            ({"n": 1, "arcs": [], "coeff": {"p": 3, "coeffs": [0.1, 0]}}, 3),
+            ({"n": 1, "arcs": [], "coeff": {"p": 3.0, "coeffs": ["1", "0"]}}, 3),
+        ],
+        ids=["float-q", "float-n", "float-label", "bool-label", "float-coefficient", "float-p"],
+    )
+    def test_json_numbers_that_are_not_integers_exit_one(self, term, q):
+        payload = json.dumps({"q": q, "basis": "kappa", "terms": [term]})
+        code, out, err = invoke(["comul"], payload)
+        assert code == EXIT_INVALID and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "basis, q, term",
+        [
+            ("M", 2, {"n": 2, "word": [2.0, 1]}),
+            ("m_colored", 3, {"n": 1, "blocks": [[1.0]], "colors": [0], "r": 2}),
+            ("m_colored", 3, {"n": 1, "blocks": [[1]], "colors": [0.5], "r": 2}),
+            ("m_colored", 3, {"n": 1, "blocks": [[1]], "colors": [0], "r": 2.0}),
+        ],
+        ids=["permutation-entry", "block-member", "color", "color-group-order"],
+    )
+    def test_index_fields_that_are_not_integers_exit_one(self, basis, q, term):
+        term["coeff"] = CycRational.one(q).to_json()
+        element = {"q": q, "basis": basis, "terms": [term]}
+        code, out, err = invoke(["mul"], json.dumps({"left": element, "right": element}))
+        assert code == EXIT_INVALID and not out
+        assert err.startswith("nchopf: ") and "Traceback" not in err
+
+    def test_integer_coefficient_entries_are_read_exactly(self):
+        term = {"n": 1, "arcs": [], "coeff": {"p": 3, "coeffs": [2, 0]}}
+        code, out, _ = invoke(["antipode"], json.dumps({"q": 3, "basis": "kappa", "terms": [term]}))
+        assert code == EXIT_OK
+        assert json.loads(out)["terms"][0]["coeff"] == {"p": 3, "coeffs": ["-2", "0"]}
+
+    def test_an_overflowing_q_exits_one_without_a_traceback(self):
+        # 1e400 parses as an infinite float, which int() cannot convert
+        payload = '{"q": 1e400, "basis": "kappa", "terms": []}'
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "nchopf.cli", "comul"],
+            input=payload, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == EXIT_INVALID and not done.stdout
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("suite", ["iso", "duality"])
     def test_verify_at_negative_n_exits_one(self, suite):
         # these suites would otherwise run over no cases at all
@@ -222,7 +281,25 @@ class TestCliWorkBounds:
         code, out, err = invoke(argv)
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
-    @pytest.mark.parametrize("n, q", [(DEFAULT_TABLE_BOUND, 2), (5, 3), (4, 5), (2, 23)])
+    @pytest.mark.parametrize(
+        "n, q", [(6, 2), (5, 3), (4, 5), (4, 7), (3, 23), (2, 23), (2, 373), (1, 4441), (0, 4567)]
+    )
+    def test_hopf_work_bound_admits_the_measured_suites(self, n, q):
+        # with k on kappa's maps, the suite ran as a subprocess in 12.0 s at
+        # (5, 3), 6.3 s at (4, 5), 11.4 s at (4, 7), 9.2 s at (3, 23), 1.2 s
+        # at (2, 23), 31.9 s at (2, 373), 10.1 s at (1, 4441) and 4.7 s at
+        # (0, 4567); (6, 2) took 34 s before
+        assert hopf_work(n, q) <= HOPF_WORK_BOUND
+
+    def test_hopf_work_bound_refuses_the_measured_slow_suites(self):
+        # in process, (2, 739) took 98 s and (1, 10007) 20 s unweighted;
+        # (0, 100003) had not finished after 60 s
+        for n, q in ((2, 739), (1, 10007), (0, 100003)):
+            assert hopf_work(n, q) > HOPF_WORK_BOUND
+
+    @pytest.mark.parametrize(
+        "n, q", [(DEFAULT_TABLE_BOUND, 2), (6, 3), (5, 5), (4, 11), (3, 29), (2, 379), (0, 100003)]
+    )
     def test_hopf_suite_over_the_work_bound_exits_two_at_once(self, n, q):
         assert hopf_work(n, q) > HOPF_WORK_BOUND
         start = time.perf_counter()
@@ -352,11 +429,12 @@ class TestCliWorkBounds:
         # grades summing to at most 2: 1*1 + 1*1 + 1*2 + 1*1 + 1*1 + 2*1 = 8;
         # the random checks count as 100 elements of weight 1.
         assert hopf_work(2, 2) == 5 * (4 + 8 + 100)
-        # q = 3 adds the k basis, whose grade-1 index counts as its 2
-        # colored monomials and grade 2 as Bell(2) * 2^2 = 8 of them.
-        k_sizes = [1, 2, 8]
-        k_work = sum(k_sizes) + 1 * 11 + 2 * 3 + 8 * 1 + 100 * 11 // 5
-        assert hopf_work(2, 3) == 2 * (5 + 1 * 5 + 1 * 2 + 3 * 1 + 100) + k_work
+        # q = 3: kappa, k and kappa_star with 1, 1, 3 indices in grades
+        # 0..2; k carries kappa's maps, so it weighs what kappa does.
+        assert hopf_work(2, 3) == 3 * (5 + 1 * 5 + 1 * 2 + 3 * 1 + 100)
+        # past degree 200 a unit weighs (q - 1) / 200: the scalars dominate
+        assert hopf_work(1, 3) == hopf_work(1, 199) == 3 * (2 + 3 + 100)
+        assert hopf_work(1, 401) == 2 * hopf_work(1, 3)
 
     def test_element_work_counts_the_indices_each_term_reaches(self):
         work = cli.element_work
@@ -367,9 +445,10 @@ class TestCliWorkBounds:
         # kappa_star and the set-partition bases never choose a label
         assert work("antipode", empty(7, 101, "kappa_star")) == 877
         assert work("antipode", empty(4, 101, "V")) == 15
-        # a k index expands into Bell(n) (q-1)^n colored monomials
-        assert work("antipode", empty(3, 11, "k_colored")) == 5 * 10**3
-        assert work("comul", empty(3, 11, "k_colored")) == 5 * 10**3
+        # a k index carries kappa's maps, so it reaches what kappa's does
+        assert work("antipode", empty(3, 11, "k_colored")) == work("antipode", empty(3, 11)) == 131
+        assert work("comul", empty(3, 11, "k_colored")) == 8
+        assert work("mul", empty(3, 11, "k_colored"), empty(4, 11, "k_colored")) == 27_721
         # a colored monomial's maps permute its colors
         colored = colored_element(101, ColoredIndex(SetPartition.from_text("1|2|3"), (0, 1, 2), 100))
         assert work("antipode", colored) == 5 * 6
@@ -416,10 +495,11 @@ class TestCliWorkBounds:
             (["comul"], [empty(7, 101)]),
             (["convert", "--from", "kappa_star", "--to", "chi_star"], [empty(1, 101, "kappa_star")]),
             (["pair"], [empty(7, 101, "kappa_star"), empty(7, 101)]),
+            (["comul"], [empty(4, 101, "k_colored")]),
         ],
     )
     def test_commands_whose_work_does_not_grow_with_q_are_admitted(self, argv, elements):
-        # a kappa coproduct splits over subsets, a grade-1 table is one entry
+        # a kappa or k coproduct splits over subsets, a grade-1 table is one entry
         # and the duality pairing reads one coefficient per term
         start = time.perf_counter()
         assert invoke(argv, stdin_of(*elements))[0] == EXIT_OK
@@ -431,7 +511,7 @@ class TestCliWorkBounds:
         + [
             (["mul"], [empty(3, 101), empty(4, 101)]),
             (["antipode"], [empty(4, 101, "k_colored")]),
-            (["comul"], [empty(4, 101, "k_colored")]),
+            (["mul"], [empty(3, 101, "k_colored"), empty(4, 101, "k_colored")]),
             (
                 ["antipode"],
                 [

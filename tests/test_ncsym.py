@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from nchopf import ncsym
+from nchopf import elements, ncsym
 
 from nchopf.cyclotomic import CycRational
 from nchopf.elements import (
@@ -36,6 +36,7 @@ from nchopf.ncsym import (
     product_k,
     product_m,
     product_p,
+    via_colored_m,
 )
 from nchopf.setpartitions import (
     LabeledSetPartition,
@@ -279,6 +280,44 @@ class TestLabeledBasis:
                     ((l.grade, l.partition), (r.grade, r.partition)): c
                     for (l, r), c in right.terms.items()
                 }
+
+
+def _k_basis(q, top):
+    return [k_element(q, lam) for g in range(top + 1) for lam in enumerate_labeled_partitions(g, q)]
+
+
+def _grade(x):
+    return next(iter(x.terms)).grade
+
+
+class TestLabeledBasisReference:
+    """k carries kappa's rules; the colored route (expand, operate on colored
+    monomials, collect) is the reference it must match term for term."""
+
+    @pytest.mark.parametrize("q, top", [(2, 4), (3, 4), (5, 3), (7, 2)])
+    def test_structure_maps_equal_the_colored_route(self, q, top):
+        basis = _k_basis(q, top)
+        for x in basis:
+            assert coproduct(x) == via_colored_m(coproduct, x)
+            assert antipode(x) == via_colored_m(antipode, x)
+        for x in basis:
+            for y in basis:
+                if _grade(x) + _grade(y) <= top:
+                    assert product(x, y) == via_colored_m(product, x, y)
+
+    def test_runtime_maps_never_expand(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a k structure map went through colored monomials")
+
+        monkeypatch.setattr(ncsym, "expand_k_in_colored_m", refuse)
+        monkeypatch.setattr(ncsym, "_collect_k", refuse)
+        monkeypatch.setattr(elements, "_ANTIPODE_CACHE", {})  # so the recursion runs
+        basis = _k_basis(3, 3)
+        for x in basis:
+            assert coproduct(x).basis == antipode(x).basis == "k_colored"
+            for y in basis:
+                if _grade(x) + _grade(y) <= 3:
+                    assert product(x, y).basis == "k_colored"
 
 
 class TestCharacteristicMap:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nchopf import cli, verify
+from nchopf import cli, elements, verify
 from nchopf.verify import CheckResult, suite_oracle
 
 
@@ -124,6 +124,24 @@ class TestCheckRunner:
         report = verify.suite_iso(3, 2)
         assert report.checks[0].name == "ch:multiplicative" and not report.checks[0].passed
         assert ch_calls_at_first_coproduct == [3]
+
+    @pytest.mark.parametrize(
+        "rules, failing",
+        [
+            ("_PRODUCT_RULES", {"ch:multiplicative", "ch:antipode"}),
+            ("_COPRODUCT_RULES", {"ch:comultiplicative", "ch:antipode"}),
+        ],
+    )
+    def test_iso_sees_a_perturbed_colored_rule(self, rules, failing, monkeypatch):
+        # At q > 2 the k basis carries kappa's own rules, so the iso suite
+        # compares against the colored route; a colored rule scaled by 2 must
+        # then fail the checks that go through it.
+        registry = getattr(elements, rules)
+        rule = registry["m_colored"]
+        monkeypatch.setitem(registry, "m_colored", lambda q, *idx: rule(q, *idx).scale(2))
+        monkeypatch.setattr(elements, "_ANTIPODE_CACHE", {})  # keep wrong antipodes out of it
+        report = verify.suite_iso(3, 3)
+        assert {c.name for c in report.failures} == failing
 
     def test_hopf_random_checks_draw_only_up_to_the_first_failure(self, monkeypatch):
         # Every bialgebra pair fails, so each basis draws its 100 unary samples
