@@ -221,7 +221,8 @@ def _check_elements(command: str, *elements: AlgebraElement) -> None:
     _check_grade(sum(max(x.grades(), default=0) for x in elements), "grade ")
     if command in _REACH:
         work = element_work(command, *elements)
-        _check_work(work, ELEMENT_WORK_BOUND, f"the input reaches {work} basis indices")
+        what = f"the input reaches {work} degree-weighted basis indices"
+        _check_work(work, ELEMENT_WORK_BOUND, what)
 
 
 def _antipode_reach(basis: str, q: int, n: int) -> int:
@@ -242,8 +243,9 @@ def _antipode_reach(basis: str, q: int, n: int) -> int:
 
 def _coproduct_reach(basis: str, q: int, n: int) -> int:
     """A coproduct splits an index over at most the 2^n subsets of its
-    points and chooses no label.  A routed basis's coproduct is bounded by
-    its tables."""
+    points and chooses no label.  The chi_star coproduct deconcatenates, so
+    it reaches at most n + 1 pairs and builds no table; the chi coproduct
+    changes basis through kappa, under the table bound."""
     return 2**n
 
 
@@ -263,16 +265,26 @@ def _product_reach(basis: str, q: int, a: int, b: int) -> int:
 _REACH = {"antipode": _antipode_reach, "comul": _coproduct_reach, "mul": _product_reach}
 
 
+#: Past this scalar degree a unit of ``element_work`` weighs
+#: (q - 1) / ELEMENT_UNIT_DEGREE: every scalar carries q - 1 numerators.  On
+#: a 2-vCPU VM the antipode of kappa's empty partition ran 98-130 us per
+#: unweighted unit at (4, 31), (4, 53) and (3, 101), but 170 us at (3, 181),
+#: 400 us at (3, 443) and 845 us at (2, 1009); weighted, 84-130 us.
+ELEMENT_UNIT_DEGREE = 100
+
+
 def element_work(command: str, *elements: AlgebraElement) -> int:
     """What ``mul``, ``comul`` or ``antipode`` may build, counted without
     building it: the command's reach from the grade of each input term, or
-    from the grades of each pair of terms of the two factors of ``mul``."""
+    from the grades of each pair of terms of the two factors of ``mul``,
+    each weighed by the scalar degree past ``ELEMENT_UNIT_DEGREE``."""
     basis, q, reach = elements[0].basis, elements[0].q, _REACH[command]
     grades = [Counter(idx.grade for idx in x.terms).items() for x in elements]
-    return sum(
+    work = sum(
         math.prod(k for _, k in terms) * reach(basis, q, *(n for n, _ in terms))
         for terms in itertools.product(*grades)
     )
+    return work * max(q - 1, ELEMENT_UNIT_DEGREE) // ELEMENT_UNIT_DEGREE
 
 
 def _check_work(work: int, bound: int, what: str) -> None:

@@ -6,7 +6,9 @@ Bases:
   pairing.  The product embeds the two factors into every split of the new
   ground set; the coproduct cuts the ground set at each prefix, discarding
   arcs that straddle the cut.  Commutative, not cocommutative.
-* "chi_star": duals of the supercharacters, converted through kappa_star.
+* "chi_star": duals of the supercharacters.  The coproduct deconcatenates
+  at the cuts no arc spans; the product and the antipode are converted
+  through kappa_star.
 * "M": polynomials in commuting variables x_ij subject to
   x_ij x_ik = 0 = x_ik x_jk, one basis element per permutation; the product
   relabels the cycles of the two factors into complementary subsets.
@@ -160,15 +162,21 @@ def _kappa_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     return AlgebraElement._trusted(q, "kappa_star", terms)
 
 
-def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    lam = a.partition
-    n = lam.n
-    terms: Counter = Counter()
-    for k in range(n + 1):
+def _cut_terms(a: BasisIndex, cuts: Iterable[int]) -> dict:
+    """lam<=k (x) lam>k with coefficient 1 for each cut point k, in the tag
+    of a: the arcs within [1, k], and those within [k + 1, n] shifted down;
+    an arc that spans the cut is dropped."""
+    lam, n = a.partition, a.grade
+    terms = {}
+    for k in cuts:
         left = _labeled(k, tuple(arc for arc in lam.arcs if arc[1] <= k))
         right = _labeled(n - k, tuple((l - k, r - k, c) for l, r, c in lam.arcs if l > k))
-        terms[BasisIndex("kappa_star", k, left), BasisIndex("kappa_star", n - k, right)] += 1
-    return TensorElement._trusted(q, "kappa_star", terms)
+        terms[BasisIndex(a.basis, k, left), BasisIndex(a.basis, n - k, right)] = 1
+    return terms
+
+
+def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
+    return TensorElement._trusted(q, "kappa_star", _cut_terms(a, range(a.grade + 1)))
 
 
 register_basis("kappa_star", product=_kappa_star_product, coproduct=_kappa_star_coproduct)
@@ -264,7 +272,19 @@ def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
     return linear_map(x, "chi_star", image, source="kappa_star")
 
 
+def _chi_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
+    """Deconcatenation, dual to the concatenation product of the
+    supercharacters: chi_star_lam splits at each cut point that no arc of
+    lam spans, so no arc is dropped."""
+    arcs = a.partition.arcs
+    cuts = (k for k in range(a.grade + 1) if not any(l <= k < r for l, r, _ in arcs))
+    return TensorElement._trusted(q, "chi_star", _cut_terms(a, cuts))
+
+
+# The product and the antipode stay transported from kappa_star; the
+# coproduct is deconcatenation, with the transported one as its reference.
 register_transported("chi_star", chi_star_to_kappa_star, kappa_star_to_chi_star)
+register_basis("chi_star", coproduct=_chi_star_coproduct)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ and antipode dispatch through it.  A basis that is a change of basis away
 from another one (chi from kappa, chi_star from kappa_star, V from U)
 registers through ``register_transported`` instead: its product, coproduct
 and antipode are the base basis's maps conjugated by the two basis changes.
+A rule registered afterwards replaces the transported map (chi_star's
+coproduct is deconcatenation); the antipode stays conjugated.
 
 In a basis with its own structure maps the antipode is computed grade by
 grade from the coproduct: for a basis element a of grade n >= 1 with

@@ -58,14 +58,18 @@ DUALITY_WORK_BOUND = 600_000
 
 #: Largest work estimate (``cli.element_work``: for each term of the input,
 #: or each pair of terms of a product, the basis indices the command can
-#: reach) that ``nchopf mul``, ``comul`` and ``antipode`` accept;
-#: ``convert`` and ``pair`` go through the table bound.  On a 2-vCPU VM the
-#: antipode of kappa's empty partition ran 50-100 us per unit: (7, 3) at
-#: 10,299 units took 0.6-1.5 s, (6, 5) at 15,821 0.8-1.7 s and (7, 5) at
-#: 170,389 14.9 s; the refused (6, 11) at 506,651, (7, 7) at 1,007,407,
-#: (5, 31) at 1,237,801 and (4, 101) at 1,070,601 had not finished after
-#: 20 s.  The kappa product of the empty partitions of grades 3 and 4
-#: reaches 27,721 indices at q = 11 (1.0 s) and 680,761 at q = 31 (29.6 s).
+#: reach, weighed by the scalar degree past ``cli.ELEMENT_UNIT_DEGREE``)
+#: that ``nchopf mul``, ``comul`` and ``antipode`` accept; ``convert`` and
+#: ``pair`` go through the table bound.  On a 2-vCPU VM the antipode of
+#: kappa's empty partition ran 50-130 us per unit: (7, 3) at 10,299 units
+#: took 0.6-1.5 s, (6, 5) at 15,821 0.8-1.7 s, (7, 5) at 170,389 14.9 s,
+#: (4, 53) at 159,849 16-18 s, (3, 181) at 59,293 5.8-7.2 s and (2, 1009)
+#: at 10,170 1.1-1.2 s; the refused (6, 11) at 506,651, (7, 7) at
+#: 1,007,407, (5, 31) at 1,237,801 and (4, 101) at 1,070,601 had not
+#: finished after 20 s, and (3, 443) at 869,374 took 76 s.  The kappa
+#: product of the empty partitions of grades 3 and 4 reaches 27,721 indices
+#: at q = 11 (1.0 s) and 680,761 at q = 31 (29.6 s); the k product of
+#: those of grades 2 and 3 at q = 181, 351,865, took 36 s.
 ELEMENT_WORK_BOUND = 200_000
 
 #: Largest work estimate (``verify.oracle_work``: N supercharacters, each

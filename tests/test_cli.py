@@ -63,6 +63,17 @@ def invoke(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
+def invoke_subprocess(argv, stdin_text=""):
+    """``python -m nchopf.cli`` in a fresh interpreter on this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "nchopf.cli", *argv],
+        input=stdin_text, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestSerialization:
     def test_element_roundtrip(self):
         x = kappa_element(2, lsp("3; 1-1-3")).scale(-2) + AlgebraElement.unit(2, "kappa")
@@ -189,13 +200,7 @@ class TestCliBasics:
     def test_an_overflowing_q_exits_one_without_a_traceback(self):
         # 1e400 parses as an infinite float, which int() cannot convert
         payload = '{"q": 1e400, "basis": "kappa", "terms": []}'
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "nchopf.cli", "comul"],
-            input=payload, capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        done = invoke_subprocess(["comul"], payload)
         assert done.returncode == EXIT_INVALID and not done.stdout
         assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
 
@@ -531,6 +536,50 @@ class TestCliWorkBounds:
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
         assert "basis indices" in err
+
+    def test_element_work_weighs_each_unit_by_the_scalar_degree(self):
+        # up to q = 101 a unit weighs 1, past it (q - 1) / 100
+        assert cli.ELEMENT_UNIT_DEGREE == 100
+        assert cli.element_work("antipode", empty(3, 101)) == count_labeled_partitions(3, 101)
+        assert cli.element_work("antipode", empty(3, 443)) == 196_691 * 442 // 100 == 869_374
+        k = [empty(2, 181, "k_colored"), empty(3, 181, "k_colored")]
+        assert cli.element_work("mul", *k) == 195_481 * 180 // 100 == 351_865
+        assert cli.element_work("comul", empty(7, 1009)) == 2**7 * 1008 // 100
+        # admitted: 16-18 s at (4, 53), 5.8-7.2 s at (3, 181), 1.1-1.2 s at (2, 1009)
+        for n, q in ((4, 53), (3, 181), (2, 1009)):
+            assert cli.element_work("antipode", empty(n, q)) <= ELEMENT_WORK_BOUND
+
+    @pytest.mark.parametrize(
+        "argv, elements",
+        [
+            (["antipode"], [empty(3, 443)]),
+            (["antipode"], [empty(3, 443, "k_colored")]),
+            (["mul"], [empty(2, 181, "k_colored"), empty(3, 181, "k_colored")]),
+        ],
+        ids=["kappa-antipode-443", "k-antipode-443", "k-mul-181"],
+    )
+    def test_degree_weight_refuses_the_slow_large_q_commands(self, argv, elements):
+        # admitted without the weight, these ran for 76 s, 82 s and 36 s
+        start = time.perf_counter()
+        code, out, err = invoke(argv, stdin_of(*elements))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BOUND and not out and "Traceback" not in err
+        assert "degree-weighted basis indices" in err
+
+    @pytest.mark.parametrize(
+        "q, text, cuts",
+        [(5, "5;", 6), (5, "5; 1-2-2, 3-4-5", 3), (2, "7; 1-1-3, 4-1-5", 5)],
+    )
+    def test_chi_star_comul_builds_no_table(self, q, text, cuts):
+        # through kappa_star these needed the tables at (5, 5) and (7, 2),
+        # refused by the table bound; deconcatenation keeps the cuts that
+        # no arc spans
+        x = AlgebraElement(q, "chi_star", {BasisIndex("chi_star", lsp(text).n, lsp(text)): 1})
+        start = time.perf_counter()
+        done = invoke_subprocess(["comul"], stdin_of(x))
+        assert time.perf_counter() - start < 1
+        assert done.returncode == EXIT_OK, done.stderr
+        assert len(tensor_from_json(json.loads(done.stdout)).terms) == cuts
 
     @pytest.mark.parametrize("suite, estimate", [("iso", iso_work), ("duality", duality_work)])
     def test_suites_run_up_to_their_work_bound(self, suite, estimate, monkeypatch):

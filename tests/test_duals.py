@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from nchopf.cyclotomic import CycRational, invert_matrix
+from nchopf import duals, elements, superfunctions
 from nchopf.elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
+    basis_coproduct,
     coproduct,
     product,
 )
@@ -42,7 +44,7 @@ from nchopf.setpartitions import (
     enumerate_labeled_partitions,
     underlying_set_partition,
 )
-from nchopf.superfunctions import kappa_element, supercharacter_table
+from nchopf.superfunctions import chi_element, chi_to_kappa, kappa_element, supercharacter_table
 from nchopf import unitriangular as oracle
 
 
@@ -126,6 +128,19 @@ class TestKappaStarCoproduct:
         assert t.swap() != t
 
 
+def chi_star_indices(q, top):
+    return [
+        BasisIndex("chi_star", n, lam)
+        for n in range(top + 1)
+        for lam in enumerate_labeled_partitions(n, q)
+    ]
+
+
+def negated(lam, q):
+    """lam with every arc label c replaced by -c mod q."""
+    return LabeledSetPartition(lam.n, [(l, r, -c % q) for l, r, c in lam.arcs])
+
+
 class TestDualityPairing:
     def test_kronecker(self):
         lam = lsp("2; 1-1-2")
@@ -181,13 +196,73 @@ class TestDualityPairing:
             assert kappa_star_to_chi_star(kappa_star_element(q, mu)) == expected
 
     def test_chi_star_is_dual_to_chi(self):
-        from nchopf.superfunctions import chi_element
+        # <chi_star_lam, chi^mu> = delta(lam, -mu), where -mu negates every
+        # label mod q: 1,256 pairs, n <= 4 at q = 2 and n <= 3 at q = 3 and 5
+        for q, top in ((2, 4), (3, 3), (5, 3)):
+            for n in range(top + 1):
+                for lam in enumerate_labeled_partitions(n, q):
+                    f = chi_star_element(q, lam)
+                    for mu in enumerate_labeled_partitions(n, q):
+                        value = duality_pairing(f, chi_element(q, mu))
+                        assert value == (1 if lam == negated(mu, q) else 0)
 
-        q = 2
-        for lam in enumerate_labeled_partitions(3, q):
-            for nu in enumerate_labeled_partitions(3, q):
-                value = duality_pairing(chi_star_element(q, lam), chi_element(q, nu))
-                assert value == (1 if lam == nu else 0)
+
+class TestChiStarCoproduct:
+    """The chi_star coproduct is deconcatenation at the cuts no arc spans,
+    with the coproduct transported from kappa_star as its reference."""
+
+    # every index up to grade 4 at q = 2 and 3, grade 3 at q = 5 and 2 at q = 7
+    @pytest.mark.parametrize("q, top", [(2, 4), (3, 4), (5, 3), (7, 2)])
+    def test_deconcatenation_equals_the_transported_coproduct(self, q, top):
+        for idx in chi_star_indices(q, top):
+            assert basis_coproduct(q, idx) == elements._transported_coproduct(q, idx)
+
+    def test_runtime_path_builds_no_table(self, monkeypatch):
+        expected = {idx: basis_coproduct(3, idx) for idx in chi_star_indices(3, 4)}
+
+        def refuse(*args):
+            raise AssertionError("the chi_star coproduct reached the table")
+
+        monkeypatch.setitem(elements._TO_BASE, "chi_star", refuse)
+        monkeypatch.setitem(elements._FROM_BASE, "chi_star", refuse)
+        monkeypatch.setattr(superfunctions, "supercharacter_table", refuse)
+        monkeypatch.setattr(duals, "supercharacter_table", refuse)
+        for idx, tensor in expected.items():
+            assert coproduct(AlgebraElement(3, "chi_star", {idx: 1})) == tensor
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_coproduct_is_adjoint_to_the_routed_chi_product(self, q):
+        # <Delta(chi_star_nu), chi^lam (x) chi^mu> = <chi_star_nu, chi^lam chi^mu>
+        # for total grade <= 4, both sides paired through the table
+        top = 4
+        by_grade = [list(enumerate_labeled_partitions(n, q)) for n in range(top + 1)]
+        star = {
+            nu: chi_star_to_kappa_star(chi_star_element(q, nu))
+            for grade in by_grade
+            for nu in grade
+        }
+        delta = {nu: coproduct(chi_star_element(q, nu)).terms for nu in star}
+        pairing = {
+            (alpha, lam): duality_pairing(star[alpha], chi_to_kappa(chi_element(q, lam)))
+            for grade in by_grade
+            for alpha in grade
+            for lam in grade
+        }
+        for a in range(top + 1):
+            for b in range(top + 1 - a):
+                for lam in by_grade[a]:
+                    for mu in by_grade[b]:
+                        routed = chi_to_kappa(product(chi_element(q, lam), chi_element(q, mu)))
+                        for nu in by_grade[a + b]:
+                            lhs = sum(
+                                (
+                                    c * pairing[left.partition, lam] * pairing[right.partition, mu]
+                                    for (left, right), c in delta[nu].items()
+                                    if left.grade == a
+                                ),
+                                CycRational.zero(q),
+                            )
+                            assert lhs == duality_pairing(star[nu], routed)
 
 
 class TestPermutations:

@@ -543,12 +543,15 @@ class TestBasisChange:
 
     def test_chi_product_is_concatenation(self):
         # the product of supercharacters is the supercharacter of the
-        # concatenated index, for any labels and primes
-        for q in (2, 3):
-            for a in enumerate_labeled_partitions(2, q):
-                for b in enumerate_labeled_partitions(2, q):
-                    prod = product(chi_element(q, a), chi_element(q, b))
-                    assert prod == chi_element(q, concat(a, b))
+        # concatenated index, for any labels and primes: every pair with
+        # total grade <= 4 at q = 2 and 3, and <= 3 at q = 5
+        for q, top in ((2, 4), (3, 4), (5, 3)):
+            for total in range(top + 1):
+                for grade in range(total + 1):
+                    for a in enumerate_labeled_partitions(grade, q):
+                        for b in enumerate_labeled_partitions(total - grade, q):
+                            prod = product(chi_element(q, a), chi_element(q, b))
+                            assert prod == chi_element(q, concat(a, b))
 
 
 class TestInnerProduct:
