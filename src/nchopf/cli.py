@@ -23,17 +23,7 @@ from .duals import (
     v_to_u,
 )
 from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
-from .limits import (
-    DEFAULT_TABLE_BOUND,
-    DUALITY_WORK_BOUND,
-    ELEMENT_WORK_BOUND,
-    ENUMERATE_SIZE_BOUND,
-    HOPF_WORK_BOUND,
-    ISO_WORK_BOUND,
-    ORACLE_WORK_BOUND,
-    TABLE_WORK_BOUND,
-    BoundExceededError,
-)
+from .limits import BoundExceededError, check_grade, check_work, degree_weighted
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
 from .setpartitions import (
@@ -43,13 +33,7 @@ from .setpartitions import (
     enumerate_labeled_partitions,
     underlying_set_partition,
 )
-from .superfunctions import (
-    chi_to_kappa,
-    inner_product,
-    kappa_to_chi,
-    supercharacter_table,
-    table_work,
-)
+from .superfunctions import chi_to_kappa, inner_product, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
 from .verify import SUITES, duality_work, hopf_work, iso_work, oracle_work, run_suite
 
@@ -205,24 +189,16 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         return EXIT_INVALID
 
 
-def _check_grade(n: int, what: str = "n=") -> None:
-    """Enumeration, the algebraic suites and the structure maps grow like
-    Bell(n) or 2^n: the same grade bound as the tables applies."""
-    if n > DEFAULT_TABLE_BOUND:
-        raise BoundExceededError(f"{what}{n} exceeds the configured bound {DEFAULT_TABLE_BOUND}")
-
-
 def _check_elements(command: str, *elements: AlgebraElement) -> None:
     """The grade of a product is the sum of its factors' grades, and every
     other element command works within the grade of its input.  Within the
     grade bound the work of mul, comul and antipode still grows with q, so
     ``element_work`` bounds it; convert and pair change basis through a
-    table, which has its own bound, or term by term."""
-    _check_grade(sum(max(x.grades(), default=0) for x in elements), "grade ")
+    table, which has its own check, or term by term."""
+    check_grade(sum(max(x.grades(), default=0) for x in elements), "grade ")
     if command in _REACH:
         work = element_work(command, *elements)
-        what = f"the input reaches {work} degree-weighted basis indices"
-        _check_work(work, ELEMENT_WORK_BOUND, what)
+        check_work(command, work, f"the input reaches {work} degree-weighted basis indices")
 
 
 def _antipode_reach(basis: str, q: int, n: int) -> int:
@@ -265,60 +241,38 @@ def _product_reach(basis: str, q: int, a: int, b: int) -> int:
 _REACH = {"antipode": _antipode_reach, "comul": _coproduct_reach, "mul": _product_reach}
 
 
-#: Past this scalar degree a unit of ``element_work`` weighs
-#: (q - 1) / ELEMENT_UNIT_DEGREE: every scalar carries q - 1 numerators.  On
-#: a 2-vCPU VM the antipode of kappa's empty partition ran 98-130 us per
-#: unweighted unit at (4, 31), (4, 53) and (3, 101), but 170 us at (3, 181),
-#: 400 us at (3, 443) and 845 us at (2, 1009); weighted, 84-130 us.
-ELEMENT_UNIT_DEGREE = 100
-
-
 def element_work(command: str, *elements: AlgebraElement) -> int:
     """What ``mul``, ``comul`` or ``antipode`` may build, counted without
     building it: the command's reach from the grade of each input term, or
     from the grades of each pair of terms of the two factors of ``mul``,
-    each weighed by the scalar degree past ``ELEMENT_UNIT_DEGREE``."""
+    each weighed by the scalar degree (``limits.UNIT_DEGREE``)."""
     basis, q, reach = elements[0].basis, elements[0].q, _REACH[command]
     grades = [Counter(idx.grade for idx in x.terms).items() for x in elements]
     work = sum(
         math.prod(k for _, k in terms) * reach(basis, q, *(n for n, _ in terms))
         for terms in itertools.product(*grades)
     )
-    return work * max(q - 1, ELEMENT_UNIT_DEGREE) // ELEMENT_UNIT_DEGREE
+    return degree_weighted(command, work, q)
 
 
-def _check_work(work: int, bound: int, what: str) -> None:
-    """Refuse, before any of it is done, work whose estimate is over its bound."""
-    if work > bound:
-        raise BoundExceededError(f"{what}, over the configured bound {bound}")
-
-
-def _check_suite_work(suite: str, n: int, q: int) -> None:
-    """Refuse a suite whose estimated work is over its bound: the grade bound
-    alone caps none of the suites at large q.  The bounds are read here,
-    when the command runs."""
-    oracle = (oracle_work, ORACLE_WORK_BOUND, "checks {} supercharacter values")
-    estimates = {
-        "hopf": [(hopf_work, HOPF_WORK_BOUND, "checks {} basis elements and pairs")],
-        "iso": [(iso_work, ISO_WORK_BOUND, "checks {} weighted basis elements and pairs")],
-        "duality": [(duality_work, DUALITY_WORK_BOUND, "compares {} pairings")],
-        "axioms": [oracle],
-        # the oracle suite compares against the formula table
-        "oracle": [oracle, (table_work, TABLE_WORK_BOUND, "builds a table of work {}")],
-    }
-    for estimate, bound, what in estimates.get(suite, ()):
-        work = estimate(n, q)
-        _check_work(work, bound, f"the {suite} suite at n={n}, q={q} " + what.format(work))
+#: The work-budget row and the estimate of each suite: the grade bound alone
+#: caps none of them at large q.  The oracle suite builds the formula table
+#: first, which checks its own estimate.
+_SUITE_WORK = {
+    "hopf": ("hopf", hopf_work),
+    "iso": ("iso", iso_work),
+    "duality": ("duality", duality_work),
+    "axioms": ("oracle", oracle_work),
+    "oracle": ("oracle", oracle_work),
+}
 
 
 def _dispatch(args, stdin, stdout) -> int:
     if args.command == "enumerate":
-        _check_grade(args.n)
+        check_grade(args.n)
         check_prime(args.q)
         size = count_labeled_partitions(args.n, args.q)
-        _check_work(
-            size, ENUMERATE_SIZE_BOUND, f"n={args.n}, q={args.q} has {size} labeled set partitions"
-        )
+        check_work("enumerate", size, f"n={args.n}, q={args.q} has {size} labeled set partitions")
         partitions = enumerate_labeled_partitions(args.n, args.q)
         if args.as_json:
             print(canonical_dumps([lam.to_json() for lam in partitions]), file=stdout)
@@ -383,8 +337,11 @@ def _dispatch(args, stdin, stdout) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        _check_grade(args.n)
-        _check_suite_work(args.suite, args.n, args.q)
+        check_grade(args.n)
+        entry, estimate = _SUITE_WORK[args.suite]
+        work = estimate(args.n, args.q)
+        what = f"the {args.suite} suite at n={args.n}, q={args.q} has work estimate {work}"
+        check_work(entry, work, what)
         report = run_suite(args.suite, args.n, args.q, seed=args.seed)
         print(canonical_dumps(report.to_json()), file=stdout)
         return EXIT_OK if report.passed else EXIT_VERIFY

@@ -36,7 +36,7 @@ from .elements import (
     register_basis,
     register_transported,
 )
-from .limits import DEFAULT_TABLE_BOUND, TABLE_WORK_BOUND, BoundExceededError
+from .limits import check_grade, check_work
 from .setpartitions import (
     LabeledSetPartition,
     _labeled,
@@ -340,13 +340,9 @@ def table_work(n: int, q: int) -> int:
 
 def check_table_size(n: int, q: int) -> None:
     """Refuse, before any work, a full table of UT_n(q) whose ``table_work``
-    is over ``TABLE_WORK_BOUND``: the formula table and the oracle's."""
+    is over the work budget: the formula table and the oracle's."""
     work = table_work(n, q)
-    if work > TABLE_WORK_BOUND:
-        raise BoundExceededError(
-            f"table for n={n}, q={q} has work estimate {work}, over the configured bound"
-            f" {TABLE_WORK_BOUND}"
-        )
+    check_work("table", work, f"table for n={n}, q={q} has work estimate {work}")
 
 
 def supercharacter_table(
@@ -360,10 +356,7 @@ def supercharacter_table(
     check_prime(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > DEFAULT_TABLE_BOUND:
-        raise BoundExceededError(
-            f"table for n={n} exceeds the configured bound {DEFAULT_TABLE_BOUND}"
-        )
+    check_grade(n, "table for n=")
     key = (n, q)
     with _TABLE_LOCK:
         if key in _TABLE_CACHE:

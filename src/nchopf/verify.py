@@ -39,7 +39,7 @@ from .setpartitions import (
     count_labeled_partitions,
     enumerate_labeled_partitions,
 )
-from .limits import SIND_ADJOINTNESS_BOUND
+from .limits import SIND_ADJOINTNESS_BOUND, degree_weighted
 from .superfunctions import supercharacter_table
 from . import unitriangular as oracle
 
@@ -119,21 +119,13 @@ def basis_indices(q: int, tag: str, grade: int) -> list[BasisIndex]:
     raise ValueError(f"no index enumeration for basis {tag!r}")
 
 
-#: The scalar degree up to which a ``hopf_work`` unit has one weight.  Past
-#: it the arithmetic on scalars of degree q - 1 sets the cost, so a unit
-#: weighs (q - 1) / HOPF_UNIT_DEGREE.  On a 2-vCPU VM, unweighted, (1, 1999)
-#: took 15 ms per unit, (1, 10007) 62 ms and (2, 739) 14 ms, against 2-6 ms
-#: from (6, 2) to (2, 101).
-HOPF_UNIT_DEGREE = 200
-
-
 def hopf_work(n: int, q: int) -> int:
     """What ``suite_hopf`` checks, counted without building it: every basis
     element up to grade n, every pair of them with grades summing to at most
     n, and for the random checks ``HOPF_SAMPLES`` elements, over all the
-    suite's bases, each weighed by the scalar degree past
-    ``HOPF_UNIT_DEGREE``.  The k basis carries kappa's structure maps, so
-    its indices weigh what kappa's do."""
+    suite's bases, each weighed by the scalar degree (``limits.UNIT_DEGREE``).
+    The k basis carries kappa's structure maps, so its indices weigh what
+    kappa's do."""
     _check_arguments(n, q)
     total = 0
     for tag in hopf_bases(q):
@@ -141,7 +133,7 @@ def hopf_work(n: int, q: int) -> int:
         counts = [count_labeled_partitions(g, labels) for g in range(n + 1)]
         total += sum(counts) + sum(counts[a] * counts[b] for a in range(n + 1) for b in range(n + 1 - a))
         total += HOPF_SAMPLES
-    return total * max(q - 1, HOPF_UNIT_DEGREE) // HOPF_UNIT_DEGREE
+    return degree_weighted("hopf", total, q)
 
 
 def oracle_work(n: int, q: int) -> int:

@@ -5,28 +5,19 @@ import subprocess
 import sys
 import time
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nchopf import cli, superfunctions
+from nchopf import cli, limits, superfunctions
 from nchopf.cli import EXIT_BOUND, EXIT_INVALID, EXIT_OK, run
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, TensorElement
-from nchopf.limits import (
-    DEFAULT_TABLE_BOUND,
-    DUALITY_WORK_BOUND,
-    ELEMENT_WORK_BOUND,
-    ENUMERATE_SIZE_BOUND,
-    HOPF_WORK_BOUND,
-    ISO_WORK_BOUND,
-    ORACLE_WORK_BOUND,
-    PRIME_BOUND,
-    TABLE_WORK_BOUND,
-)
+from nchopf.limits import DEFAULT_TABLE_BOUND, PRIME_BOUND, BoundExceededError
 from nchopf.ncsym import ColoredIndex, colored_element
 from nchopf.serialize import (
     canonical_dumps,
@@ -55,6 +46,23 @@ def stdin_of(*elements):
     if len(payloads) == 1:
         return canonical_dumps(payloads[0])
     return canonical_dumps({"left": payloads[0], "right": payloads[1]})
+
+
+def seconds(entry, units):
+    """What ``units`` of ``entry``'s work cost, exactly, in seconds."""
+    return Fraction(units * limits.UNIT_COST_NS[entry], 10**9)
+
+
+def admitted(entry, units):
+    """Whether the work budget admits ``units`` of ``entry``'s work."""
+    return seconds(entry, units) <= limits.WORK_BUDGET_S
+
+
+def set_budget(monkeypatch, entry, units, below=False):
+    """Set the work budget to the cost of ``units`` of ``entry``'s work, or
+    one nanosecond below it."""
+    cost_ns = units * limits.UNIT_COST_NS[entry] - (1 if below else 0)
+    monkeypatch.setattr(limits, "WORK_BUDGET_S", Fraction(cost_ns, 10**9))
 
 
 def invoke(argv, stdin_text=""):
@@ -280,9 +288,9 @@ class TestCliWorkBounds:
 
     def test_hopf_suite_runs_up_to_its_work_bound(self, monkeypatch):
         argv = ["verify", "--suite", "hopf", "--n", "2", "--q", "2"]
-        monkeypatch.setattr(cli, "HOPF_WORK_BOUND", hopf_work(2, 2))
+        set_budget(monkeypatch, "hopf", hopf_work(2, 2))
         assert invoke(argv)[0] == EXIT_OK
-        monkeypatch.setattr(cli, "HOPF_WORK_BOUND", hopf_work(2, 2) - 1)
+        set_budget(monkeypatch, "hopf", hopf_work(2, 2), below=True)
         code, out, err = invoke(argv)
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
@@ -294,19 +302,19 @@ class TestCliWorkBounds:
         # (5, 3), 6.3 s at (4, 5), 11.4 s at (4, 7), 9.2 s at (3, 23), 1.2 s
         # at (2, 23), 31.9 s at (2, 373), 10.1 s at (1, 4441) and 4.7 s at
         # (0, 4567); (6, 2) took 34 s before
-        assert hopf_work(n, q) <= HOPF_WORK_BOUND
+        assert admitted("hopf", hopf_work(n, q))
 
     def test_hopf_work_bound_refuses_the_measured_slow_suites(self):
         # in process, (2, 739) took 98 s and (1, 10007) 20 s unweighted;
         # (0, 100003) had not finished after 60 s
         for n, q in ((2, 739), (1, 10007), (0, 100003)):
-            assert hopf_work(n, q) > HOPF_WORK_BOUND
+            assert not admitted("hopf", hopf_work(n, q))
 
     @pytest.mark.parametrize(
         "n, q", [(DEFAULT_TABLE_BOUND, 2), (6, 3), (5, 5), (4, 11), (3, 29), (2, 379), (0, 100003)]
     )
     def test_hopf_suite_over_the_work_bound_exits_two_at_once(self, n, q):
-        assert hopf_work(n, q) > HOPF_WORK_BOUND
+        assert not admitted("hopf", hopf_work(n, q))
         start = time.perf_counter()
         code, out, err = invoke(["verify", "--suite", "hopf", "--n", str(n), "--q", str(q)])
         assert time.perf_counter() - start < 1
@@ -314,9 +322,9 @@ class TestCliWorkBounds:
 
     def test_oracle_work_counts_characters_times_group_elements(self):
         assert oracle_work(3, 2) == 5 * 2**3
-        assert oracle_work(5, 2) == 53_248 <= ORACLE_WORK_BOUND
+        assert oracle_work(5, 2) == 53_248 and admitted("oracle", 53_248)
         assert oracle_work(4, 3) == 35_721 and oracle_work(3, 5) == 3_625
-        assert oracle_work(4, 5) == 3_140_625 > ORACLE_WORK_BOUND
+        assert oracle_work(4, 5) == 3_140_625 and not admitted("oracle", 3_140_625)
         for n, q in [(2, 4), (-1, 2)]:
             with pytest.raises(ValueError):
                 oracle_work(n, q)
@@ -324,14 +332,14 @@ class TestCliWorkBounds:
     @pytest.mark.parametrize("suite", ["axioms", "oracle"])
     def test_oracle_suites_run_up_to_their_work_bound(self, suite, monkeypatch):
         argv = ["verify", "--suite", suite, "--n", "3", "--q", "2"]
-        monkeypatch.setattr(cli, "ORACLE_WORK_BOUND", oracle_work(3, 2))
+        set_budget(monkeypatch, "oracle", oracle_work(3, 2))
         assert invoke(argv)[0] == EXIT_OK
-        monkeypatch.setattr(cli, "ORACLE_WORK_BOUND", oracle_work(3, 2) - 1)
+        set_budget(monkeypatch, "oracle", oracle_work(3, 2), below=True)
         code, out, err = invoke(argv)
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
     @pytest.mark.parametrize("suite", ["axioms", "oracle"])
-    @pytest.mark.parametrize("n, q", [(6, 2), (4, 5), (5, 3)])
+    @pytest.mark.parametrize("n, q", [(6, 2), (4, 5), (5, 3), (7, 10**18 + 3)])
     def test_oracle_suites_over_the_work_bound_exit_two_at_once(self, suite, n, q):
         start = time.perf_counter()
         code, out, err = invoke(["verify", "--suite", suite, "--n", str(n), "--q", str(q)])
@@ -340,15 +348,19 @@ class TestCliWorkBounds:
 
     def test_oracle_suite_needing_an_oversized_table_exits_two_at_once(self, monkeypatch):
         # (2, 101) checks only 10,201 values, but its formula table is refused
-        assert oracle_work(2, 101) <= ORACLE_WORK_BOUND < table_work(2, 101)
+        assert admitted("oracle", oracle_work(2, 101))
+        assert not admitted("table", table_work(2, 101))
         start = time.perf_counter()
         code, out, err = invoke(["verify", "--suite", "oracle", "--n", "2", "--q", "101"])
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
         assert "table" in err
-        # the table estimate is read when the command runs
-        monkeypatch.setattr(cli, "TABLE_WORK_BOUND", table_work(2, 3) - 1)
-        assert invoke(["verify", "--suite", "oracle", "--n", "2", "--q", "3"])[0] == EXIT_BOUND
+        # the table's cost is read when the command runs
+        argv = ["verify", "--suite", "oracle", "--n", "2", "--q", "3"]
+        over = limits.WORK_BUDGET_S * 10**9 // table_work(2, 3) + 1
+        monkeypatch.setitem(limits.UNIT_COST_NS, "table", over)
+        code, out, err = invoke(argv)
+        assert code == EXIT_BOUND and not out and "table" in err
 
     @pytest.mark.parametrize("command", ["enumerate", "table"])
     def test_a_huge_prime_exits_two_at_once(self, command):
@@ -366,14 +378,14 @@ class TestCliWorkBounds:
 
     def test_enumerate_runs_up_to_its_size_bound(self, monkeypatch):
         argv = ["enumerate", "--n", "3", "--q", "3"]
-        monkeypatch.setattr(cli, "ENUMERATE_SIZE_BOUND", count_labeled_partitions(3, 3))
+        set_budget(monkeypatch, "enumerate", count_labeled_partitions(3, 3))
         assert invoke(argv)[0] == EXIT_OK
-        monkeypatch.setattr(cli, "ENUMERATE_SIZE_BOUND", count_labeled_partitions(3, 3) - 1)
+        set_budget(monkeypatch, "enumerate", count_labeled_partitions(3, 3), below=True)
         code, out, err = invoke(argv)
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
     def test_enumerate_size_bound_admits_the_largest_measured_listing(self):
-        assert count_labeled_partitions(7, 5) == 170_389 <= ENUMERATE_SIZE_BOUND
+        assert count_labeled_partitions(7, 5) == 170_389 and admitted("enumerate", 170_389)
 
     def test_enumerate_over_the_size_bound_exits_two_at_once(self):
         start = time.perf_counter()
@@ -388,11 +400,11 @@ class TestCliWorkBounds:
         for oracle in ([], ["--oracle"]):
             argv = ["table", *oracle, "--n", "3", "--q", "3"]
             monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
-            monkeypatch.setattr(superfunctions, "TABLE_WORK_BOUND", work)
+            set_budget(monkeypatch, "table", work)
             assert invoke(argv)[0] == EXIT_OK
             # refused before the table is enumerated, computed or read from disk
             monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
-            monkeypatch.setattr(superfunctions, "TABLE_WORK_BOUND", work - 1)
+            set_budget(monkeypatch, "table", work, below=True)
             code, out, err = invoke(argv)
             assert code == EXIT_BOUND and not out and "Traceback" not in err
 
@@ -406,21 +418,33 @@ class TestCliWorkBounds:
         # 19.1 s at (4, 5), are admitted; (3, 11) took 17 s, (3, 13) 49 s,
         # and (2, 101) had not finished after 60 s
         for n, q in ((6, 2), (5, 3), (4, 5), (3, 7)):
-            assert table_work(n, q) <= TABLE_WORK_BOUND
+            assert admitted("table", table_work(n, q))
         for n, q in ((3, 11), (3, 13), (2, 47), (2, 101), (4, 7), (7, 2)):
-            assert table_work(n, q) > TABLE_WORK_BOUND
+            assert not admitted("table", table_work(n, q))
 
     @pytest.mark.parametrize(
         "n, q",
         [(DEFAULT_TABLE_BOUND, 2), (7, 5), (4, 7), (2, 101), (3, 13), (2, 1000000000000000003)],
     )
     def test_table_over_the_size_bound_exits_two_at_once(self, n, q):
-        assert table_work(n, q) > TABLE_WORK_BOUND
+        assert not admitted("table", table_work(n, q))
         for oracle in ([], ["--oracle"]):
             start = time.perf_counter()
             code, out, err = invoke(["table", *oracle, "--n", str(n), "--q", str(q)])
             assert time.perf_counter() - start < 1
             assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["convert", "--from", "kappa", "--to", "chi"], ["pair", "--mode", "inner"]]
+    )
+    def test_table_commands_run_up_to_the_table_budget(self, argv, monkeypatch):
+        x = empty(3, 3)
+        payload = stdin_of(x) if argv[0] == "convert" else stdin_of(x, x)
+        for below, exit_code in ((False, EXIT_OK), (True, EXIT_BOUND)):
+            monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
+            set_budget(monkeypatch, "table", table_work(3, 3), below)
+            code, out, err = invoke(argv, payload)
+            assert code == exit_code and bool(out) != below and "Traceback" not in err
 
     def test_convert_needing_an_oversized_table_exits_two_at_once(self):
         payload = canonical_dumps(element_to_json(kappa_element(5, lsp("5; 1-4-5"))))
@@ -473,9 +497,9 @@ class TestCliWorkBounds:
         # the antipode of the empty partition took 1.5 s at (7, 3), 1.5 s at
         # (6, 5) and 14.9 s at (7, 5); each refused one ran for over 20 s
         for n, q in ((7, 3), (6, 5), (7, 5)):
-            assert cli.element_work("antipode", empty(n, q)) <= ELEMENT_WORK_BOUND
+            assert admitted("antipode", cli.element_work("antipode", empty(n, q)))
         for n, q in ((7, 7), (6, 11), (5, 31), (4, 101)):
-            assert cli.element_work("antipode", empty(n, q)) > ELEMENT_WORK_BOUND
+            assert not admitted("antipode", cli.element_work("antipode", empty(n, q)))
 
     @pytest.mark.parametrize(
         "command, elements",
@@ -488,9 +512,9 @@ class TestCliWorkBounds:
     def test_element_commands_run_up_to_their_work_bound(self, command, elements, monkeypatch):
         payload = stdin_of(*elements)
         work = cli.element_work(command, *elements)
-        monkeypatch.setattr(cli, "ELEMENT_WORK_BOUND", work)
+        set_budget(monkeypatch, command, work)
         assert invoke([command], payload)[0] == EXIT_OK
-        monkeypatch.setattr(cli, "ELEMENT_WORK_BOUND", work - 1)
+        set_budget(monkeypatch, command, work, below=True)
         code, out, err = invoke([command], payload)
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
@@ -539,15 +563,19 @@ class TestCliWorkBounds:
 
     def test_element_work_weighs_each_unit_by_the_scalar_degree(self):
         # up to q = 101 a unit weighs 1, past it (q - 1) / 100
-        assert cli.ELEMENT_UNIT_DEGREE == 100
+        assert limits.UNIT_DEGREE["antipode"] == limits.UNIT_DEGREE["mul"] == 100
+        assert limits.UNIT_DEGREE["comul"] == 100
         assert cli.element_work("antipode", empty(3, 101)) == count_labeled_partitions(3, 101)
         assert cli.element_work("antipode", empty(3, 443)) == 196_691 * 442 // 100 == 869_374
         k = [empty(2, 181, "k_colored"), empty(3, 181, "k_colored")]
         assert cli.element_work("mul", *k) == 195_481 * 180 // 100 == 351_865
-        assert cli.element_work("comul", empty(7, 1009)) == 2**7 * 1008 // 100
+        # comul has its own row: 10 us per unit, so 12.9 ms here
+        work = cli.element_work("comul", empty(7, 1009))
+        assert work == 2**7 * 1008 // 100 == 1290
+        assert seconds("comul", work) == Fraction(129, 10**4)
         # admitted: 16-18 s at (4, 53), 5.8-7.2 s at (3, 181), 1.1-1.2 s at (2, 1009)
         for n, q in ((4, 53), (3, 181), (2, 1009)):
-            assert cli.element_work("antipode", empty(n, q)) <= ELEMENT_WORK_BOUND
+            assert admitted("antipode", cli.element_work("antipode", empty(n, q)))
 
     @pytest.mark.parametrize(
         "argv, elements",
@@ -565,6 +593,17 @@ class TestCliWorkBounds:
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
         assert "degree-weighted basis indices" in err
+
+    def test_comul_row_admits_the_measured_large_q_coproduct(self):
+        # comul of kappa's empty partition of grade 7 took 1.6-2.0 s at
+        # q = 156,253 (200,002 units), which the antipode's cost refused
+        x = empty(7, 156_253)
+        assert cli.element_work("comul", x) == 200_002
+        assert admitted("comul", 200_002) and not admitted("antipode", 200_002)
+        cli._check_elements("comul", x)
+        # a far larger q is still refused: 12,800,023 units, 128 s
+        with pytest.raises(BoundExceededError, match="degree-weighted basis indices"):
+            cli._check_elements("comul", empty(7, 10_000_019))
 
     @pytest.mark.parametrize(
         "q, text, cuts",
@@ -584,10 +623,9 @@ class TestCliWorkBounds:
     @pytest.mark.parametrize("suite, estimate", [("iso", iso_work), ("duality", duality_work)])
     def test_suites_run_up_to_their_work_bound(self, suite, estimate, monkeypatch):
         argv = ["verify", "--suite", suite, "--n", "2", "--q", "3"]
-        bound = f"{suite.upper()}_WORK_BOUND"
-        monkeypatch.setattr(cli, bound, estimate(2, 3))
+        set_budget(monkeypatch, suite, estimate(2, 3))
         assert invoke(argv)[0] == EXIT_OK
-        monkeypatch.setattr(cli, bound, estimate(2, 3) - 1)
+        set_budget(monkeypatch, suite, estimate(2, 3), below=True)
         code, out, err = invoke(argv)
         assert code == EXIT_BOUND and not out and "Traceback" not in err
 
@@ -602,11 +640,11 @@ class TestCliWorkBounds:
         assert duality_work(2, 2) == 2 * (1 + 1 + 1 * 2 * 2 + 1 + 1 * 1 * 2 + 2 * 1 * 2)
         # the admitted suites took 5-8 s; the refused (4, 7) took 23-27 s
         for n, q in ((6, 2), (5, 3), (4, 5), (3, 13)):
-            assert iso_work(n, q) <= ISO_WORK_BOUND
-            assert duality_work(n, q) <= DUALITY_WORK_BOUND
+            assert admitted("iso", iso_work(n, q))
+            assert admitted("duality", duality_work(n, q))
         for n, q in ((4, 7), (7, 2), (6, 3), (7, 3), (5, 5)):
-            assert iso_work(n, q) > ISO_WORK_BOUND
-            assert duality_work(n, q) > DUALITY_WORK_BOUND
+            assert not admitted("iso", iso_work(n, q))
+            assert not admitted("duality", duality_work(n, q))
         for n, q in [(2, 4), (-1, 2)]:
             for estimate in (iso_work, duality_work):
                 with pytest.raises(ValueError):
@@ -767,8 +805,8 @@ _BASES = st.sampled_from(
 )
 _VALUES = st.fixed_dictionaries(
     {
-        "--n": st.integers(-1, 2).map(str),
-        "--q": st.sampled_from(["2", "3", "2", "3", "5", "4", "0", "x"]),
+        "--n": st.integers(-1, 4).map(str),
+        "--q": st.sampled_from(["2", "3", "2", "3", "5", "7", "4", "0", "x"]),
         "--suite": st.sampled_from(["hopf", "iso", "oracle", "axioms", "duality", "x"]),
         "--from": _BASES,
         "--to": _BASES,
@@ -888,13 +926,9 @@ def _element_command(draw):
     return [command], element
 
 
-#: The fuzz lowers the bounds its draws can reach to about half a second of
-#: work, so that its per-example deadline fails any path that has no bound.
-_FUZZ_BOUNDS = [
-    (cli, "ELEMENT_WORK_BOUND", 5_000),
-    (cli, "TABLE_WORK_BOUND", 500_000),
-    (superfunctions, "TABLE_WORK_BOUND", 500_000),
-]
+#: The fuzz lowers the work budget to a quarter of a second, so that its
+#: per-example deadline fails any path whose estimate is far off or missing.
+_FUZZ_BUDGET_S = Fraction(1, 4)
 
 
 class TestCliFuzz:
@@ -902,8 +936,7 @@ class TestCliFuzz:
     @given(argv=_argv(), stdin_text=_STDIN)
     def test_every_command_exits_with_a_documented_code(self, argv, stdin_text):
         with pytest.MonkeyPatch.context() as patch:
-            for module, name, bound in _FUZZ_BOUNDS:
-                patch.setattr(module, name, bound)
+            patch.setattr(limits, "WORK_BUDGET_S", _FUZZ_BUDGET_S)
             code, _, err = invoke(argv, stdin_text)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
@@ -913,8 +946,7 @@ class TestCliFuzz:
     def test_valid_elements_are_computed_or_refused_within_the_deadline(self, command):
         argv, payload = command
         with pytest.MonkeyPatch.context() as patch:
-            for module, name, bound in _FUZZ_BOUNDS:
-                patch.setattr(module, name, bound)
+            patch.setattr(limits, "WORK_BUDGET_S", _FUZZ_BUDGET_S)
             code, _, err = invoke(argv, json.dumps(payload))
         # V and kappa_star are identified at q = 2 only
         assert code in (EXIT_OK, EXIT_BOUND) or (code == EXIT_INVALID and "q = 2" in err), err

@@ -239,11 +239,11 @@ class TestTables:
                         assert acc.is_zero()
 
     def test_bound_enforced(self, monkeypatch):
-        from nchopf import superfunctions
+        from nchopf import limits
 
         with pytest.raises(BoundExceededError):
             supercharacter_table(8, 2)
-        monkeypatch.setattr(superfunctions, "DEFAULT_TABLE_BOUND", 4)
+        monkeypatch.setattr(limits, "DEFAULT_TABLE_BOUND", 4)
         with pytest.raises(BoundExceededError):
             supercharacter_table(5, 2)
         # within the grade bound but over the work bound: (4, 7) has 505
