@@ -22,6 +22,7 @@ classmethods, ``coerce`` and ``from_json``.  Arithmetic on two
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from fractions import Fraction
 from typing import Sequence
@@ -39,6 +40,9 @@ class SingularMatrixError(ArithmeticError):
 
 _POOL: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _POOL_REFS = _POOL.data
+
+#: A JSON coefficient string that ``from_json`` reads as an int.
+_INTEGER_TEXT = re.compile("-?[0-9]+")
 
 
 def _intern(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
@@ -78,6 +82,8 @@ class CycRational:
         check_prime(p)
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients for conductor {p}, got {len(coeffs)}")
+        if all(type(c) is int for c in coeffs):
+            return _reduced(p, tuple(coeffs), 1)
         fractions = [Fraction(c) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fractions))
         return _reduced(p, tuple(f.numerator * (den // f.denominator) for f in fractions), den)
@@ -298,19 +304,26 @@ class CycRational:
         return out
 
     def to_json(self) -> dict:
+        if self.den == 1:
+            return {"p": self.p, "coeffs": list(map(str, self.nums))}
         return {"p": self.p, "coeffs": [_ratio_text(a, self.den) for a in self.nums]}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycRational":
         """Read {"p", "coeffs"}: p a JSON integer, each coefficient an exact
         rational given as a string ("-3/4") or a JSON integer; a float is
-        refused, since it holds no exact rational."""
+        refused, since it holds no exact rational.  Integers, and strings of
+        ASCII digits with an optional minus sign, are read as ints; every other
+        string is read by ``Fraction``, which accepts or refuses it."""
         p = json_int(data["p"], "p")
         for s in data["coeffs"]:
             if isinstance(s, bool) or not isinstance(s, (str, int)):
                 raise ValueError(f"a coefficient must be a string or a JSON integer, got {s!r}")
         try:
-            coeffs = [Fraction(s) for s in data["coeffs"]]
+            coeffs = [
+                s if type(s) is int else int(s) if _INTEGER_TEXT.fullmatch(s) else Fraction(s)
+                for s in data["coeffs"]
+            ]
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"invalid scalar {data!r}: {exc}") from exc
         return cls(p, coeffs)

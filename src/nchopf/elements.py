@@ -26,6 +26,12 @@ Delta(a) = a (x) 1 + 1 (x) a + sum_j b_j (x) c_j (middle terms),
     S(a) = -a - sum_j S(b_j) * c_j,
 
 which holds in any connected graded bialgebra.
+
+The coproduct and the antipode of each basis index are computed once and
+cached (``_COPRODUCT_CACHE`` per q and rule, ``_ANTIPODE_CACHE`` per q and
+basis).  The coproduct or antipode of a single term is its index's cached
+result scaled by the coefficient, so for a basis element it is the shared
+cached object itself.
 """
 
 from __future__ import annotations
@@ -159,7 +165,9 @@ def register_transported(
     changed back, so the result is the same Hopf algebra written in the basis
     ``tag``.  The two maps are looked up in the registry at call time, so a
     wrapper bound over them there (as the perfbench tracer does) sees every
-    call.
+    call.  A coproduct or antipode already cached was computed through the
+    maps bound then, so code that rebinds them empties ``_COPRODUCT_CACHE``
+    and ``_ANTIPODE_CACHE`` to see the new ones.
     """
     _TO_BASE[tag] = to_base
     _FROM_BASE[tag] = from_base
@@ -422,11 +430,25 @@ def basis_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     return rule(q, a, b)
 
 
+_COPRODUCT_CACHE: dict[tuple[int, CoproductRule], dict[BasisIndex, TensorElement]] = {}
+
+
 def basis_coproduct(q: int, a: BasisIndex) -> TensorElement:
+    """The coproduct of a basis index by its basis's registered rule, cached
+    per (q, rule) and index, so a second call returns the first result
+    itself.  A cache entry is keyed by the rule that computed it, so a rule
+    replaced in the registry never serves an entry of the one before.  The
+    cache, like the antipode cache, is unlocked and unbounded: a thread race
+    can only compute an entry twice, and callers never mutate the ``terms``
+    of a cached tensor."""
     rule = _COPRODUCT_RULES.get(a.basis)
     if rule is None:
         raise UnsupportedBasisError(f"no coproduct rule registered for basis {a.basis!r}")
-    return rule(q, a)
+    cache = _COPRODUCT_CACHE.setdefault((q, rule), {})
+    cached = cache.get(a)
+    if cached is None:
+        cached = cache[a] = rule(q, a)
+    return cached
 
 
 def product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -441,7 +463,11 @@ def product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
-    """Linear extension of the registered basis coproduct."""
+    """Linear extension of the registered basis coproduct.  The coproduct of
+    a basis element is its cached tensor itself."""
+    if len(x.terms) == 1:
+        ((idx, c),) = x.terms.items()
+        return basis_coproduct(x.q, idx).scale(c)
     pieces = ((c, basis_coproduct(x.q, idx).terms) for idx, c in x.terms.items())
     return TensorElement._trusted(x.q, x.basis, linear_combination(pieces))
 

@@ -514,15 +514,15 @@ def suite_duality(n: int, q: int) -> SuiteReport:
         """For every pair x, y of factors-basis elements and every
         paired-basis element z of their total grade, the two pairings that
         adjointness makes equal: of z with x y and of Delta z with x (x) y,
-        each written kappa_star side first.  Products are built once per pair
-        and coproducts once per z."""
-        coproducts = {z: coproduct(z) for z in _basis_elements(q, paired, n)}
+        each written kappa_star side first.  Products are built once per
+        pair."""
+        zs = _basis_elements(q, paired, n)
         for x, y in _pairs_up_to(_basis_elements(q, factors, n), n):
             xy, xy_tensor = product(x, y), TensorElement.tensor(x, y)
             grade = _index(x).grade + _index(y).grade
-            for z, z_coproduct in coproducts.items():
+            for z in zs:
                 if _index(z).grade == grade:
-                    pairings = ((z, xy), (z_coproduct, xy_tensor))
+                    pairings = ((z, xy), (coproduct(z), xy_tensor))
                     yield pairings if paired == "kappa_star" else tuple(p[::-1] for p in pairings)
 
     def adjoint(pairings) -> bool:

@@ -797,9 +797,10 @@ class TestCliVerify:
 
 
 
-# Fuzzing the command line: each command is given its required options most
-# of the time, and elements are drawn near the valid ones, so that draws get
-# past argument parsing and JSON decoding into the commands themselves.
+# Fuzzing the command line: each command is given its required options,
+# and its input is most often a valid element and otherwise drawn near the
+# valid ones, so that draws get past argument parsing and JSON decoding into
+# the commands themselves.
 _BASES = st.sampled_from(
     ["kappa", "chi", "kappa_star", "chi_star", "k_colored", "m", "p", "M", "U", "V", "x"]
 )
@@ -824,17 +825,34 @@ _REQUIRED = {
 
 
 @st.composite
-def _argv(draw):
+def _invocation(draw):
+    """A command line with its required options, and its standard input.
+    Two times in three the input is a valid element (two of one basis for
+    mul and pair), and convert then reads from its basis, to a target it has
+    if there is one."""
     commands = ["enumerate", "table", "mul", "comul", "antipode", "convert", "pair", "verify", "x"]
     command = draw(st.sampled_from(commands))
     values = draw(_VALUES)
-    flags = [flag for flag in _REQUIRED.get(command, []) if draw(st.integers(0, 9))]
-    if not draw(st.integers(0, 3)):
+    if draw(st.integers(0, 2)):
+        q = draw(st.sampled_from([2, 3, 5, 7]))
+        basis = draw(st.sampled_from(_ELEMENT_BASES))
+        data = draw(_valid_element(q, basis))
+        if command in ("mul", "pair"):
+            data = {"left": data, "right": draw(_valid_element(q, basis))}
+        stdin_text = json.dumps(data)
+        targets = sorted(target for source, target in cli.CONVERSIONS if source == basis)
+        values["--from"] = basis
+        if targets:
+            values["--to"] = draw(st.sampled_from(targets))
+    else:
+        stdin_text = draw(_STDIN)
+    flags = list(_REQUIRED.get(command, []))
+    if not draw(st.integers(0, 7)):
         flags.append(draw(st.sampled_from(sorted(values))))
     argv = [command] + [token for flag in flags for token in (flag, values[flag])]
-    if not draw(st.integers(0, 3)):
+    if not draw(st.integers(0, 7)):
         argv.append(draw(st.sampled_from(["--json", "--oracle", "--pretty", "--x"])))
-    return argv
+    return argv, stdin_text
 
 
 _SCALARS = st.one_of(
@@ -883,6 +901,9 @@ _STDIN = st.one_of(
 )
 
 
+_ELEMENT_BASES = ["kappa", "chi", "kappa_star", "chi_star", "k_colored", "m", "p", "U", "V"]
+
+
 @st.composite
 def _valid_element(draw, q, basis):
     """One or two terms of grade at most 8: each term's arcs join the
@@ -912,8 +933,7 @@ def _valid_element(draw, q, basis):
 def _element_command(draw):
     """An element command and its valid input, at q up to 101."""
     q = draw(st.sampled_from([2, 3, 5, 7, 101]))
-    bases = ["kappa", "chi", "kappa_star", "chi_star", "k_colored", "m", "p", "U", "V"]
-    basis = draw(st.sampled_from(bases))
+    basis = draw(st.sampled_from(_ELEMENT_BASES))
     command = draw(st.sampled_from(["mul", "comul", "antipode", "convert"]))
     element = draw(_valid_element(q, basis))
     if command == "mul":
@@ -933,8 +953,9 @@ _FUZZ_BUDGET_S = Fraction(1, 4)
 
 class TestCliFuzz:
     @settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5), database=None)
-    @given(argv=_argv(), stdin_text=_STDIN)
-    def test_every_command_exits_with_a_documented_code(self, argv, stdin_text):
+    @given(invocation=_invocation())
+    def test_every_command_exits_with_a_documented_code(self, invocation):
+        argv, stdin_text = invocation
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(limits, "WORK_BUDGET_S", _FUZZ_BUDGET_S)
             code, _, err = invoke(argv, stdin_text)

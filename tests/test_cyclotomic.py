@@ -376,6 +376,34 @@ class TestHashConsing:
         with pytest.raises(ValueError):
             CycRational.from_json(data)
 
+    # Strings of ASCII digits are read as ints; every string must still read
+    # as Fraction reads it, or be refused where Fraction refuses it.
+    @pytest.mark.parametrize(
+        "text",
+        [" 3", "3 ", "\t-3\n", "+3", "1_000", "-0", "007", "1/1", "-6/4", "3/0",
+         "1.5", "1e3", "", "-", "x", "\u0663", "9" * 5000],
+    )
+    def test_from_json_reads_a_string_as_fraction_does(self, text):
+        data = {"p": 3, "coeffs": [text, "1"]}
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                CycRational.from_json(data)
+        else:
+            assert CycRational.from_json(data) == CycRational(3, [expected, 1])
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, float("nan"), True, False, None, [1], {}])
+    def test_from_json_refuses_a_coefficient_that_is_not_a_string_or_integer(self, value):
+        with pytest.raises(ValueError):
+            CycRational.from_json({"p": 3, "coeffs": [value, "1"]})
+
+    def test_from_json_reads_integers_and_integer_strings_alike(self):
+        x = CycRational(5, [Fraction(-3), Fraction(0), Fraction(10**30), Fraction(1)])
+        assert CycRational.from_json({"p": 5, "coeffs": [-3, 0, 10**30, 1]}) is x
+        assert CycRational.from_json({"p": 5, "coeffs": ["-3", "-0", str(10**30), "01"]}) is x
+        assert CycRational(5, [-3, 0, 10**30, 1]) is x
+
     def test_immutable_and_picklable(self):
         import pickle
 

@@ -312,6 +312,7 @@ class TestLabeledBasisReference:
         monkeypatch.setattr(ncsym, "expand_k_in_colored_m", refuse)
         monkeypatch.setattr(ncsym, "_collect_k", refuse)
         monkeypatch.setattr(elements, "_ANTIPODE_CACHE", {})  # so the recursion runs
+        monkeypatch.setattr(elements, "_COPRODUCT_CACHE", {})  # so the rules run
         basis = _k_basis(3, 3)
         for x in basis:
             assert coproduct(x).basis == antipode(x).basis == "k_colored"

@@ -5,6 +5,9 @@ Structure maps, basis changes and the antipode build their results through
 constructor makes.  Each result here is rebuilt through the public
 constructor, which re-validates every index and coefficient, and must come
 out equal, with every coefficient a nonzero scalar of conductor q.
+
+The coproduct of a basis element is cached per (q, rule) and index; the
+cached tensor is checked here against its rule, on the same indices.
 """
 
 import copy
@@ -13,16 +16,19 @@ import pickle
 
 import pytest
 
-from nchopf import cli
+from nchopf import cli, elements
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import (
+    _COPRODUCT_RULES,
     _PRODUCT_RULES,
     AlgebraElement,
     BasisIndex,
     TensorElement,
     antipode,
+    basis_coproduct,
     coproduct,
+    register_basis,
     product,
 )
 from nchopf.ncsym import ColoredIndex, ch
@@ -123,3 +129,49 @@ def test_elements_of_every_basis_pickle_and_copy(basis, clone):
     if basis != "M":
         t = coproduct(x)
         assert clone(t) == t
+
+
+class TestCoproductCache:
+    """A basis element's coproduct is computed once per (q, rule) and shared."""
+
+    @pytest.mark.parametrize("q", sorted(TOP_GRADE))
+    def test_cached_coproduct_equals_its_rule_on_every_index(self, q):
+        for basis in sorted(_COPRODUCT_RULES):
+            rule = _COPRODUCT_RULES[basis]
+            for grade in range(TOP_GRADE[q] + 1):
+                for idx in indices(q, basis, grade):
+                    cached = basis_coproduct(q, idx)
+                    assert cached == rule(q, idx)
+                    assert basis_coproduct(q, idx) is cached
+
+    @pytest.mark.parametrize("basis", sorted(_COPRODUCT_RULES))
+    def test_a_second_coproduct_is_the_first(self, basis):
+        x = monomials(3, basis, 2)[-1]
+        assert coproduct(x) is coproduct(AlgebraElement(3, basis, dict(x.terms)))
+
+    def test_a_scaled_coproduct_leaves_the_cached_tensor_unchanged(self):
+        x = monomials(3, "chi", 3)[-1]
+        c = CycRational(3, [1, -2])
+        shared = coproduct(x)
+        before = dict(shared.terms)
+        assert coproduct(x.scale(c)) == shared.scale(c) != shared
+        assert coproduct(x) is shared and shared.terms == before
+
+    def test_a_replaced_rule_gets_no_stale_entry(self, monkeypatch):
+        x = monomials(3, "kappa", 3)[-1]
+        rule = _COPRODUCT_RULES["kappa"]
+        expected = coproduct(x)
+
+        def doubled(q, idx):
+            return rule(q, idx).scale(2)
+
+        def tripled(q, idx):
+            return rule(q, idx).scale(3)
+
+        monkeypatch.setitem(_COPRODUCT_RULES, "kappa", doubled)
+        assert coproduct(x) == expected.scale(2)
+        register_basis("kappa", coproduct=tripled)
+        assert coproduct(x) == expected.scale(3)
+        monkeypatch.undo()
+        assert _COPRODUCT_RULES["kappa"] is rule and coproduct(x) is expected
+        assert set(elements._COPRODUCT_CACHE) >= {(3, rule), (3, doubled), (3, tripled)}
