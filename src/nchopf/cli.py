@@ -35,7 +35,15 @@ from .setpartitions import (
 )
 from .superfunctions import chi_to_kappa, inner_product, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
-from .verify import SUITES, duality_work, hopf_work, iso_work, oracle_work, run_suite
+from .verify import (
+    SUITES,
+    axioms_work,
+    duality_work,
+    hopf_work,
+    iso_work,
+    oracle_work,
+    run_suite,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -262,7 +270,7 @@ _SUITE_WORK = {
     "hopf": ("hopf", hopf_work),
     "iso": ("iso", iso_work),
     "duality": ("duality", duality_work),
-    "axioms": ("oracle", oracle_work),
+    "axioms": ("oracle", axioms_work),
     "oracle": ("oracle", oracle_work),
 }
 

@@ -12,12 +12,17 @@ linear maps.
 
 Each basis registers its structure maps (product and coproduct on basis
 indices) in a module-level registry; the generic product, coproduct, counit,
-and antipode dispatch through it.  A basis that is a change of basis away
-from another one (chi from kappa, chi_star from kappa_star, V from U)
-registers through ``register_transported`` instead: its product, coproduct
-and antipode are the base basis's maps conjugated by the two basis changes.
-A rule registered afterwards replaces the transported map (chi_star's
-coproduct is deconcatenation); the antipode stays conjugated.
+and antipode dispatch through it.  A basis registers when its module is
+imported, and ``BASIS_MODULES`` names that module for every tag: building the
+first index of a tag imports it, so every index that exists belongs to a
+basis whose rules are registered, whichever modules the caller imported.
+
+A basis that is a change of basis away from another one (chi from kappa,
+chi_star from kappa_star, V from U) registers through
+``register_transported`` instead: its product, coproduct and antipode are
+the base basis's maps conjugated by the two basis changes.  A rule
+registered afterwards replaces the transported map (chi_star's coproduct is
+deconcatenation); the antipode stays conjugated.
 
 In a basis with its own structure maps the antipode is computed grade by
 grade from the coproduct: for a basis element a of grade n >= 1 with
@@ -36,6 +41,7 @@ cached object itself.
 
 from __future__ import annotations
 
+import importlib
 import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -66,8 +72,8 @@ class BasisIndex:
     ``Permutation`` for the "M" basis, and a ``ColoredIndex`` for the colored
     monomial basis "m_colored": the type each basis registers.  Hash-consed
     like the partitions: the constructor returns the instance held under
-    (basis, grade, partition) in a weak pool, validating only when it builds
-    a new one.
+    (basis, grade, partition) in a weak pool, validating, and importing the
+    module that registers the basis, only when it builds a new one.
     """
 
     __slots__ = ("basis", "grade", "partition", "_hash", "__weakref__")
@@ -77,6 +83,7 @@ class BasisIndex:
         idx = _INDEX_REFS.get(key, _no_ref)()
         if idx is not None:
             return idx
+        _load_basis(basis)
         if not isinstance(partition, _INDEX_TYPES.get(basis, ())):
             raise ValueError(f"{partition!r} is not an index of basis {basis!r}")
         if partition.n != grade:
@@ -119,6 +126,31 @@ class BasisIndex:
 
 # ---------------------------------------------------------------------------
 # basis registry
+
+#: The module that registers each basis's rules, by tag.
+BASIS_MODULES = {
+    "kappa": "superfunctions",
+    "chi": "superfunctions",
+    "m": "ncsym",
+    "p": "ncsym",
+    "k_colored": "ncsym",
+    "m_colored": "ncsym",
+    "kappa_star": "duals",
+    "chi_star": "duals",
+    "U": "duals",
+    "V": "duals",
+    "M": "duals",
+}
+
+
+def _load_basis(basis: str) -> None:
+    """Import the module that registers ``basis``, if the tag is known.  Once
+    the module is loaded this is a lookup in ``sys.modules``, which also waits
+    for a module that another thread is still importing."""
+    module = BASIS_MODULES.get(basis)
+    if module is not None:
+        importlib.import_module(f"{__package__}.{module}")
+
 
 ProductRule = Callable[[int, BasisIndex, BasisIndex], "AlgebraElement"]
 CoproductRule = Callable[[int, BasisIndex], "TensorElement"]
@@ -187,6 +219,7 @@ def _transported_coproduct(q: int, a: BasisIndex) -> "TensorElement":
 
 
 def unit_index(basis: str) -> BasisIndex:
+    _load_basis(basis)
     factory = _UNIT_KEYS.get(basis, lambda: LabeledSetPartition(0))
     return BasisIndex(basis, 0, factory())
 

@@ -58,13 +58,14 @@ UNIT_COST_NS = {
     # Refused: (4, 7) at 1,194,546 took 23 s; (7, 2) at 4,675,644 ran past
     # 20 s.
     "duality": 100_000,
-    # verify.oracle_work, supercharacters times group elements, for the
-    # axioms and oracle suites.  Admitted: (5, 2) at 53,248 units took
+    # verify.axioms_work, supercharacters times group elements, and
+    # verify.oracle_work, which adds the SInd/Res sandwiches where the
+    # oracle suite runs that check.  Admitted: (5, 2) at 53,248 units took
     # 17.8-23.3 s (oracle, 0.33-0.44 ms/unit) and 2.4 s (axioms), (4, 3) at
-    # 35,721 11.9 s and 1.1 s, (2, 101) at 10,201.  (3, 5) at 3,625 took
-    # 8.8-10.9 s (oracle, 2.4-3.0 ms/unit): this row underestimates it
-    # 2.4-3.0x.  Refused: (4, 5) at 3.1e6, (6, 2) at 6.7e6 and (5, 3) at
-    # 1.5e7 ran past 45 s.
+    # 35,721 11.9 s and 1.1 s, (2, 101) at 10,201 (axioms) and 15,352
+    # (oracle); (3, 5) at 13,390 took 8.7-10.9 s (oracle, 0.65-0.81
+    # ms/unit) and (4, 2) at 2,270 1.8 s.  Refused: (4, 5) at 3.1e6, (6, 2)
+    # at 6.7e6 and (5, 3) at 1.5e7 ran past 45 s.
     "oracle": 1_000_000,
     # setpartitions.count_labeled_partitions, per listed partition of
     # ``nchopf enumerate``.  Admitted: (7, 5) at 170,389 took 5.3 s

@@ -11,10 +11,17 @@ from __future__ import annotations
 import json
 
 from .cyclotomic import CycRational
-from .duals import Permutation
-from .elements import ARC_BASES, AlgebraElement, BasisIndex, TensorElement, linear_combination
-from .ncsym import ColoredIndex
-from .setpartitions import LabeledSetPartition, check_prime, json_int
+from .elements import (
+    _INDEX_TYPES,
+    ARC_BASES,
+    BASIS_MODULES,
+    AlgebraElement,
+    BasisIndex,
+    TensorElement,
+    _load_basis,
+    linear_combination,
+)
+from .setpartitions import check_prime, json_int
 
 
 def _index_payload(idx: BasisIndex) -> dict:
@@ -26,23 +33,21 @@ def _index_payload(idx: BasisIndex) -> dict:
 
 
 def _index_from_payload(basis: str, data: dict) -> BasisIndex:
-    if basis == "M":
-        partition = Permutation.from_json(data)
-    elif basis == "m_colored":
-        partition = ColoredIndex.from_json(data)
-    else:
-        partition = LabeledSetPartition.from_json(data)
+    """The index a payload names, read by the type its basis registered."""
+    partition = _INDEX_TYPES[basis].from_json(data)
     return BasisIndex(basis, partition.n, partition)
 
 
 def _from_json(cls, data: dict, index_of):
     """Read an element or tensor: q and the basis tag are checked before any
-    term is, and repeated indices are summed."""
+    term is, and repeated indices are summed.  Reading a tag imports the
+    module that registers its basis."""
     q = json_int(data["q"], "q")
     check_prime(q)
     basis = data["basis"]
-    if basis not in ARC_BASES | {"M", "m_colored"}:
+    if basis not in BASIS_MODULES:
         raise ValueError(f"no JSON form for basis {basis!r}")
+    _load_basis(basis)
     pieces = (
         (CycRational.from_json(item["coeff"]), {index_of(basis, item): 1})
         for item in data["terms"]

@@ -14,8 +14,8 @@ i < j, in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import CycRational, theta
 from .limits import DEFAULT_GROUP_BOUND, BoundExceededError
@@ -410,8 +410,7 @@ def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
 # raw class functions and the four function-level operations
 
 
-@dataclass(frozen=True)
-class ClassFunctionRaw:
+class ClassFunctionRaw(NamedTuple):
     """A function on all of UT_n(q), dense, with exact values."""
 
     n: int
@@ -422,8 +421,7 @@ class ClassFunctionRaw:
         return self.values[u]
 
 
-@dataclass(frozen=True)
-class ProductClassFunction:
+class ProductClassFunction(NamedTuple):
     """A function on a product UT_{n_1}(q) x ... x UT_{n_l}(q)."""
 
     ns: tuple[int, ...]

@@ -35,6 +35,21 @@ class TestOracleSuite:
         for name in ("sind-res-adjointness", "inf-def-adjointness"):
             assert checks[name].passed and not checks[name].skipped
 
+    @pytest.mark.parametrize("lowered", [False, True])
+    @pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (3, 2), (3, 3)])
+    def test_work_counts_the_sandwiches_exactly_where_sind_runs(self, n, q, lowered, monkeypatch):
+        # Lowering the bound below |G|^3 makes the suite skip SInd/Res; the
+        # estimate must then drop the term, and add it whenever the check runs.
+        cube = q ** (3 * (n * (n - 1) // 2))
+        if lowered:
+            monkeypatch.setattr(verify, "SIND_ADJOINTNESS_BOUND", cube - 1)
+        check = {c.name: c for c in suite_oracle(n, q).checks}["sind-res-adjointness"]
+        term = 0 if check.skipped else cube // verify.SANDWICHES_PER_UNIT
+        assert verify.oracle_work(n, q) == verify.axioms_work(n, q) + term
+        assert check.skipped == (n < 2 or lowered)
+        if (n, q) == (3, 3) and not lowered:
+            assert term == 98
+
 
 def _tracer_targets():
     """TARGETS of the benchmark tracer, read from its source without importing it."""
@@ -64,9 +79,15 @@ def test_every_tracer_target_resolves():
 
 
 def test_importing_the_cli_loads_every_tracer_target_module():
-    # Tracer.install imports nchopf.cli and then reads each target's module
-    # from sys.modules, so every such module must be loaded by that import
-    # alone: checked in a fresh interpreter, since this one has imported them.
+    """Pins the benchmark tracer's import contract.
+
+    ``Tracer.install`` imports ``nchopf.cli`` and then reads each target's
+    module from ``sys.modules``, so a CLI that imported its modules per
+    command would make every traced benchmark run fail with a ``KeyError``.
+    The package namespace is lazy, so this import is what still loads every
+    module; the test checks it in a fresh interpreter, since this one has
+    imported them all.  It can go once the tracer reads an absent target as
+    zero calls."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
