@@ -26,13 +26,7 @@ from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
 from .limits import BoundExceededError, check_grade, check_work, degree_weighted
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
-from .setpartitions import (
-    arc_encoding,
-    check_prime,
-    count_labeled_partitions,
-    enumerate_labeled_partitions,
-    underlying_set_partition,
-)
+from .setpartitions import check_prime, count_labeled_partitions, enumerate_labeled_partitions
 from .superfunctions import chi_to_kappa, inner_product, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
 from .verify import (
@@ -63,10 +57,8 @@ class _Parser(argparse.ArgumentParser):
 def _dual_ch_inverse(x: AlgebraElement) -> AlgebraElement:
     if x.basis != "V" or x.q != 2:
         raise ValueError("conversion V -> kappa_star is defined at q = 2")
-    terms = {
-        BasisIndex("kappa_star", idx.grade, arc_encoding(underlying_set_partition(idx.partition))): c
-        for idx, c in x.terms.items()
-    }
+    # a V index is the arc encoding of its set partition, a kappa_star index at q = 2
+    terms = {BasisIndex("kappa_star", idx.grade, idx.partition): c for idx, c in x.terms.items()}
     return AlgebraElement(x.q, "kappa_star", terms)
 
 

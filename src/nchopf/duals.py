@@ -16,6 +16,16 @@ Bases:
   spans the dual of the noncommuting-variables algebra.
 * "V": the image of kappa_star in the U realization,
   V of a partition = sum of U over its refinements.
+
+U and V are indexed by the arc encodings of set partitions, on which the
+embedding and cutting rules read the blocks as they read arcs.  So both
+register kappa_star's product; U registers chi_star's deconcatenation (a
+cut splits every block cleanly exactly when no arc spans it) and V
+kappa_star's coproduct, since ``dual_ch`` matches V with kappa_star index
+for index.  The shared rules build their keys in the tag of their
+argument.  Expanding into U, operating there and changing back
+(``via_U``) is the reference that the tests and the iso suite compare V
+against.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .elements import (
     TensorElement,
     linear_combination,
     linear_map,
+    map_tensor,
     product,
     register_basis,
     register_transported,
@@ -149,6 +160,8 @@ def kappa_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElem
 
 
 def _kappa_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
+    """mu embedded along every subset of the joint ground set of its size
+    and nu along the complement; the keys carry a's tag."""
     mu, nu = a.partition, b.partition
     n = mu.n + nu.n
     terms: Counter = Counter()
@@ -158,8 +171,8 @@ def _kappa_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
         # mu embedded along subset and nu along its complement
         arcs = [(subset[l - 1], subset[r - 1], c) for l, r, c in mu.arcs]
         arcs += [(complement[l - 1], complement[r - 1], c) for l, r, c in nu.arcs]
-        terms[BasisIndex("kappa_star", n, _labeled(n, tuple(sorted(arcs))))] += 1
-    return AlgebraElement._trusted(q, "kappa_star", terms)
+        terms[BasisIndex(a.basis, n, _labeled(n, tuple(sorted(arcs))))] += 1
+    return AlgebraElement._trusted(q, a.basis, terms)
 
 
 def _cut_terms(a: BasisIndex, cuts: Iterable[int]) -> dict:
@@ -176,7 +189,7 @@ def _cut_terms(a: BasisIndex, cuts: Iterable[int]) -> dict:
 
 
 def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    return TensorElement._trusted(q, "kappa_star", _cut_terms(a, range(a.grade + 1)))
+    return TensorElement._trusted(q, a.basis, _cut_terms(a, range(a.grade + 1)))
 
 
 register_basis("kappa_star", product=_kappa_star_product, coproduct=_kappa_star_coproduct)
@@ -275,10 +288,10 @@ def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
 def _chi_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
     """Deconcatenation, dual to the concatenation product of the
     supercharacters: chi_star_lam splits at each cut point that no arc of
-    lam spans, so no arc is dropped."""
+    lam spans, so no arc is dropped.  In the tag of a."""
     arcs = a.partition.arcs
     cuts = (k for k in range(a.grade + 1) if not any(l <= k < r for l, r, _ in arcs))
-    return TensorElement._trusted(q, "chi_star", _cut_terms(a, cuts))
+    return TensorElement._trusted(q, a.basis, _cut_terms(a, cuts))
 
 
 # The product and the antipode stay transported from kappa_star; the
@@ -301,7 +314,8 @@ def _M_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     m, n = alpha.n, beta.n
     terms: Counter = Counter()
     for subset in itertools.combinations(range(1, m + n + 1), m):
-        complement = tuple(i for i in range(1, m + n + 1) if i not in set(subset))
+        members = set(subset)
+        complement = tuple(i for i in range(1, m + n + 1) if i not in members)
         word = [0] * (m + n)
         for i in range(1, m + 1):
             word[subset[i - 1] - 1] = subset[alpha(i) - 1]
@@ -334,45 +348,10 @@ def _sp_of(idx: BasisIndex) -> SetPartition:
     return underlying_set_partition(idx.partition)
 
 
-def _U_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    """Same splitting process as the kappa_star product, on block structures:
-    the coefficient of U_lambda counts the splittings of lambda's blocks into
-    two groups standardizing to the two factors."""
-    mu, nu = _sp_of(a), _sp_of(b)
-    n = mu.n + nu.n
-    terms: Counter = Counter()
-    for subset in itertools.combinations(range(1, n + 1), mu.n):
-        members = set(subset)
-        complement = [i for i in range(1, n + 1) if i not in members]
-        # embedding along subset and complement keeps each block increasing
-        blocks = [tuple(subset[i - 1] for i in block) for block in mu.blocks] + [
-            tuple(complement[i - 1] for i in block) for block in nu.blocks
-        ]
-        sp = _set_partition(n, tuple(sorted(blocks)))
-        terms[BasisIndex("U", n, arc_encoding(sp))] += 1
-    return AlgebraElement._trusted(q, "U", terms)
-
-
-def _U_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    """Dual to the concatenation product: only cuts that split every block
-    cleanly contribute."""
-    sp = _sp_of(a)
-    n = sp.n
-    terms: Counter = Counter()
-    for k in range(n + 1):
-        left_blocks = tuple(b for b in sp.blocks if b[-1] <= k)
-        right_blocks = tuple(tuple(i - k for i in b) for b in sp.blocks if b[0] > k)
-        if sum(len(b) for b in left_blocks) != k:
-            continue
-        key = (
-            BasisIndex("U", k, arc_encoding(_set_partition(k, left_blocks))),
-            BasisIndex("U", n - k, arc_encoding(_set_partition(n - k, right_blocks))),
-        )
-        terms[key] += 1
-    return TensorElement._trusted(q, "U", terms)
-
-
-register_basis("U", product=_U_product, coproduct=_U_coproduct)
+# the rules of kappa_star and chi_star, with the keys in the U and V tags
+# (see the module docstring)
+register_basis("U", product=_kappa_star_product, coproduct=_chi_star_coproduct)
+register_basis("V", product=_kappa_star_product, coproduct=_kappa_star_coproduct)
 
 
 def product_U(mu: SetPartition, nu: SetPartition, q: int = 2) -> AlgebraElement:
@@ -403,7 +382,12 @@ def v_to_u(x: AlgebraElement) -> AlgebraElement:
     return linear_map(x, "U", lambda idx: V_from_U(_sp_of(idx), x.q).terms, source="V")
 
 
-register_transported("V", v_to_u, u_to_v)
+def via_U(op, *xs: AlgebraElement) -> AlgebraElement | TensorElement:
+    """The reference for a structure map of V: ``op`` (product, coproduct or
+    antipode) applied to the U expansions of the V elements xs, and the
+    result changed back to V."""
+    out = op(*map(v_to_u, xs))
+    return map_tensor(out, u_to_v) if isinstance(out, TensorElement) else u_to_v(out)
 
 
 def dual_ch(x: AlgebraElement) -> AlgebraElement:
@@ -413,10 +397,8 @@ def dual_ch(x: AlgebraElement) -> AlgebraElement:
         raise ValueError(f"dual_ch is defined on kappa_star elements, got {x.basis!r}")
     if x.q != 2:
         raise ValueError("the dual identification is implemented for q = 2 only")
-    terms = {
-        BasisIndex("V", idx.grade, arc_encoding(underlying_set_partition(idx.partition))): c
-        for idx, c in x.terms.items()
-    }
+    # at q = 2 every label is 1, so a kappa_star index is its own arc encoding
+    terms = {BasisIndex("V", idx.grade, idx.partition): c for idx, c in x.terms.items()}
     return AlgebraElement._trusted(x.q, "V", terms)
 
 

@@ -17,12 +17,12 @@ imported, and ``BASIS_MODULES`` names that module for every tag: building the
 first index of a tag imports it, so every index that exists belongs to a
 basis whose rules are registered, whichever modules the caller imported.
 
-A basis that is a change of basis away from another one (chi from kappa,
-chi_star from kappa_star, V from U) registers through
-``register_transported`` instead: its product, coproduct and antipode are
-the base basis's maps conjugated by the two basis changes.  A rule
-registered afterwards replaces the transported map (chi_star's coproduct is
-deconcatenation); the antipode stays conjugated.
+A basis that is a change of basis away from another one, with no rule of
+its own for an operation (chi from kappa, chi_star from kappa_star),
+registers through ``register_transported`` instead: its product, coproduct
+and antipode are the base basis's maps conjugated by the two basis changes.
+A rule registered afterwards replaces the transported map (chi_star's
+coproduct is deconcatenation); the antipode stays conjugated.
 
 In a basis with its own structure maps the antipode is computed grade by
 grade from the coproduct: for a basis element a of grade n >= 1 with
@@ -189,7 +189,9 @@ def register_transported(
     to_base: Callable[["AlgebraElement"], "AlgebraElement"],
     from_base: Callable[["AlgebraElement"], "AlgebraElement"],
 ) -> None:
-    """Give a basis the structure maps carried over from another basis.
+    """Give a basis the structure maps carried over from another basis: chi
+    those of kappa and chi_star those of kappa_star, through their table
+    basis changes.
 
     ``to_base`` changes an element of ``tag`` into the base basis and
     ``from_base`` changes back; both must be linear and mutually inverse.

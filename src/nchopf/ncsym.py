@@ -49,7 +49,7 @@ from .setpartitions import (
     arc_encoding,
     check_prime,
     coarsenings,
-    concat_set_partitions,
+    concat,
     json_int,
     partition_mobius,
     underlying_set_partition,
@@ -247,7 +247,10 @@ def _standardize_blocks(blocks: list[tuple[int, ...]]) -> tuple[SetPartition, li
     return _set_partition(len(ground), relabeled), ground
 
 
-def _split_coproduct(q: int, a: BasisIndex, tag: str) -> TensorElement:
+def _split_coproduct(q: int, a: BasisIndex) -> TensorElement:
+    """Every split of the blocks into two groups, each standardized, in the
+    tag of a."""
+    tag = a.basis
     terms = Counter(
         (BasisIndex(tag, left.n, arc_encoding(left)), BasisIndex(tag, right.n, arc_encoding(right)))
         for (left, _), (right, _) in _block_subset_splits(_partition_of(a))
@@ -255,13 +258,14 @@ def _split_coproduct(q: int, a: BasisIndex, tag: str) -> TensorElement:
     return TensorElement._trusted(q, tag, terms)
 
 
-def _p_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    merged = concat_set_partitions(_partition_of(a), _partition_of(b))
-    return AlgebraElement._trusted(q, "p", {BasisIndex("p", merged.n, arc_encoding(merged)): 1})
+def _concat_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
+    """Concatenation: b's arcs placed to the right of a's, in the tag of a."""
+    lam = concat(a.partition, b.partition)
+    return AlgebraElement._trusted(q, a.basis, {BasisIndex(a.basis, lam.n, lam): 1})
 
 
-register_basis("m", product=_m_product, coproduct=lambda q, a: _split_coproduct(q, a, "m"))
-register_basis("p", product=_p_product, coproduct=lambda q, a: _split_coproduct(q, a, "p"))
+register_basis("m", product=_m_product, coproduct=_split_coproduct)
+register_basis("p", product=_concat_product, coproduct=_split_coproduct)
 
 
 def m_to_p(x: AlgebraElement) -> AlgebraElement:
@@ -454,10 +458,8 @@ def ch(x: AlgebraElement) -> AlgebraElement:
     if x.basis != "kappa":
         raise ValueError(f"ch is defined on kappa elements, got basis {x.basis!r}")
     if x.q == 2:
-        terms = {
-            BasisIndex("m", idx.grade, arc_encoding(underlying_set_partition(idx.partition))): c
-            for idx, c in x.terms.items()
-        }
+        # every label is 1, so a kappa index is its own arc encoding
+        terms = {BasisIndex("m", idx.grade, idx.partition): c for idx, c in x.terms.items()}
         return AlgebraElement._trusted(x.q, "m", terms)
     terms = {BasisIndex("k_colored", idx.grade, idx.partition): c for idx, c in x.terms.items()}
     return AlgebraElement._trusted(x.q, "k_colored", terms)

@@ -29,7 +29,7 @@ from .elements import (
     unit_index,
 )
 from .ncsym import ch, via_colored_m
-from .duals import dual_ch, duality_pairing, duality_pairing_tensor
+from .duals import dual_ch, duality_pairing, duality_pairing_tensor, via_U
 from .setpartitions import (
     LabeledSetPartition,
     SetComposition,
@@ -106,7 +106,7 @@ def hopf_bases(q: int) -> list[str]:
 
 
 def basis_indices(q: int, tag: str, grade: int) -> list[BasisIndex]:
-    if tag in ("m", "p", "U", "V"):
+    if tag in SET_PARTITION_BASES:
         return [
             BasisIndex(tag, grade, arc_encoding(sp)) for sp in all_set_partitions(grade)
         ]
@@ -370,7 +370,9 @@ def suite_iso(n: int, q: int) -> SuiteReport:
     At q > 2, ch lands in the k basis, which carries kappa's own rules, so
     the image side is computed the reference way (``ncsym.via_colored_m``):
     in colored monomials, collected back on k.  At q = 2 it lands in m,
-    whose rules are independent of kappa's."""
+    whose rules are independent of kappa's.  dual_ch lands in V, which
+    carries kappa_star's rules, so its image side goes through U
+    (``duals.via_U``)."""
     if q == 2:
         mul, comul, anti = product, coproduct, antipode
     else:
@@ -384,7 +386,9 @@ def suite_iso(n: int, q: int) -> SuiteReport:
         _check("ch:bijective-on-bases", grades, lambda g: len({_index(ch(x)) for x in g}) == len(g)),
     ]
     if q == 2:
-        checks += _morphism_checks("dual_ch", dual_ch, _basis_elements(q, "kappa_star", n), n)
+        mul, comul = (functools.partial(via_U, op) for op in (product, coproduct))
+        stars = _basis_elements(q, "kappa_star", n)
+        checks += _morphism_checks("dual_ch", dual_ch, stars, n, mul, comul)
     return SuiteReport("iso", n, q, None, tuple(checks))
 
 

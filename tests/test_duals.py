@@ -9,6 +9,7 @@ from nchopf.elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
+    antipode,
     basis_coproduct,
     coproduct,
     product,
@@ -34,12 +35,14 @@ from nchopf.duals import (
     product_U,
     u_to_v,
     v_to_u,
+    via_U,
     z_scalar,
 )
 from nchopf.setpartitions import (
     LabeledSetPartition,
     SetPartition,
     all_set_partitions,
+    arc_encoding,
     crossing_statistic,
     enumerate_labeled_partitions,
     underlying_set_partition,
@@ -320,6 +323,19 @@ class TestMBasis:
                 assert product_M(a, b) == product_M(b, a)
 
 
+def u_index(partition):
+    return BasisIndex("U", partition.n, arc_encoding(partition))
+
+
+def set_partition_pairs(top):
+    """Every pair of set partitions with grades summing to at most top."""
+    for total in range(top + 1):
+        for a in range(total + 1):
+            for mu in all_set_partitions(a):
+                for nu in all_set_partitions(total - a):
+                    yield mu, nu
+
+
 def permutations_with_support(partition):
     """All permutations whose cycle supports are exactly the given blocks."""
     per_block = []
@@ -356,20 +372,19 @@ class TestUBasis:
     def test_aggregates_the_permutation_products(self):
         # summing M products over all permutations with the given cycle
         # supports must reproduce the U coefficients blockwise
-        for mu in all_set_partitions(2):
-            for nu in all_set_partitions(2):
-                total = {}
-                for a in permutations_with_support(mu):
-                    for b in permutations_with_support(nu):
-                        for idx, c in product_M(a, b).terms.items():
-                            key = csupp(idx.partition)
-                            total[key] = total.get(key, 0) + int(c.rational_value())
-                expected = {}
-                for idx, c in product_U(mu, nu).terms.items():
-                    lam = underlying_set_partition(idx.partition)
-                    count = len(permutations_with_support(lam))
-                    expected[lam] = int(c.rational_value()) * count
-                assert total == expected
+        for mu, nu in set_partition_pairs(4):
+            total = {}
+            for a in permutations_with_support(mu):
+                for b in permutations_with_support(nu):
+                    for idx, c in product_M(a, b).terms.items():
+                        key = csupp(idx.partition)
+                        total[key] = total.get(key, 0) + int(c.rational_value())
+            expected = {}
+            for idx, c in product_U(mu, nu).terms.items():
+                lam = underlying_set_partition(idx.partition)
+                count = len(permutations_with_support(lam))
+                expected[lam] = int(c.rational_value()) * count
+            assert total == expected
 
     def test_coefficients_count_block_splittings(self):
         # dual description: the coefficient of U_lambda counts the ways of
@@ -380,38 +395,23 @@ class TestUBasis:
             relabel = {pos: r + 1 for r, pos in enumerate(ground)}
             return SetPartition(len(ground), [[relabel[i] for i in b] for b in blocks])
 
-        for mu in all_set_partitions(2):
-            for nu in all_set_partitions(2):
-                result = product_U(mu, nu)
-                for idx, coeff in result.terms.items():
-                    lam = underlying_set_partition(idx.partition)
-                    count = 0
-                    for size in range(len(lam.blocks) + 1):
-                        for chosen in itertools.combinations(range(len(lam.blocks)), size):
-                            chosen_set = set(chosen)
-                            first = [lam.blocks[i] for i in chosen]
-                            second = [
-                                lam.blocks[i]
-                                for i in range(len(lam.blocks))
-                                if i not in chosen_set
-                            ]
-                            if (
-                                standardize(first, lam.n) == mu
-                                and standardize(second, lam.n) == nu
-                            ):
-                                count += 1
-                    assert int(coeff.rational_value()) == count
+        for mu, nu in set_partition_pairs(4):
+            result = product_U(mu, nu)
+            for idx, coeff in result.terms.items():
+                lam = underlying_set_partition(idx.partition)
+                count = 0
+                for size in range(len(lam.blocks) + 1):
+                    for chosen in itertools.combinations(range(len(lam.blocks)), size):
+                        chosen_set = set(chosen)
+                        first = [lam.blocks[i] for i in chosen]
+                        second = [
+                            lam.blocks[i] for i in range(len(lam.blocks)) if i not in chosen_set
+                        ]
+                        if standardize(first, lam.n) == mu and standardize(second, lam.n) == nu:
+                            count += 1
+                assert int(coeff.rational_value()) == count
 
     def test_coproduct_uses_clean_cuts_only(self):
-        t = coproduct(U_element(2, sp("13|2")))
-        pairs = {
-            (
-                underlying_set_partition(l.partition).to_text(),
-                underlying_set_partition(r.partition).to_text(),
-            )
-            for (l, r) in t.terms
-        }
-        assert pairs == {("/", "13|2"), ("13|2", "/")}
         t = coproduct(U_element(2, sp("1|23")))
         pairs = {
             (
@@ -421,6 +421,18 @@ class TestUBasis:
             for (l, r) in t.terms
         }
         assert pairs == {("/", "1|23"), ("1", "12"), ("1|23", "/")}
+        # every set partition up to grade 5: one term U_left (x) U_right per
+        # cut k that leaves every block inside [1, k] or inside [k + 1, n]
+        for n in range(6):
+            for partition in all_set_partitions(n):
+                expected = {}
+                for k in range(n + 1):
+                    left = [b for b in partition.blocks if b[-1] <= k]
+                    right = [[i - k for i in b] for b in partition.blocks if b[0] > k]
+                    if len(left) + len(right) == len(partition.blocks):
+                        sides = (SetPartition(k, left), SetPartition(n - k, right))
+                        expected[tuple(u_index(side) for side in sides)] = 1
+                assert coproduct(U_element(2, partition)) == TensorElement(2, "U", expected)
 
 
 class TestVBasis:
@@ -439,6 +451,19 @@ class TestVBasis:
             y = V_element(2, partition)
             assert u_to_v(v_to_u(y)) == y
 
+    # every index and every pair up to grade 4 at q = 2 and 3, and 3 at q = 5
+    @pytest.mark.parametrize("q, top", [(2, 4), (3, 4), (5, 3)])
+    def test_structure_maps_equal_the_route_through_u(self, q, top):
+        # V runs on kappa_star's rules; the route through U is their reference
+        for n in range(top + 1):
+            for partition in all_set_partitions(n):
+                x = V_element(q, partition)
+                assert coproduct(x) == via_U(coproduct, x)
+                assert antipode(x) == via_U(antipode, x)
+        for mu, nu in set_partition_pairs(top):
+            x, y = V_element(q, mu), V_element(q, nu)
+            assert product(x, y) == via_U(product, x, y)
+
     def test_dual_ch_requires_q2(self):
         with pytest.raises(ValueError):
             dual_ch(kappa_star_element(3, lsp("2; 1-2-2")))
@@ -451,7 +476,9 @@ class TestVBasis:
                     for nu in enumerate_labeled_partitions(total - a, q):
                         f = kappa_star_element(q, mu)
                         g = kappa_star_element(q, nu)
-                        assert dual_ch(product(f, g)) == product(dual_ch(f), dual_ch(g))
+                        # V's product is kappa_star's rule, so the image
+                        # side goes through U
+                        assert dual_ch(product(f, g)) == via_U(product, dual_ch(f), dual_ch(g))
 
 
 class TestTruncatedRealization:

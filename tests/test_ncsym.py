@@ -42,6 +42,8 @@ from nchopf.setpartitions import (
     LabeledSetPartition,
     SetPartition,
     all_set_partitions,
+    arc_encoding,
+    concat_set_partitions,
     enumerate_labeled_partitions,
     underlying_set_partition,
 )
@@ -130,6 +132,17 @@ class TestPowerBasis:
     def test_product_concatenates(self):
         result = product_p(sp("1|2"), sp("1"))
         assert m_support(result) == {sp("1|2|3"): CycRational.one(2)}
+
+    def test_product_is_set_partition_concatenation(self):
+        # every pair of total grade <= 5, against the concatenation of the
+        # set partitions themselves
+        for total in range(6):
+            for a in range(total + 1):
+                for lam in all_set_partitions(a):
+                    for mu in all_set_partitions(total - a):
+                        merged = arc_encoding(concat_set_partitions(lam, mu))
+                        expected = AlgebraElement(2, "p", {BasisIndex("p", total, merged): 1})
+                        assert product_p(lam, mu) == expected
 
     def test_expansion_by_coarsenings(self):
         expanded = p_to_m(p_element(2, sp("1|2")))
