@@ -4,11 +4,12 @@ Bases:
 
 * "kappa_star": dual to the superclass indicators under the Kronecker
   pairing.  The product embeds the two factors into every split of the new
-  ground set; the coproduct cuts the ground set at each prefix, discarding
-  arcs that straddle the cut.  Commutative, not cocommutative.
-* "chi_star": duals of the supercharacters.  The coproduct deconcatenates
-  at the cuts no arc spans; the product and the antipode are converted
-  through kappa_star.
+  ground set; the coproduct restricts to each prefix [1, k] and its
+  complement, discarding arcs that straddle the cut.  Commutative, not
+  cocommutative.
+* "chi_star": duals of the supercharacters.  The coproduct deconcatenates:
+  it restricts to the prefixes no arc spans; the product and the antipode
+  are converted through kappa_star.
 * "M": polynomials in commuting variables x_ij subject to
   x_ij x_ik = 0 = x_ik x_jk, one basis element per permutation; the product
   relabels the cycles of the two factors into complementary subsets.
@@ -17,8 +18,10 @@ Bases:
 * "V": the image of kappa_star in the U realization,
   V of a partition = sum of U over its refinements.
 
+The kappa_star and chi_star coproducts are sums of restrictions
+(``elements.restriction_coproduct``), each over its family of prefixes.
 U and V are indexed by the arc encodings of set partitions, on which the
-embedding and cutting rules read the blocks as they read arcs.  So both
+embedding and restriction rules read the blocks as they read arcs.  So both
 register kappa_star's product; U registers chi_star's deconcatenation (a
 cut splits every block cleanly exactly when no arc spans it) and V
 kappa_star's coproduct, since ``dual_ch`` matches V with kappa_star index
@@ -45,6 +48,7 @@ from .elements import (
     product,
     register_basis,
     register_transported,
+    restriction_coproduct,
 )
 from .setpartitions import (
     LabeledSetPartition,
@@ -175,22 +179,20 @@ def _kappa_star_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     return AlgebraElement._trusted(q, a.basis, terms)
 
 
-def _cut_terms(a: BasisIndex, cuts: Iterable[int]) -> dict:
-    """lam<=k (x) lam>k with coefficient 1 for each cut point k, in the tag
-    of a: the arcs within [1, k], and those within [k + 1, n] shifted down;
-    an arc that spans the cut is dropped."""
-    lam, n = a.partition, a.grade
-    terms = {}
-    for k in cuts:
-        left = _labeled(k, tuple(arc for arc in lam.arcs if arc[1] <= k))
-        right = _labeled(n - k, tuple((l - k, r - k, c) for l, r, c in lam.arcs if l > k))
-        terms[BasisIndex(a.basis, k, left), BasisIndex(a.basis, n - k, right)] = 1
-    return terms
+def _prefixes(lam: LabeledSetPartition):
+    """Every prefix [1, k] of the ground set, k = 0, ..., n."""
+    return (tuple(range(1, k + 1)) for k in range(lam.n + 1))
 
 
-def _kappa_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    return TensorElement._trusted(q, a.basis, _cut_terms(a, range(a.grade + 1)))
+def _clean_prefixes(lam: LabeledSetPartition):
+    """The prefixes [1, k] that no arc of lam spans (l <= k < r)."""
+    return (A for A in _prefixes(lam) if not any(l <= len(A) < r for l, r, _ in lam.arcs))
 
+
+#: Restriction to every prefix: lam<=k (x) lam>k, the arcs that span the cut
+#: dropped.  The keys carry the argument's tag, as do those of the two rules
+#: below.
+_kappa_star_coproduct = restriction_coproduct(_prefixes)
 
 register_basis("kappa_star", product=_kappa_star_product, coproduct=_kappa_star_coproduct)
 
@@ -285,13 +287,10 @@ def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
     return linear_map(x, "chi_star", image, source="kappa_star")
 
 
-def _chi_star_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    """Deconcatenation, dual to the concatenation product of the
-    supercharacters: chi_star_lam splits at each cut point that no arc of
-    lam spans, so no arc is dropped.  In the tag of a."""
-    arcs = a.partition.arcs
-    cuts = (k for k in range(a.grade + 1) if not any(l <= k < r for l, r, _ in arcs))
-    return TensorElement._trusted(q, a.basis, _cut_terms(a, cuts))
+#: Deconcatenation, dual to the concatenation product of the
+#: supercharacters: chi_star_lam restricts to each prefix that no arc of lam
+#: spans, so no arc is dropped.
+_chi_star_coproduct = restriction_coproduct(_clean_prefixes)
 
 
 # The product and the antipode stay transported from kappa_star; the

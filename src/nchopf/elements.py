@@ -12,7 +12,9 @@ linear maps.
 
 Each basis registers its structure maps (product and coproduct on basis
 indices) in a module-level registry; the generic product, coproduct, counit,
-and antipode dispatch through it.  A basis registers when its module is
+and antipode dispatch through it.  Every coproduct of an arc basis with rules
+of its own is a sum of restrictions, built by ``restriction_coproduct`` from
+the family of sets it restricts to.  A basis registers when its module is
 imported, and ``BASIS_MODULES`` names that module for every tag: building the
 first index of a tag imports it, so every index that exists belongs to a
 basis whose rules are registered, whichever modules the caller imported.
@@ -47,7 +49,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycRational, _integer
-from .setpartitions import LabeledSetPartition, _no_ref
+from .setpartitions import LabeledSetPartition, _no_ref, _restrict
 
 #: Bases indexed by labeled set partitions.  For the set-partition bases
 #: (m, p, U, V) the labels are forced to 1, i.e. the q=2 arc encoding.
@@ -178,6 +180,31 @@ def register_basis(
         _UNIT_KEYS[tag] = unit_key
     if index_type is not None:
         _INDEX_TYPES[tag] = index_type
+
+
+def restriction_coproduct(
+    sets: Callable[[LabeledSetPartition], Iterable[tuple[int, ...]]]
+) -> CoproductRule:
+    """The coproduct rule Delta(lam) = sum over A in ``sets(lam)`` of
+    lam|_A (x) lam|_{A^c}, the paper's restriction to U_A x U_{A^c}, with
+    the keys in the tag of its argument.  ``sets`` gives each A as
+    increasing positions of [lam.n]; a term that several sets reach counts
+    once for each."""
+
+    def rule(q: int, a: BasisIndex) -> "TensorElement":
+        lam, tag, n = a.partition, a.basis, a.grade
+        terms: dict = {}
+        for A in sets(lam):
+            members = set(A)
+            rest = tuple(i for i in range(1, n + 1) if i not in members)
+            key = (
+                BasisIndex(tag, len(A), _restrict(lam, A)),
+                BasisIndex(tag, len(rest), _restrict(lam, rest)),
+            )
+            terms[key] = terms.get(key, 0) + 1
+        return TensorElement._trusted(q, tag, terms)
+
+    return rule
 
 
 _TO_BASE: dict[str, Callable[["AlgebraElement"], "AlgebraElement"]] = {}

@@ -48,7 +48,8 @@ UNIT_COST_NS = {
     # unweighted.  The cost admits up to 7,000 units.
     "hopf": 8_571_428,
     # verify.iso_work, per weighted kappa pair and colored monomial.
-    # Admitted: (6, 2) at 41,844 units took 6.8 s, (5, 3) at 49,974 5.8 s,
+    # Admitted: (6, 2) at 41,844 units took 6.8 s (8.9-9.6 s since the
+    # dual_ch counit and antipode checks), (5, 3) at 49,974 5.8 s,
     # (4, 5) at 44,796 6.0 s and (3, 13) at 54,778 6.2 s (0.11-0.16
     # ms/unit).  Refused: (4, 7) at 146,390 took 27 s (0.18 ms); (7, 2) at
     # 171,139 and (5, 5) at 456,040 ran past 60 s.

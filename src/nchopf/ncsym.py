@@ -13,12 +13,18 @@ Three layers:
   (smallest primitive root mod q as generator, r = q - 1).
 
 The map ``ch`` identifies the superclass-function algebra with this picture:
-kappa indices map to m (q = 2) or k (q > 2) indices, and at q > 2 it is a
-Hopf isomorphism onto the span of k (the paper's main theorem).  So the k
+kappa indices map to m (q = 2) or k (q > 2) indices, and it is a Hopf
+isomorphism onto the span of m or k (the paper's main theorem).  So the k
 basis carries kappa's product and coproduct rules, and its antipode follows
-from them.  Expanding into colored monomials, operating there and collecting
-back (``via_colored_m``) is the reference that the tests and the iso suite
-compare k against; closure of the k-span is checked at collection time.
+from them.  Every coproduct of m, p and k is kappa's: restriction to every
+union of blocks (``superfunctions._kappa_coproduct``).  m keeps its own
+product, which merges blocks; kappa's product adds connecting arcs with
+labels in F_q^x, which m's must not.  Expanding into colored monomials,
+operating there and collecting back (``via_colored_m``) is the reference that
+the tests and the iso suite compare k, and m at q = 2, against: the colored
+monomials keep rules of their own (``_merged_partitions`` and
+``_block_subset_splits``), so ``ch`` is never checked against kappa's rules
+themselves.  Closure of the k-span is checked at collection time.
 """
 
 from __future__ import annotations
@@ -247,25 +253,16 @@ def _standardize_blocks(blocks: list[tuple[int, ...]]) -> tuple[SetPartition, li
     return _set_partition(len(ground), relabeled), ground
 
 
-def _split_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    """Every split of the blocks into two groups, each standardized, in the
-    tag of a."""
-    tag = a.basis
-    terms = Counter(
-        (BasisIndex(tag, left.n, arc_encoding(left)), BasisIndex(tag, right.n, arc_encoding(right)))
-        for (left, _), (right, _) in _block_subset_splits(_partition_of(a))
-    )
-    return TensorElement._trusted(q, tag, terms)
-
-
 def _concat_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     """Concatenation: b's arcs placed to the right of a's, in the tag of a."""
     lam = concat(a.partition, b.partition)
     return AlgebraElement._trusted(q, a.basis, {BasisIndex(a.basis, lam.n, lam): 1})
 
 
-register_basis("m", product=_m_product, coproduct=_split_coproduct)
-register_basis("p", product=_concat_product, coproduct=_split_coproduct)
+# kappa's restriction rule, with the keys in the m and p tags (see the
+# module docstring)
+register_basis("m", product=_m_product, coproduct=_kappa_coproduct)
+register_basis("p", product=_concat_product, coproduct=_kappa_coproduct)
 
 
 def m_to_p(x: AlgebraElement) -> AlgebraElement:
@@ -394,14 +391,17 @@ def collect_k(x: AlgebraElement | TensorElement, q: int) -> AlgebraElement | Ten
         raise ValueError(
             f"expected colored monomials at q = {q}, got basis {x.basis!r} at q = {x.q}"
         )
-    return _collect_k(x, q)
+    return _collect_k(x, q, "k_colored")
 
 
-def _collect_k(x: AlgebraElement | TensorElement, q: int) -> AlgebraElement | TensorElement:
-    """``collect_k`` on an input already known to be colored monomials at q.
-    Keys are handled as tuples of indices (one for an element, two for a
-    tensor): they are grouped by their tuple of labeled partitions, and each
-    group must be exactly that tuple's expansion, with one coefficient."""
+def _collect_k(
+    x: AlgebraElement | TensorElement, q: int, tag: str
+) -> AlgebraElement | TensorElement:
+    """``collect_k`` on an input already known to be colored monomials at q,
+    with the keys written in ``tag``.  Keys are handled as tuples of indices
+    (one for an element, two for a tensor): they are grouped by their tuple
+    of labeled partitions, and each group must be exactly that tuple's
+    expansion, with one coefficient."""
     tensor = isinstance(x, TensorElement)
     groups: dict[tuple, dict[tuple, CycRational]] = {}
     for key, coeff in x.terms.items():
@@ -415,21 +415,23 @@ def _collect_k(x: AlgebraElement | TensorElement, q: int) -> AlgebraElement | Te
         if present.keys() != set(expected) or len(coeffs) != 1:
             near = " (x) ".join(repr(lam) for lam in lams)
             raise ValueError(f"{type(x).__name__} is not in the span of the labeled basis near {near}")
-        key = tuple(BasisIndex("k_colored", lam.n, lam) for lam in lams)
+        key = tuple(BasisIndex(tag, lam.n, lam) for lam in lams)
         terms[key if tensor else key[0]] = coeffs.pop()
-    return type(x)._trusted(q, "k_colored", terms)
+    return type(x)._trusted(q, tag, terms)
 
 
 def via_colored_m(op, *xs: AlgebraElement) -> AlgebraElement | TensorElement:
-    """The reference for a structure map of k: ``op`` (product, coproduct or
-    antipode) applied to the colored-monomial expansions of the k elements
-    xs, and the result collected back on k."""
-    q = xs[0].q
+    """The reference for a structure map of k, and at q = 2 of m: ``op``
+    (product, coproduct or antipode) applied to the colored-monomial
+    expansions of xs, and the result collected back into their tag.  At
+    q = 2 every label is 1, so an m index expands as the k index of the same
+    arc encoding, into the one colored monomial of its partition."""
+    q, tag = xs[0].q, xs[0].basis
 
     def image(idx: BasisIndex) -> dict:
         return expand_k_in_colored_m(idx.partition, q).terms
 
-    return _collect_k(op(*(linear_map(x, "m_colored", image, source="k_colored") for x in xs)), q)
+    return _collect_k(op(*(linear_map(x, "m_colored", image, source=tag) for x in xs)), q, tag)
 
 
 # kappa's rules, with the keys in the k tag (see the module docstring)

@@ -334,28 +334,35 @@ class SetPartition:
         return len(self.blocks)
 
     def to_text(self) -> str:
-        if self.n == 0:
-            return "/"
-        if self.n <= 9:
-            return "|".join("".join(str(i) for i in b) for b in self.blocks)
-        return "|".join(",".join(str(i) for i in b) for b in self.blocks)
+        return _blocks_to_text(self.n, self.blocks)
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
         """Parse "135|24" (digits) or "1,3,5|2,4" (comma-separated) forms."""
-        text = text.strip()
-        if text in ("", "/"):
-            return cls(0, [])
-        blocks = []
-        for part in text.split("|"):
-            part = part.strip()
-            if "," in part:
-                block = [int(x) for x in part.split(",")]
-            else:
-                block = [int(ch) for ch in part]
-            blocks.append(block)
-        n = sum(len(b) for b in blocks)
-        return cls(n, blocks)
+        blocks = _blocks_from_text(text)
+        return cls(sum(len(b) for b in blocks), blocks)
+
+
+def _blocks_to_text(n: int, blocks: Iterable[Iterable[int]]) -> str:
+    """The text form of a list of blocks of [n]: "/" when n = 0, "135|24"
+    when every member is one digit, "1,3,5|2,4" otherwise."""
+    if n == 0:
+        return "/"
+    sep = "" if n <= 9 else ","
+    return "|".join(sep.join(str(i) for i in block) for block in blocks)
+
+
+def _blocks_from_text(text: str) -> list[list[int]]:
+    """The blocks of a ``_blocks_to_text`` string, in their written order; a
+    block with a comma is read as comma-separated, one without as digits."""
+    text = text.strip()
+    if text in ("", "/"):
+        return []
+    blocks = []
+    for part in text.split("|"):
+        part = part.strip()
+        blocks.append([int(x) for x in (part.split(",") if "," in part else part)])
+    return blocks
 
 
 class SetComposition:
@@ -390,25 +397,11 @@ class SetComposition:
         return f"SetComposition({self.to_text()!r})"
 
     def to_text(self) -> str:
-        if self.n == 0:
-            return "/"
-        if self.n <= 9:
-            return "|".join("".join(str(i) for i in p) for p in self.parts)
-        return "|".join(",".join(str(i) for i in p) for p in self.parts)
+        return _blocks_to_text(self.n, self.parts)
 
     @classmethod
     def from_text(cls, text: str) -> "SetComposition":
-        text = text.strip()
-        if text in ("", "/"):
-            return cls([])
-        parts = []
-        for part in text.split("|"):
-            part = part.strip()
-            if "," in part:
-                parts.append([int(x) for x in part.split(",")])
-            else:
-                parts.append([int(ch) for ch in part])
-        return cls(parts)
+        return cls(_blocks_from_text(text))
 
     @classmethod
     def from_interval_sizes(cls, sizes: Sequence[int]) -> "SetComposition":
@@ -515,6 +508,17 @@ def concat_set_partitions(lam: SetPartition, mu: SetPartition) -> SetPartition:
     return _set_partition(lam.n + mu.n, lam.blocks + shifted)
 
 
+def _restrict(lam: LabeledSetPartition, A: Sequence[int]) -> LabeledSetPartition:
+    """lam|_A: the arcs with both ends in A, relabeled along the increasing
+    bijection A -> [1, |A|]; every arc that leaves A is dropped.  A lists
+    increasing positions of [lam.n].  The relabeling is increasing, so the
+    arcs stay sorted."""
+    rank = {pos: r for r, pos in enumerate(A, 1)}
+    return _labeled(
+        len(A), tuple((rank[l], rank[r], c) for l, r, c in lam.arcs if l in rank and r in rank)
+    )
+
+
 def straighten(lam: LabeledSetPartition, J: SetComposition) -> list[LabeledSetPartition]:
     """Split lam along the parts of J, relabeling each part onto an initial segment.
 
@@ -524,17 +528,10 @@ def straighten(lam: LabeledSetPartition, J: SetComposition) -> list[LabeledSetPa
     if J.n != lam.n:
         raise ValueError(f"composition of [{J.n}] does not match partition of [{lam.n}]")
     part_index = {i: k for k, part in enumerate(J.parts) for i in part}
-    split: list[list[tuple[int, int, int]]] = [[] for _ in J.parts]
     for a in lam.arcs:
         if part_index[a.left] != part_index[a.right]:
             raise ValueError(f"arc {a!r} straddles two parts of {J!r}")
-        split[part_index[a.left]].append(a)
-    out = []
-    for part, arcs in zip(J.parts, split):
-        # relabeling is increasing, so the arcs stay sorted
-        relabel = {pos: idx + 1 for idx, pos in enumerate(part)}
-        out.append(_labeled(len(part), tuple((relabel[l], relabel[r], a) for l, r, a in arcs)))
-    return out
+    return [_restrict(lam, part) for part in J.parts]
 
 
 def unstraighten(mu: LabeledSetPartition, A: Iterable[int], n: int) -> LabeledSetPartition:

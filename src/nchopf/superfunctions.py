@@ -11,8 +11,9 @@ Products concatenate ground sets and coproducts split them:
 
 * kappa product: all ways of adding connecting arcs from the first block of
   positions to the second, keeping left and right endpoints distinct;
-* kappa coproduct: all two-colorings of the positions such that no arc is
-  split, each side relabeled onto an initial segment.
+* kappa coproduct: restriction to U_A x U_{A^c}, summed over the sets A
+  that are unions of blocks (those no arc leaves), each side relabeled onto
+  an initial segment (``elements.restriction_coproduct``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import os
 import tempfile
 import threading
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,11 +30,11 @@ from .cyclotomic import CycRational, solve_linear_system, theta
 from .elements import (
     AlgebraElement,
     BasisIndex,
-    TensorElement,
     linear_map,
     product,  # noqa: F401  (public alias: callers read superfunctions.product)
     register_basis,
     register_transported,
+    restriction_coproduct,
 )
 from .limits import check_grade, check_work
 from .setpartitions import (
@@ -45,6 +45,7 @@ from .setpartitions import (
     crossing_statistic,
     enumerate_labeled_partitions,
     json_int,
+    underlying_set_partition,
 )
 
 TABLE_FORMAT_VERSION = 1
@@ -89,37 +90,19 @@ def _kappa_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     return AlgebraElement._trusted(q, a.basis, terms)
 
 
-def _straighten_pair(
-    lam: LabeledSetPartition, subset: tuple[int, ...]
-) -> tuple[LabeledSetPartition, LabeledSetPartition]:
-    members = set(subset)
-    complement = tuple(i for i in range(1, lam.n + 1) if i not in members)
-    left_map = {pos: r + 1 for r, pos in enumerate(subset)}
-    right_map = {pos: r + 1 for r, pos in enumerate(complement)}
-    left_arcs, right_arcs = [], []
-    for left, right, label in lam.arcs:  # the relabelings are increasing: arcs stay sorted
-        if left in members:
-            left_arcs.append((left_map[left], left_map[right], label))
-        else:
-            right_arcs.append((right_map[left], right_map[right], label))
-    return _labeled(len(subset), tuple(left_arcs)), _labeled(len(complement), tuple(right_arcs))
+def _block_unions(lam: LabeledSetPartition):
+    """Every union of blocks of lam's underlying set partition, as
+    increasing positions: exactly the sets A that no arc of lam leaves."""
+    blocks = underlying_set_partition(lam).blocks
+    for size in range(len(blocks) + 1):
+        for chosen in itertools.combinations(blocks, size):
+            yield tuple(sorted(itertools.chain.from_iterable(chosen)))
 
 
-def _kappa_coproduct(q: int, a: BasisIndex) -> TensorElement:
-    """Every two-coloring of the positions that splits no arc, each side
-    relabeled onto an initial segment.  The keys carry a's tag, as in
-    ``_kappa_product``."""
-    tag, lam = a.basis, a.partition
-    n = lam.n
-    terms: Counter = Counter()
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            members = set(subset)
-            if any((arc.left in members) != (arc.right in members) for arc in lam.arcs):
-                continue
-            left, right = _straighten_pair(lam, subset)
-            terms[BasisIndex(tag, size, left), BasisIndex(tag, n - size, right)] += 1
-    return TensorElement._trusted(q, tag, terms)
+#: Restriction to every union of blocks.  The keys carry the argument's tag,
+#: as in ``_kappa_product``: k registers this rule, and so do m and p, whose
+#: arc-encoded blocks split exactly as kappa's do.
+_kappa_coproduct = restriction_coproduct(_block_unions)
 
 
 # ---------------------------------------------------------------------------

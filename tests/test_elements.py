@@ -1,10 +1,12 @@
+import functools
 import gc
+import itertools
 import sys
 import threading
 
 import pytest
 
-from nchopf import cyclotomic, elements, ncsym, setpartitions
+from nchopf import cyclotomic, elements, ncsym, setpartitions, verify
 
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation, u_to_v
@@ -259,3 +261,65 @@ def test_a_dead_reference_pending_while_its_pool_is_iterated_reads_as_a_miss(poo
     finally:
         walk.close()
     assert build() is again
+
+
+# ---------------------------------------------------------------------------
+# every coproduct is a sum of restrictions
+
+
+def _relabeled(lam, part):
+    """The arcs of lam inside ``part`` (sorted positions), moved onto
+    [1, len(part)] by the position of each endpoint in ``part``."""
+    arcs = [(part.index(l) + 1, part.index(r) + 1, c) for l, r, c in lam.arcs if l in part and r in part]
+    return LabeledSetPartition(len(part), arcs)
+
+
+def _position_subset_coproduct(q, a):
+    """Every subset of the 2^n positions that splits no arc, each side
+    relabeled onto an initial segment: the rule of kappa, k, m and p before
+    the restriction kernel."""
+    lam, n = a.partition, a.grade
+    terms = {}
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            if any((l in subset) != (r in subset) for l, r, _ in lam.arcs):
+                continue
+            rest = tuple(i for i in range(1, n + 1) if i not in subset)
+            key = tuple(BasisIndex(a.basis, len(part), _relabeled(lam, part)) for part in (subset, rest))
+            terms[key] = terms.get(key, 0) + 1
+    return TensorElement(q, a.basis, terms)
+
+
+def _prefix_shift_coproduct(q, a, clean):
+    """The arcs left of each cut k and those right of it shifted down by k:
+    every cut, dropping the arcs that span it (kappa_star and V), or with
+    ``clean`` only the cuts no arc spans (chi_star and U)."""
+    lam, n = a.partition, a.grade
+    terms = {}
+    for k in range(n + 1):
+        if clean and any(l <= k < r for l, r, _ in lam.arcs):
+            continue
+        left = LabeledSetPartition(k, [arc for arc in lam.arcs if arc[1] <= k])
+        right = LabeledSetPartition(n - k, [(l - k, r - k, c) for l, r, c in lam.arcs if l > k])
+        terms[BasisIndex(a.basis, k, left), BasisIndex(a.basis, n - k, right)] = 1
+    return TensorElement(q, a.basis, terms)
+
+
+_REPLACED_COPRODUCTS = {
+    "kappa": _position_subset_coproduct,
+    "k_colored": _position_subset_coproduct,
+    "m": _position_subset_coproduct,
+    "p": _position_subset_coproduct,
+    "kappa_star": functools.partial(_prefix_shift_coproduct, clean=False),
+    "V": functools.partial(_prefix_shift_coproduct, clean=False),
+    "chi_star": functools.partial(_prefix_shift_coproduct, clean=True),
+    "U": functools.partial(_prefix_shift_coproduct, clean=True),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_REPLACED_COPRODUCTS))
+@pytest.mark.parametrize("q, top", [(2, 5), (3, 4), (5, 3)])
+def test_every_restriction_coproduct_equals_the_path_it_replaced(tag, q, top):
+    for grade in range(top + 1):
+        for index in verify.basis_indices(q, tag, grade):
+            assert elements.basis_coproduct(q, index) == _REPLACED_COPRODUCTS[tag](q, index), index

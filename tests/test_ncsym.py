@@ -303,20 +303,30 @@ def _grade(x):
     return next(iter(x.terms)).grade
 
 
+def _assert_colored_route(basis, top):
+    for x in basis:
+        assert coproduct(x) == via_colored_m(coproduct, x)
+        assert antipode(x) == via_colored_m(antipode, x)
+    for x in basis:
+        for y in basis:
+            if _grade(x) + _grade(y) <= top:
+                assert product(x, y) == via_colored_m(product, x, y)
+
+
 class TestLabeledBasisReference:
-    """k carries kappa's rules; the colored route (expand, operate on colored
-    monomials, collect) is the reference it must match term for term."""
+    """k carries kappa's rules, and m kappa's coproduct; the colored route
+    (expand, operate on colored monomials, collect) is the reference they
+    must match term for term."""
 
     @pytest.mark.parametrize("q, top", [(2, 4), (3, 4), (5, 3), (7, 2)])
     def test_structure_maps_equal_the_colored_route(self, q, top):
-        basis = _k_basis(q, top)
-        for x in basis:
-            assert coproduct(x) == via_colored_m(coproduct, x)
-            assert antipode(x) == via_colored_m(antipode, x)
-        for x in basis:
-            for y in basis:
-                if _grade(x) + _grade(y) <= top:
-                    assert product(x, y) == via_colored_m(product, x, y)
+        _assert_colored_route(_k_basis(q, top), top)
+
+    def test_m_structure_maps_equal_the_colored_route_at_q2(self):
+        # m carries kappa's coproduct rule and its own product; at q = 2 the
+        # colored route is the reference for both, and for the antipode
+        basis = [m_element(2, s) for g in range(6) for s in all_set_partitions(g)]
+        _assert_colored_route(basis, 5)
 
     def test_runtime_maps_never_expand(self, monkeypatch):
         def refuse(*args):
