@@ -32,7 +32,6 @@ _EXPORTS = {
             "crossing_statistic",
             "enumerate_labeled_partitions",
             "refinements",
-            "restrict_arcs",
             "straighten",
             "underlying_set_partition",
             "unstraighten",

@@ -397,16 +397,21 @@ def invert_matrix(matrix: Sequence[Sequence[CycRational]]) -> list[list[CycRatio
 
 def _gauss_jordan(aug: list[list[CycRational]], n: int) -> list[list[CycRational]]:
     """Reduce the n x n block on the left of the augmented rows ``aug`` to the
-    identity, in place, carrying the columns to its right along."""
+    identity, in place, carrying the columns to its right along.
+
+    Each pivot step touches only the columns ``col`` onward. Every earlier
+    column has already been cleared from all rows but its own pivot row, so
+    the pivot row is zero left of ``col``: normalizing it there, or
+    subtracting a multiple of it there, would leave every value unchanged."""
     for col in range(n):
         pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if pivot is None:
             raise SingularMatrixError(f"singular matrix (no pivot in column {col})")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
+        active = aug[col][col:] = [v * inv for v in aug[col][col:]]
         for r in range(n):
             if r != col and not aug[r][col].is_zero():
                 factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+                aug[r][col:] = [v - factor * w for v, w in zip(aug[r][col:], active)]
     return aug

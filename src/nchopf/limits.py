@@ -32,13 +32,15 @@ WORK_BUDGET_S = 60
 UNIT_COST_NS = {
     # superfunctions.table_work, N^3 (q - 1)^2 for the N indices: the
     # class-size solve is cubic in N and each value has degree q - 1.
-    # supercharacter_table and UTGroup.oracle_table.  Admitted: (6, 2) at
-    # 8.4e6 units took 7.6-8.8 s (0.91-1.05 us/unit: this row underestimates
-    # it 2.3-2.6x), (5, 3) at 6.8e7 24.7-29.5 s (0.36-0.43), (4, 5) at 1.3e8
-    # 19.1 s (0.15), (3, 7) at 6.0e6 1.2 s; oracle tables 9.1 s at (6, 2),
-    # 11.6 s at (5, 3), 2.8 s at (4, 5).
-    # Refused: (2, 47) at 2.2e8 took 14.6 s, (3, 11) at 2.2e8 17.0 s,
-    # (3, 13) at 8.5e8 49 s; (2, 101) at 1.0e10 ran past 60 s.
+    # supercharacter_table and UTGroup.oracle_table.  `nchopf table` as a
+    # subprocess, two runs each: admitted (6, 2) at 8.4e6 units took
+    # 2.9-3.6 s (0.35-0.43 us/unit), (5, 3) at 6.8e7 7.4-10.6 s (0.11-0.16),
+    # (4, 5) at 1.3e8 7.3-8.0 s (0.06), (3, 7) at 6.0e6 0.6 s; oracle tables
+    # 9.1 s at (6, 2), 11.6 s at (5, 3), 2.8 s at (4, 5).
+    # Refused: (2, 47) at 2.2e8 took 9.3 s, (3, 11) at 2.2e8 7.9 s,
+    # (3, 13) at 8.5e8 23-25 s; (2, 101) at 1.0e10 ran past 60 s.  The
+    # row stays at 400 ns because it also prices the oracle tables, which
+    # cost more per unit than the formula tables.
     "table": 400,
     # verify.hopf_work, per basis element, pair and random sample, degree
     # weighted.  Admitted: (6, 2) at 5,970 units took 34 s (5.7 ms/unit),

@@ -546,12 +546,6 @@ def unstraighten(mu: LabeledSetPartition, A: Iterable[int], n: int) -> LabeledSe
     )
 
 
-def restrict_arcs(lam: LabeledSetPartition, A: Iterable[int]) -> LabeledSetPartition:
-    """Keep exactly the arcs with both endpoints in A; positions unchanged."""
-    members = set(A)
-    return _labeled(lam.n, tuple(a for a in lam.arcs if a.left in members and a.right in members))
-
-
 def common_refinement(rho: SetPartition, sigma: SetPartition) -> SetPartition:
     """Blockwise intersection: the finest partition coarsened by both arguments."""
     if rho.n != sigma.n:

@@ -317,7 +317,10 @@ def _compute_table(n: int, q: int) -> SupercharTable:
 def table_work(n: int, q: int) -> int:
     """The cost of a full table of UT_n(q), estimated without building it:
     N^3 (q - 1)^2 for its N indices, since the class-size solve is cubic in N
-    and each value is a cyclotomic of degree q - 1."""
+    and each value is a cyclotomic of degree q - 1.  The solve's pivot steps
+    touch only the columns from the pivot on, about N^3 / 2 updates, and
+    the oracle's table is not a solve at all; the one unit cost in
+    ``limits.UNIT_COST_NS["table"]`` covers both."""
     return count_labeled_partitions(n, q) ** 3 * (q - 1) ** 2
 
 
@@ -351,7 +354,7 @@ def supercharacter_table(
     if use_disk_cache and path.is_file():
         try:
             table = _load_table(path, n, q)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             table = None  # stale or corrupt cache entry; recompute and overwrite
     if table is None:
         table = _compute_table(n, q)

@@ -246,6 +246,18 @@ class TestCliBasics:
         code, out, err = invoke(argv)
         assert code == EXIT_BOUND and not out and err
 
+    def test_deeply_nested_cache_entry_is_recomputed_by_the_cli(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on this entry
+        argv = ["table", "--n", "2", "--q", "2", "--cache-dir"]
+        clean = invoke_subprocess([*argv, str(tmp_path / "clean")])
+        assert clean.returncode == 0 and clean.stdout
+        path = superfunctions._table_path(2, 2, tmp_path)
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        done = invoke_subprocess([*argv, str(tmp_path)])
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        assert done.stdout == clean.stdout
+        assert path.read_text() == (tmp_path / "clean" / path.name).read_text()
+
     def test_unusable_cache_dir_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(superfunctions, "_TABLE_CACHE", {})
         blocker = tmp_path / "file"
@@ -419,9 +431,9 @@ class TestCliWorkBounds:
         assert table_work(0, 2) == table_work(1, 2) == 1
 
     def test_table_size_bound_admits_the_largest_measured_solve(self):
-        # the largest measured solves, 7.6 s at (6, 2), 24.7 s at (5, 3) and
-        # 19.1 s at (4, 5), are admitted; (3, 11) took 17 s, (3, 13) 49 s,
-        # and (2, 101) had not finished after 60 s
+        # the largest measured solves, 2.9-3.6 s at (6, 2), 7.4-10.6 s at
+        # (5, 3) and 7.3-8.0 s at (4, 5), are admitted; (3, 11) took 7.9 s,
+        # (3, 13) 23-25 s, and (2, 101) had not finished after 60 s
         for n, q in ((6, 2), (5, 3), (4, 5), (3, 7)):
             assert admitted("table", table_work(n, q))
         for n, q in ((3, 11), (3, 13), (2, 47), (2, 101), (4, 7), (7, 2)):

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -214,6 +215,99 @@ class TestLinearAlgebra:
         data = x.to_json()
         assert data == {"p": 3, "coeffs": ["1/2", "-2"]}
         assert CycRational.from_json(data) == x
+
+
+# ---------------------------------------------------------------------------
+# The full-row Gauss-Jordan elimination the active-column one replaced, kept
+# as the reference: every pivot step updates all columns of every row.
+
+
+def full_row_gauss_jordan(aug, n):
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise SingularMatrixError(f"singular matrix (no pivot in column {col})")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero():
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return aug
+
+
+def assert_same_as_full_row(matrix, rhs):
+    """solve_linear_system and invert_matrix return exactly what the full-row
+    elimination returns, or fail at the same column; and the whole reduced
+    matrix, identity block included, is the full-row one.  (An elimination
+    that skips the pivot column itself returns the same solutions, since that
+    column is never read again, but leaves the left block unreduced.)"""
+    n, p = len(matrix), rhs[0].p
+    zero, one = CycRational.zero(p), CycRational.one(p)
+    with_rhs = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    with_identity = [
+        list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(matrix)
+    ]
+    try:
+        # the reference swaps and rebinds rows but never writes into one
+        reduced = full_row_gauss_jordan(list(with_rhs), n)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
+            solve_linear_system(matrix, rhs)
+        with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
+            invert_matrix(matrix)
+        return
+    reduced_identity = full_row_gauss_jordan(list(with_identity), n)
+    assert solve_linear_system(matrix, rhs) == [row[n] for row in reduced]
+    assert invert_matrix(matrix) == [row[n:] for row in reduced_identity]
+    assert cyclotomic._gauss_jordan(with_rhs, n) == reduced
+
+
+# every table up to (5, 2), (4, 3) and (3, 5)
+TABLE_SIZES = [(n, 2) for n in range(6)] + [(n, 3) for n in range(5)] + [(n, 5) for n in range(4)]
+
+
+class TestAgainstFullRowElimination:
+    @pytest.mark.parametrize("n,q", TABLE_SIZES)
+    def test_table_systems_match(self, n, q):
+        # the class-size system _compute_table solves, and the value matrix
+        from nchopf.superfunctions import supercharacter_table
+
+        table = supercharacter_table(n, q)
+        rhs = [CycRational.zero(q)] * len(table.order)
+        rhs[0] = CycRational.from_rational(q, table.group_order)
+        assert_same_as_full_row(table.values, rhs)
+
+    def test_random_systems_match(self):
+        # the systems of test_random_solve_roundtrip, singular ones included
+        rng = random.Random(7)
+        p = 3
+        for _ in range(25):
+            size = rng.randint(1, 4)
+            matrix = [[random_cyc(rng, p) for _ in range(size)] for _ in range(size)]
+            rhs = [random_cyc(rng, p) for _ in range(size)]
+            assert_same_as_full_row(matrix, rhs)
+
+    def test_fixed_systems_match(self):
+        p = 2
+        one, zero = CycRational.one(p), CycRational.zero(p)
+        minus = CycRational.from_rational(p, -1)
+        assert_same_as_full_row([[one, one], [one, minus]], [one, zero])
+        assert_same_as_full_row([[one, one], [one, one]], [one, zero])
+
+    def test_a_row_swap_after_the_first_column(self):
+        # clearing column 0 zeroes row 1 at column 1, so column 1 pivots on row 2
+        p = 3
+        one, zero, z = CycRational.one(p), CycRational.zero(p), theta(p, 1)
+        matrix = [[one, one, z], [one, one, one], [zero, z, one]]
+        assert (matrix[1][1] - matrix[1][0] * matrix[0][1]).is_zero()
+        assert_same_as_full_row(matrix, [one, z, zero])
+        inverse = invert_matrix(matrix)
+        for i in range(3):
+            for j in range(3):
+                entry = sum((matrix[i][k] * inverse[k][j] for k in range(3)), zero)
+                assert entry == (one if i == j else zero)
 
 
 # ---------------------------------------------------------------------------

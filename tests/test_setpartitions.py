@@ -27,7 +27,6 @@ from nchopf.setpartitions import (
     enumerate_labeled_partitions,
     partition_mobius,
     refinements,
-    restrict_arcs,
     straighten,
     underlying_set_partition,
     unstraighten,
@@ -309,17 +308,6 @@ class TestIntervalRecovery:
         assert rebuilt == lam
 
 
-class TestRestriction:
-    def test_keeps_arcs_inside(self):
-        lam = LabeledSetPartition(4, [(1, 4, 1), (2, 3, 2)])
-        assert restrict_arcs(lam, {1, 4}) == LabeledSetPartition(4, [(1, 4, 1)])
-        assert restrict_arcs(lam, {1, 2, 3}) == LabeledSetPartition(4, [(2, 3, 2)])
-
-    def test_empty_subset(self):
-        lam = LabeledSetPartition(4, [(1, 4, 1), (2, 3, 2)])
-        assert restrict_arcs(lam, set()) == LabeledSetPartition(4)
-
-
 class TestRefinementLattice:
     def test_common_refinement_example(self):
         a = SetPartition.from_text("135|24")
@@ -442,7 +430,6 @@ class TestHashConsing:
         assert lam.shift(2) is lsp("7; 3-2-5, 4-1-6")
         left, right = straighten(lam, SetComposition.from_text("13|245"))
         assert left is lsp("2; 1-2-2") and right is lsp("3; 1-1-2")
-        assert restrict_arcs(lam, {1, 3}) is lsp("5; 1-2-3")
         assert arc_encoding(sp("14|235")) is lsp("5; 1-1-4, 2-1-3, 3-1-5")
         enumerated = enumerate_labeled_partitions(4, 3)
         assert all(lam is LabeledSetPartition(lam.n, lam.arcs) for lam in enumerated)

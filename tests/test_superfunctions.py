@@ -269,10 +269,15 @@ class TestTables:
         right table comes back and replaces the file."""
         import json
 
+        self._load_from_bad_text(tmp_path, json.dumps(data))
+
+    def _load_from_bad_text(self, tmp_path, text):
+        import json
+
         from nchopf import superfunctions
 
         path = superfunctions._table_path(3, 2, tmp_path)
-        path.write_text(json.dumps(data))
+        path.write_text(text)
         superfunctions.clear_table_cache()
         try:
             loaded = supercharacter_table(3, 2, cache_dir=tmp_path)
@@ -290,6 +295,10 @@ class TestTables:
         data = superfunctions._compute_table(3, 2).to_json()
         data["order"] = None
         self._load_from_bad_cache(tmp_path, data)
+
+    def test_disk_cache_nested_too_deeply_is_recomputed(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on this
+        self._load_from_bad_text(tmp_path, "[" * 100_000 + "]" * 100_000)
 
     def test_disk_cache_with_values_over_another_field_is_recomputed(self, tmp_path):
         from nchopf import superfunctions
