@@ -29,15 +29,7 @@ from .serialize import canonical_dumps, element_from_json, element_to_json, tens
 from .setpartitions import check_prime, count_labeled_partitions, enumerate_labeled_partitions
 from .superfunctions import chi_to_kappa, inner_product, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
-from .verify import (
-    SUITES,
-    axioms_work,
-    duality_work,
-    hopf_work,
-    iso_work,
-    oracle_work,
-    run_suite,
-)
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -255,18 +247,6 @@ def element_work(command: str, *elements: AlgebraElement) -> int:
     return degree_weighted(command, work, q)
 
 
-#: The work-budget row and the estimate of each suite: the grade bound alone
-#: caps none of them at large q.  The oracle suite builds the formula table
-#: first, which checks its own estimate.
-_SUITE_WORK = {
-    "hopf": ("hopf", hopf_work),
-    "iso": ("iso", iso_work),
-    "duality": ("duality", duality_work),
-    "axioms": ("oracle", axioms_work),
-    "oracle": ("oracle", oracle_work),
-}
-
-
 def _dispatch(args, stdin, stdout) -> int:
     if args.command == "enumerate":
         check_grade(args.n)
@@ -337,11 +317,6 @@ def _dispatch(args, stdin, stdout) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        check_grade(args.n)
-        entry, estimate = _SUITE_WORK[args.suite]
-        work = estimate(args.n, args.q)
-        what = f"the {args.suite} suite at n={args.n}, q={args.q} has work estimate {work}"
-        check_work(entry, work, what)
         report = run_suite(args.suite, args.n, args.q, seed=args.seed)
         print(canonical_dumps(report.to_json()), file=stdout)
         return EXIT_OK if report.passed else EXIT_VERIFY

@@ -343,10 +343,6 @@ def V_element(q: int, sp: SetPartition, coeff=1) -> AlgebraElement:
     return AlgebraElement.monomial(q, "V", arc_encoding(sp), coeff)
 
 
-def _sp_of(idx: BasisIndex) -> SetPartition:
-    return underlying_set_partition(idx.partition)
-
-
 # the rules of kappa_star and chi_star, with the keys in the U and V tags
 # (see the module docstring)
 register_basis("U", product=_kappa_star_product, coproduct=_chi_star_coproduct)
@@ -368,7 +364,7 @@ def u_to_v(x: AlgebraElement) -> AlgebraElement:
     refinements of mu(refinement, partition) times V."""
 
     def image(idx):
-        sp = _sp_of(idx)
+        sp = underlying_set_partition(idx.partition)
         return {
             BasisIndex("V", sp.n, arc_encoding(finer)): partition_mobius(finer, sp)
             for finer in refinements(sp)
@@ -378,7 +374,9 @@ def u_to_v(x: AlgebraElement) -> AlgebraElement:
 
 
 def v_to_u(x: AlgebraElement) -> AlgebraElement:
-    return linear_map(x, "U", lambda idx: V_from_U(_sp_of(idx), x.q).terms, source="V")
+    return linear_map(
+        x, "U", lambda idx: V_from_U(underlying_set_partition(idx.partition), x.q).terms, source="V"
+    )
 
 
 def via_U(op, *xs: AlgebraElement) -> AlgebraElement | TensorElement:

@@ -187,10 +187,6 @@ def discrete_log_table(q: int) -> Mapping[int, int]:
 # the m and p bases (set partitions, labels-1 arc encoding)
 
 
-def _partition_of(idx: BasisIndex) -> SetPartition:
-    return underlying_set_partition(idx.partition)
-
-
 def m_element(q: int, sp: SetPartition, coeff=1) -> AlgebraElement:
     return AlgebraElement.monomial(q, "m", arc_encoding(sp), coeff)
 
@@ -220,7 +216,8 @@ def _merged_partitions(lam: SetPartition, mu: SetPartition):
 
 def _m_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     terms = {}
-    for nu in _merged_partitions(_partition_of(a), _partition_of(b)):
+    lam, mu = (underlying_set_partition(idx.partition) for idx in (a, b))
+    for nu in _merged_partitions(lam, mu):
         idx = BasisIndex("m", nu.n, arc_encoding(nu))
         if idx in terms:
             raise AssertionError(f"monomial product produced {idx!r} twice")
@@ -270,7 +267,7 @@ def m_to_p(x: AlgebraElement) -> AlgebraElement:
     coarsenings of mu(partition, coarsening) times p."""
 
     def image(idx):
-        sp = _partition_of(idx)
+        sp = underlying_set_partition(idx.partition)
         return {
             BasisIndex("p", sp.n, arc_encoding(coarser)): partition_mobius(sp, coarser)
             for coarser in coarsenings(sp)
@@ -285,7 +282,7 @@ def p_to_m(x: AlgebraElement) -> AlgebraElement:
     def image(idx):
         return {
             BasisIndex("m", idx.grade, arc_encoding(coarser)): 1
-            for coarser in coarsenings(_partition_of(idx))
+            for coarser in coarsenings(underlying_set_partition(idx.partition))
         }
 
     return linear_map(x, "m", image, source="p")

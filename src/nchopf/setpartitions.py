@@ -5,8 +5,9 @@ partition* of [n] = {1, ..., n} is a set of arcs i -(a)-> j with i < j and a
 nonzero label a, such that no two arcs share a left endpoint and no two arcs
 share a right endpoint.  Equivalently: a strictly upper-triangular matrix with
 at most one nonzero entry in each row and each column.  Forgetting the labels,
-the connected components of the arc diagram are the blocks of an ordinary set
-partition of [n]; with all labels equal to 1 this is a bijection.
+the connected components of the arc diagram are increasing chains
+i_1 -> i_2 -> ..., the blocks of an ordinary set partition of [n]; with all
+labels equal to 1 this is a bijection.
 
 Positions are 1-based throughout.
 """
@@ -160,7 +161,6 @@ def _labeled(n: int, arcs: tuple) -> "LabeledSetPartition":
         object.__setattr__(lam, "arcs", arcs)
         object.__setattr__(lam, "_hash", hash((n, arcs)))
         object.__setattr__(lam, "_max_label", max((a[2] for a in arcs), default=1))
-        object.__setattr__(lam, "_underlying", None)
         lam = _PARTITIONS.setdefault((n, arcs), lam)
     return lam
 
@@ -174,11 +174,11 @@ class LabeledSetPartition:
     to it is alive.  Partitions derived from valid ones inside the package
     skip the checks through ``_labeled``.  Equality and hashing are still
     determined by (n, sorted arcs), with arcs kept in (left, right)
-    lexicographic order.  The largest label and the underlying set partition
-    are computed once per pooled instance.
+    lexicographic order.  The largest label is computed once per pooled
+    instance.
     """
 
-    __slots__ = ("n", "arcs", "_hash", "_max_label", "_underlying", "__weakref__")
+    __slots__ = ("n", "arcs", "_hash", "_max_label", "__weakref__")
 
     def __new__(cls, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         if n < 0:
@@ -421,34 +421,19 @@ class SetComposition:
 def enumerate_labeled_partitions(n: int, q: int) -> list[LabeledSetPartition]:
     """All of S_n(q) in the canonical order: by arc count, then arc list.
 
-    The count is the Bell number B_n for q = 2 and, in general, the sum of
-    (q-1)^(#arcs) over all arc-position patterns.
+    Each is a set partition of [n] with its blocks read as chains
+    i_1 -> i_2 -> ..., its ``arc_encoding``, and one label in F_q^x on each
+    arc; so the count is the sum of (q-1)^(#arcs) over set partitions, the
+    Bell number B_n for q = 2.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     check_prime(q)
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    patterns: list[tuple[tuple[int, int], ...]] = []
-
-    def extend(start: int, chosen: list[tuple[int, int]], lefts: set[int], rights: set[int]):
-        patterns.append(tuple(chosen))
-        for idx in range(start, len(positions)):
-            i, j = positions[idx]
-            if i in lefts or j in rights:
-                continue
-            chosen.append((i, j))
-            lefts.add(i)
-            rights.add(j)
-            extend(idx + 1, chosen, lefts, rights)
-            chosen.pop()
-            lefts.discard(i)
-            rights.discard(j)
-
-    extend(0, [], set(), set())
-    result = []
-    for pattern in patterns:  # each pattern lists its positions in increasing order
-        for labels in itertools.product(range(1, q), repeat=len(pattern)):
-            result.append(_labeled(n, tuple((i, j, a) for (i, j), a in zip(pattern, labels))))
+    result = [
+        _labeled(n, tuple((i, j, a) for (i, j, _), a in zip(arcs, labels)))
+        for arcs in (arc_encoding(sp).arcs for sp in all_set_partitions(n))
+        for labels in itertools.product(range(1, q), repeat=len(arcs))
+    ]
     result.sort(key=LabeledSetPartition.sort_key)
     return result
 
@@ -465,30 +450,18 @@ def count_labeled_partitions(n: int, q: int) -> int:
 
 
 def underlying_set_partition(lam: LabeledSetPartition) -> SetPartition:
-    """Blocks are the connected components of the arc diagram, labels ignored.
-    Computed once per pooled partition and kept with it."""
-    sp = lam._underlying
-    if sp is None:
-        sp = _components(lam)
-        object.__setattr__(lam, "_underlying", sp)
-    return sp
-
-
-def _components(lam: LabeledSetPartition) -> SetPartition:
-    parent = {i: i for i in range(1, lam.n + 1)}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in lam.arcs:
-        parent[find(a.left)] = find(a.right)
-    components: dict[int, list[int]] = {}
-    for i in range(1, lam.n + 1):  # blocks come out increasing, in order of their minima
-        components.setdefault(find(i), []).append(i)
-    return _set_partition(lam.n, tuple(tuple(block) for block in components.values()))
+    """Forget the labels: each block is the chain i_1 -> i_2 -> ... of arcs
+    that starts at a position no arc enters."""
+    following = {l: r for l, r, _ in lam.arcs}
+    entered = set(following.values())
+    blocks = []
+    for start in range(1, lam.n + 1):  # blocks come out in order of their minima
+        if start not in entered:
+            block = [start]
+            while block[-1] in following:
+                block.append(following[block[-1]])
+            blocks.append(tuple(block))
+    return _set_partition(lam.n, tuple(blocks))
 
 
 def arc_encoding(sp: SetPartition) -> LabeledSetPartition:
@@ -581,7 +554,7 @@ def all_set_partitions(n: int) -> list[SetPartition]:
 
 def coarsenings(lam: SetPartition) -> list[SetPartition]:
     """Every partition obtained by merging blocks of lam, including lam itself."""
-    out = set()
+    out = []
     for grouping in set_partitions_of(range(len(lam.blocks))):
         merged = []
         for group in grouping:
@@ -589,7 +562,7 @@ def coarsenings(lam: SetPartition) -> list[SetPartition]:
             for idx in group:
                 block.extend(lam.blocks[idx])
             merged.append(block)
-        out.add(SetPartition(lam.n, merged))
+        out.append(SetPartition(lam.n, merged))
     return sorted(out, key=lambda sp: (sp.num_blocks(), sp.blocks))
 
 
@@ -602,7 +575,7 @@ def refinements(lam: SetPartition) -> list[SetPartition]:
         for sub in choice:
             blocks.extend(sub)
         out.append(SetPartition(lam.n, blocks))
-    return sorted(set(out), key=lambda sp: (sp.num_blocks(), sp.blocks))
+    return sorted(out, key=lambda sp: (sp.num_blocks(), sp.blocks))
 
 
 def partition_mobius(finer: SetPartition, coarser: SetPartition) -> int:

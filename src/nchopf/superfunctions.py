@@ -171,7 +171,6 @@ class SupercharTable:
         self._index = {lam: i for i, lam in enumerate(self.order)}
         self._keys: dict[str, tuple[BasisIndex, ...]] = {}
         self._weights: tuple[Fraction, ...] | None = None
-        self._inverse_rows: list[tuple[CycRational, ...] | None] = [None] * len(self.order)
         self._images: dict[str, list[dict | None]] = {}
         if len(self.values) != len(self.order) or any(
             len(row) != len(self.order) for row in self.values
@@ -212,25 +211,12 @@ class SupercharTable:
             )
         return weights
 
-    def inverse_row(self, i: int) -> tuple[CycRational, ...]:
-        """Row mu = order[i] of the inverse table, by orthogonality:
-        T^-1[mu][lam] = |K_mu| conj(T[lam][mu]) w_lam.  Cached per row; a
-        thread race only computes a row twice."""
-        row = self._inverse_rows[i]
-        if row is None:
-            size = self.class_sizes[i]
-            column = (values[i] for values in self.values)
-            row = self._inverse_rows[i] = tuple(
-                v.conj() * (size * w) if v else v for v, w in zip(column, self.weights())
-            )
-        return row
-
     def image(self, change: str, i: int, build) -> dict:
         """The sparse image of index order[i] under the basis change named
         ``change``: ``build(self, i)``, a map from basis indices to nonzero
-        ``CycRational`` values, built on first use and cached per index like
-        ``inverse_row``; a thread race only builds an entry twice.  Every
-        caller shares the cached map, so none may mutate it."""
+        ``CycRational`` values, built on first use and cached per index; a
+        thread race only builds an entry twice.  Every caller shares the
+        cached map, so none may mutate it."""
         images = self._images.get(change)
         if images is None:
             images = self._images.setdefault(change, [None] * len(self.order))
@@ -240,8 +226,11 @@ class SupercharTable:
         return image
 
     def inverse(self) -> tuple[tuple[CycRational, ...], ...]:
-        """The exact inverse of the value matrix, as the tuple of its rows."""
-        return tuple(self.inverse_row(i) for i in range(len(self.order)))
+        """The exact inverse of the value matrix, as the tuple of its rows:
+        the dense view of the ``kappa_to_chi`` images."""
+        zero, keys = CycRational.zero(self.q), self.indices("chi")
+        images = (self.image("kappa_to_chi", i, _inverse_table_row) for i in range(len(keys)))
+        return tuple(tuple(image.get(key, zero) for key in keys) for image in images)
 
     def validate_basic(self) -> None:
         if self.order and self.order[0].arcs:
@@ -428,7 +417,14 @@ def chi_to_kappa(x: AlgebraElement) -> AlgebraElement:
 
 
 def _inverse_table_row(table: SupercharTable, i: int) -> dict:
-    return {key: v for key, v in zip(table.indices("chi"), table.inverse_row(i)) if v}
+    """Row mu = order[i] of the inverse table by orthogonality, without its
+    zeros: T^-1[mu][lam] = |K_mu| conj(T[lam][mu]) w_lam."""
+    size = table.class_sizes[i]
+    return {
+        key: row[i].conj() * (size * w)
+        for key, row, w in zip(table.indices("chi"), table.values, table.weights())
+        if row[i]
+    }
 
 
 def kappa_to_chi(x: AlgebraElement) -> AlgebraElement:

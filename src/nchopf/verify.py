@@ -33,13 +33,11 @@ from .duals import dual_ch, duality_pairing, duality_pairing_tensor, via_U
 from .setpartitions import (
     LabeledSetPartition,
     SetComposition,
-    all_set_partitions,
-    arc_encoding,
     check_prime,
     count_labeled_partitions,
     enumerate_labeled_partitions,
 )
-from .limits import SIND_ADJOINTNESS_BOUND, degree_weighted
+from .limits import SIND_ADJOINTNESS_BOUND, check_grade, check_work, degree_weighted
 from .superfunctions import supercharacter_table
 from . import unitriangular as oracle
 
@@ -106,15 +104,12 @@ def hopf_bases(q: int) -> list[str]:
 
 
 def basis_indices(q: int, tag: str, grade: int) -> list[BasisIndex]:
-    if tag in SET_PARTITION_BASES:
-        return [
-            BasisIndex(tag, grade, arc_encoding(sp)) for sp in all_set_partitions(grade)
-        ]
-    if tag in ARC_BASES:
-        return [
-            BasisIndex(tag, grade, lam) for lam in enumerate_labeled_partitions(grade, q)
-        ]
-    raise ValueError(f"no index enumeration for basis {tag!r}")
+    """The basis indices of one grade: S_grade(q), or S_grade(2) for the
+    set-partition bases m, p, U and V."""
+    if tag not in ARC_BASES:
+        raise ValueError(f"no index enumeration for basis {tag!r}")
+    labels = 2 if tag in SET_PARTITION_BASES else q
+    return [BasisIndex(tag, grade, lam) for lam in enumerate_labeled_partitions(grade, labels)]
 
 
 def hopf_work(n: int, q: int) -> int:
@@ -567,8 +562,25 @@ SUITES = {
 }
 
 
+#: The work-budget row and the estimate of each suite: the grade bound alone
+#: caps none of them at large q.  The oracle suite builds the formula table
+#: first, which checks its own estimate.
+SUITE_WORK = {
+    "hopf": ("hopf", hopf_work),
+    "iso": ("iso", iso_work),
+    "duality": ("duality", duality_work),
+    "axioms": ("oracle", axioms_work),
+    "oracle": ("oracle", oracle_work),
+}
+
+
 def run_suite(name: str, n: int, q: int, seed: int = 0) -> SuiteReport:
+    """One suite, after the grade bound and the suite's work estimate
+    (``SUITE_WORK``) are checked, before any enumeration."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    _check_arguments(n, q)
+    check_grade(n)
+    entry, estimate = SUITE_WORK[name]
+    work = estimate(n, q)
+    check_work(entry, work, f"the {name} suite at n={n}, q={q} has work estimate {work}")
     return suite_hopf(n, q, seed=seed) if name == "hopf" else SUITES[name](n, q)

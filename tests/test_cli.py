@@ -212,6 +212,24 @@ class TestCliBasics:
         assert done.returncode == EXIT_INVALID and not done.stdout
         assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("exponent", ["1e100000000", "1e-100000000"])
+    def test_a_huge_decimal_exponent_exits_one_at_once(self, exponent):
+        # Fraction would build 10^e in full before anything else could fail
+        term = {"n": 1, "arcs": [], "coeff": {"p": 2, "coeffs": [exponent]}}
+        payload = json.dumps({"q": 2, "basis": "kappa", "terms": [term]})
+        start = time.perf_counter()
+        done = invoke_subprocess(["antipode"], payload)
+        assert time.perf_counter() - start < 5
+        assert done.returncode == EXIT_INVALID and not done.stdout
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+        start = time.perf_counter()
+        code, out, err = invoke(["antipode"], payload)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INVALID and not out and "decimal exponent" in err
+        term["coeff"]["coeffs"] = ["1e3"]
+        code, out, _ = invoke(["antipode"], json.dumps({"q": 2, "basis": "kappa", "terms": [term]}))
+        assert code == EXIT_OK and json.loads(out)["terms"][0]["coeff"]["coeffs"] == ["-1000"]
+
     @pytest.mark.parametrize("suite", ["iso", "duality"])
     def test_verify_at_negative_n_exits_one(self, suite):
         # these suites would otherwise run over no cases at all

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -486,6 +487,24 @@ class TestHashConsing:
                 CycRational.from_json(data)
         else:
             assert CycRational.from_json(data) == CycRational(3, [expected, 1])
+
+    @pytest.mark.parametrize("text", ["1e100000000", "1e-100000000", "2.5E+1_000_000_000"])
+    def test_from_json_refuses_a_huge_decimal_exponent_at_once(self, text):
+        # Fraction would build 10^e in full first, which takes seconds past e = 10^7
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent"):
+            CycRational.from_json({"p": 3, "coeffs": [text, "1"]})
+        assert time.perf_counter() - start < 1
+
+    def test_from_json_reads_exponents_up_to_the_int_string_limit(self):
+        # 10^e has e + 1 digits: read while that is within the limit
+        limit = sys.get_int_max_str_digits()
+        for exponent in (limit - 1, 1 - limit):
+            value = CycRational.from_json({"p": 2, "coeffs": [f"1e{exponent}"]})
+            assert value == Fraction(10) ** exponent
+        for text in (f"1e{limit}", f"1e-{limit}", f"1.5e{limit + 1}"):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                CycRational.from_json({"p": 2, "coeffs": [text]})
 
     @pytest.mark.parametrize("value", [1.0, 1.5, float("nan"), True, False, None, [1], {}])
     def test_from_json_refuses_a_coefficient_that_is_not_a_string_or_integer(self, value):

@@ -214,6 +214,80 @@ class TestUnderlying:
         assert arc_encoding(underlying_set_partition(lam)) == lam
 
 
+def backtracking_enumeration(n, q):
+    """S_n(q) by a search over arc positions: every set of positions
+    i < j with distinct lefts and distinct rights, each with every label
+    vector, in the canonical order."""
+    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    patterns = []
+
+    def extend(start, chosen, lefts, rights):
+        patterns.append(tuple(chosen))
+        for idx in range(start, len(positions)):
+            i, j = positions[idx]
+            if i in lefts or j in rights:
+                continue
+            chosen.append((i, j))
+            lefts.add(i)
+            rights.add(j)
+            extend(idx + 1, chosen, lefts, rights)
+            chosen.pop()
+            lefts.discard(i)
+            rights.discard(j)
+
+    extend(0, [], set(), set())
+    result = [
+        LabeledSetPartition(n, [(i, j, a) for (i, j), a in zip(pattern, labels)])
+        for pattern in patterns
+        for labels in itertools.product(range(1, q), repeat=len(pattern))
+    ]
+    result.sort(key=LabeledSetPartition.sort_key)
+    return result
+
+
+def union_find_blocks(lam):
+    """The connected components of lam's arc diagram, by union-find."""
+    parent = {i: i for i in range(1, lam.n + 1)}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in lam.arcs:
+        parent[find(a.left)] = find(a.right)
+    components = {}
+    for i in range(1, lam.n + 1):
+        components.setdefault(find(i), []).append(i)
+    return SetPartition(lam.n, components.values())
+
+
+# every (n, q) up to (6, 2), (5, 3), (4, 5) and (3, 7)
+REFERENCE_SIZES = [(n, q) for q, top in ((2, 6), (3, 5), (5, 4), (7, 3)) for n in range(top + 1)]
+
+
+class TestChainConstruction:
+    """The chain construction of S_n(q) and of the blocks, against a search
+    over arc positions and a union-find over the arc diagram."""
+
+    @pytest.mark.parametrize("n,q", REFERENCE_SIZES)
+    def test_enumeration_equals_the_backtracking_search(self, n, q):
+        out, reference = enumerate_labeled_partitions(n, q), backtracking_enumeration(n, q)
+        assert len(out) == len(reference) == count_labeled_partitions(n, q)
+        assert all(a is b for a, b in zip(out, reference))
+
+    @pytest.mark.parametrize("n,q", REFERENCE_SIZES)
+    def test_blocks_equal_union_find_components(self, n, q):
+        for lam in enumerate_labeled_partitions(n, q):
+            assert underlying_set_partition(lam) is union_find_blocks(lam)
+
+    @settings(max_examples=200)
+    @given(labeled_partitions(max_n=6, q=5))
+    def test_blocks_equal_union_find_components_on_random_partitions(self, lam):
+        assert underlying_set_partition(lam) is union_find_blocks(lam)
+
+
 class TestConcat:
     def test_shifts_second_argument(self):
         lam = LabeledSetPartition(2, [(1, 2, 1)])
@@ -439,7 +513,7 @@ class TestHashConsing:
         assert lam.max_label() == 4 and LabeledSetPartition(3).max_label() == 1
         blocks = underlying_set_partition(lam)
         assert blocks == sp("146|25|3")
-        assert underlying_set_partition(lam) is blocks is lam._underlying
+        assert underlying_set_partition(lam) is blocks
 
     def test_arcs_and_partitions_pickle_and_copy_to_the_pooled_instance(self):
         lam = lsp("4; 1-2-3, 2-1-4")

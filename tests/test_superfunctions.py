@@ -296,6 +296,14 @@ class TestTables:
         data["order"] = None
         self._load_from_bad_cache(tmp_path, data)
 
+    @pytest.mark.parametrize("exponent", ["1e100000000", "1e-100000000"])
+    def test_disk_cache_with_a_huge_decimal_exponent_is_recomputed(self, tmp_path, exponent):
+        from nchopf import superfunctions
+
+        data = superfunctions._compute_table(3, 2).to_json()
+        data["values"][1][1]["coeffs"] = [exponent]
+        self._load_from_bad_cache(tmp_path, data)
+
     def test_disk_cache_nested_too_deeply_is_recomputed(self, tmp_path):
         # json.loads raises RecursionError, not ValueError, on this
         self._load_from_bad_text(tmp_path, "[" * 100_000 + "]" * 100_000)
@@ -348,69 +356,41 @@ class TestClosedFormInverse:
 
     @pytest.mark.parametrize("n,q", TABLE_SIZES)
     def test_inverse_row_does_not_depend_on_build_order(self, n, q):
+        # each kappa_to_chi image, the sparse row of the inverse, built first
+        # on a fresh table equals the one built in index order
+        from nchopf.superfunctions import _inverse_table_row
+
         table = supercharacter_table(n, q)
 
         def fresh():
             return SupercharTable(n, q, table.order, table.values, table.class_sizes)
 
+        def image(t, i):
+            return t.image("kappa_to_chi", i, _inverse_table_row)
+
         in_order = fresh()
-        rows = [in_order.inverse_row(i) for i in range(len(table.order))]
+        rows = [image(in_order, i) for i in range(len(table.order))]
         for i in range(len(table.order)):
             first = fresh()
-            assert first.inverse_row(i) == rows[i]
-            assert first.inverse() == tuple(rows)
-            assert first.inverse_row(i) is first.inverse_row(i)
-
-    def test_inverse_rows_under_thread_races(self):
-        # four threads fill one fresh table's rows in different orders; a
-        # race may build a row twice but every thread sees the same rows
-        import sys
-        import threading
-
-        table = supercharacter_table(4, 3)
-        shared = SupercharTable(4, 3, table.order, table.values, table.class_sizes)
-        size = len(table.order)
-        barrier = threading.Barrier(4)
-        results, errors = [None] * 4, []
-
-        def build(slot):
-            try:
-                barrier.wait()
-                order = range(size) if slot % 2 == 0 else reversed(range(size))
-                rows = {i: shared.inverse_row(i) for i in order}
-                results[slot] = tuple(rows[i] for i in range(size))
-            except Exception as exc:  # pragma: no cover - reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert all(rows == table.inverse() for rows in results)
+            assert image(first, i) == rows[i]
+            assert first.inverse() == in_order.inverse()
+            assert image(first, i) is image(first, i)
 
     def test_kappa_to_chi_reads_only_the_rows_it_needs(self, monkeypatch):
         from nchopf import superfunctions
 
         superfunctions.clear_table_cache()
         read = []
-        inverse_row = SupercharTable.inverse_row
+        inverse_table_row = superfunctions._inverse_table_row
 
-        def counted(self, i):
-            read.append((self.n, i))
-            return inverse_row(self, i)
+        def counted(table, i):
+            read.append((table.n, i))
+            return inverse_table_row(table, i)
 
         def whole(self):
             raise AssertionError("kappa_to_chi built the whole inverse")
 
-        monkeypatch.setattr(SupercharTable, "inverse_row", counted)
+        monkeypatch.setattr(superfunctions, "_inverse_table_row", counted)
         monkeypatch.setattr(SupercharTable, "inverse", whole)
         try:
             lams = enumerate_labeled_partitions(4, 3)[5:8] + enumerate_labeled_partitions(2, 3)[:1]

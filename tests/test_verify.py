@@ -51,6 +51,22 @@ class TestOracleSuite:
             assert term == 98
 
 
+def test_run_suite_checks_the_work_bound_before_building_a_group(monkeypatch):
+    # (6, 2) is over the oracle suite's work budget: refused at once, before
+    # the group oracle or the formula table is asked for anything
+    from nchopf import superfunctions, unitriangular
+    from nchopf.limits import BoundExceededError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suite built a group or a table")
+
+    monkeypatch.setattr(unitriangular, "get_group", refuse)
+    monkeypatch.setattr(verify, "supercharacter_table", refuse)
+    monkeypatch.setattr(superfunctions, "_compute_table", refuse)
+    with pytest.raises(BoundExceededError, match="the oracle suite at n=6, q=2"):
+        verify.run_suite("oracle", 6, 2)
+
+
 def _tracer_targets():
     """TARGETS of the benchmark tracer, read from its source without importing it."""
     source = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
