@@ -28,7 +28,7 @@ import weakref
 from fractions import Fraction
 from typing import Sequence
 
-from .setpartitions import _no_ref, check_prime, json_int
+from .setpartitions import _no_ref, check_prime, json_int, json_list
 
 
 class ConductorMismatchError(ValueError):
@@ -321,13 +321,14 @@ class CycRational:
         ASCII digits with an optional minus sign, are read as ints; every other
         string is read by ``_fraction``, which accepts or refuses it."""
         p = json_int(data["p"], "p")
-        for s in data["coeffs"]:
+        texts = json_list(data["coeffs"], "coeffs")
+        for s in texts:
             if isinstance(s, bool) or not isinstance(s, (str, int)):
                 raise ValueError(f"a coefficient must be a string or a JSON integer, got {s!r}")
         try:
             coeffs = [
                 s if type(s) is int else int(s) if _INTEGER_TEXT.fullmatch(s) else _fraction(s)
-                for s in data["coeffs"]
+                for s in texts
             ]
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"invalid scalar {data!r}: {exc}") from exc

@@ -57,11 +57,12 @@ from .setpartitions import (
     _set_partition,
     arc_encoding,
     json_int,
+    json_list,
     partition_mobius,
     refinements,
     underlying_set_partition,
 )
-from .superfunctions import SupercharTable, chi_to_kappa, group_order, supercharacter_table
+from .superfunctions import _table_change, chi_to_kappa, group_order, supercharacter_table
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ from .superfunctions import SupercharTable, chi_to_kappa, group_order, superchar
 class Permutation:
     """A permutation of [n] in one-line notation; cycles derived on demand."""
 
-    __slots__ = ("word", "_hash", "_cycles")
+    __slots__ = ("word", "_hash")
 
     def __init__(self, word: Iterable[int]):
         word = tuple(int(x) for x in word)
@@ -79,7 +80,6 @@ class Permutation:
             raise ValueError(f"{word} is not a permutation of [1, {len(word)}]")
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "_hash", hash(word))
-        object.__setattr__(self, "_cycles", None)
 
     def __reduce__(self):
         return Permutation, (self.word,)
@@ -114,23 +114,21 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles (fixed points included), each starting at its
-        minimum, sorted by minimum; cached."""
-        if self._cycles is None:
-            seen = set()
-            cycles = []
-            for start in range(1, self.n + 1):
-                if start in seen:
-                    continue
-                cycle = [start]
-                seen.add(start)
-                nxt = self(start)
-                while nxt != start:
-                    cycle.append(nxt)
-                    seen.add(nxt)
-                    nxt = self(nxt)
-                cycles.append(tuple(cycle))
-            object.__setattr__(self, "_cycles", tuple(cycles))
-        return self._cycles
+        minimum, sorted by minimum."""
+        seen = set()
+        cycles = []
+        for start in range(1, self.n + 1):
+            if start in seen:
+                continue
+            cycle = [start]
+            seen.add(start)
+            nxt = self(start)
+            while nxt != start:
+                cycle.append(nxt)
+                seen.add(nxt)
+                nxt = self(nxt)
+            cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
@@ -146,7 +144,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
-        return cls(json_int(x, "a permutation entry") for x in data["word"])
+        return cls(json_int(x, "a permutation entry") for x in json_list(data["word"], "word"))
 
 
 def csupp(sigma: Permutation) -> SetPartition:
@@ -247,44 +245,17 @@ def chi_star_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElemen
     return AlgebraElement.monomial(q, "chi_star", lam, coeff)
 
 
-def _scaled_table_row(table: SupercharTable, i: int) -> dict:
-    scale = table.weights()[i]
-    return {
-        key: v * (scale * size)
-        for key, v, size in zip(table.indices("kappa_star"), table.values[i], table.class_sizes)
-        if v
-    }
-
-
 def chi_star_to_kappa_star(x: AlgebraElement) -> AlgebraElement:
     """Dual basis change: the dual of a supercharacter expands on kappa_star
     with the table row rescaled by superclass size times the table weight
     1 / (group order * q^crs)."""
-
-    def image(idx):
-        table = supercharacter_table(idx.grade, x.q)
-        return table.image("chi_star_to_kappa_star", table.index(idx.partition), _scaled_table_row)
-
-    return linear_map(x, "kappa_star", image, source="chi_star")
-
-
-def _conjugated_table_column(table: SupercharTable, i: int) -> dict:
-    return {
-        key: row[i].conj() for key, row in zip(table.indices("chi_star"), table.values) if row[i]
-    }
+    return _table_change(x, "chi_star")
 
 
 def kappa_star_to_chi_star(x: AlgebraElement) -> AlgebraElement:
     """kappa_star_mu = sum_lam conj(chi^lam(mu)) chi_star_lam: the inverse of
     chi_star_to_kappa_star is the conjugated table column, by orthogonality."""
-
-    def image(idx):
-        table = supercharacter_table(idx.grade, x.q)
-        return table.image(
-            "kappa_star_to_chi_star", table.index(idx.partition), _conjugated_table_column
-        )
-
-    return linear_map(x, "chi_star", image, source="kappa_star")
+    return _table_change(x, "kappa_star")
 
 
 #: Deconcatenation, dual to the concatenation product of the

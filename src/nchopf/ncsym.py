@@ -57,6 +57,7 @@ from .setpartitions import (
     coarsenings,
     concat,
     json_int,
+    json_list,
     partition_mobius,
     underlying_set_partition,
 )
@@ -146,8 +147,9 @@ class ColoredIndex:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoredIndex":
-        blocks = [tuple(json_int(i, "a block member") for i in b) for b in data["blocks"]]
-        colors = [json_int(c, "a color") for c in data["colors"]]
+        blocks = [json_list(b, "a block") for b in json_list(data["blocks"], "blocks")]
+        blocks = [tuple(json_int(i, "a block member") for i in b) for b in blocks]
+        colors = [json_int(c, "a color") for c in json_list(data["colors"], "colors")]
         n = sum(len(b) for b in blocks)
         return cls(SetPartition(n, blocks), colors, json_int(data["r"], "r"))
 

@@ -21,7 +21,7 @@ from .elements import (
     _load_basis,
     linear_combination,
 )
-from .setpartitions import check_prime, json_int
+from .setpartitions import check_prime, json_int, json_list
 
 
 def _index_payload(idx: BasisIndex) -> dict:
@@ -33,8 +33,12 @@ def _index_payload(idx: BasisIndex) -> dict:
 
 
 def _index_from_payload(basis: str, data: dict) -> BasisIndex:
-    """The index a payload names, read by the type its basis registered."""
+    """The index a payload names, read by the type its basis registered.  A
+    payload's "n", which M and m_colored payloads carry beside the index's
+    own fields, must be the index's size."""
     partition = _INDEX_TYPES[basis].from_json(data)
+    if "n" in data and json_int(data["n"], "n") != partition.n:
+        raise ValueError(f"payload n={data['n']} does not match an index of size {partition.n}")
     return BasisIndex(basis, partition.n, partition)
 
 
@@ -50,7 +54,7 @@ def _from_json(cls, data: dict, index_of):
     _load_basis(basis)
     pieces = (
         (CycRational.from_json(item["coeff"]), {index_of(basis, item): 1})
-        for item in data["terms"]
+        for item in json_list(data["terms"], "terms")
     )
     return cls(q, basis, linear_combination(pieces))
 

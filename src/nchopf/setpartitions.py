@@ -98,6 +98,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """An array field of parsed JSON: a ``list``.  Every ``from_json`` reads
+    its arrays through this, so that a string or an object is refused
+    instead of iterated."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 class Arc(tuple):
     """An arc left -(label)-> right with 1 <= left < right and label >= 1."""
 
@@ -260,7 +269,8 @@ class LabeledSetPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSetPartition":
-        arcs = [tuple(json_int(x, "an arc entry") for x in arc) for arc in data["arcs"]]
+        arcs = [json_list(arc, "an arc") for arc in json_list(data["arcs"], "arcs")]
+        arcs = [tuple(json_int(x, "an arc entry") for x in arc) for arc in arcs]
         return cls(json_int(data["n"], "n"), arcs)
 
 
@@ -534,7 +544,9 @@ def common_refinement(rho: SetPartition, sigma: SetPartition) -> SetPartition:
 
 
 def set_partitions_of(items: Sequence) -> Iterator[list[list]]:
-    """All partitions of the given items into nonempty blocks."""
+    """All partitions of the given items into nonempty blocks.  Each block
+    keeps the order of the items, and the blocks come in the order of their
+    first items, so increasing items give blocks ordered by their minima."""
     items = list(items)
     if not items:
         yield []
@@ -542,12 +554,12 @@ def set_partitions_of(items: Sequence) -> Iterator[list[list]]:
     first, rest = items[0], items[1:]
     for sub in set_partitions_of(rest):
         for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+            yield [[first] + sub[i]] + sub[:i] + sub[i + 1 :]
         yield [[first]] + sub
 
 
 def all_set_partitions(n: int) -> list[SetPartition]:
-    out = [SetPartition(n, blocks) for blocks in set_partitions_of(range(1, n + 1))]
+    out = [_set_partition(n, tuple(map(tuple, b))) for b in set_partitions_of(range(1, n + 1))]
     out.sort(key=lambda sp: (sp.num_blocks(), sp.blocks))
     return out
 

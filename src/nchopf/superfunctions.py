@@ -45,6 +45,7 @@ from .setpartitions import (
     crossing_statistic,
     enumerate_labeled_partitions,
     json_int,
+    json_list,
     underlying_set_partition,
 )
 
@@ -155,6 +156,18 @@ def supercharacter_value(
     return value
 
 
+#: The four table basis changes, by source tag: (target tag, whether the
+#: change reads S = diag(w) T diag(|K|) rather than the table T, whether it
+#: reads the conjugate of column i rather than row i).  Orthogonality gives
+#: T^-1 = S*, and the two dual changes are the transposes of the primal ones.
+_CHANGES = {
+    "chi": ("kappa", False, False),
+    "kappa": ("chi", True, True),
+    "chi_star": ("kappa_star", True, False),
+    "kappa_star": ("chi_star", False, True),
+}
+
+
 class SupercharTable:
     """The full supercharacter table of UT_n(q) plus superclass sizes.
 
@@ -170,7 +183,6 @@ class SupercharTable:
         self.class_sizes = tuple(int(s) for s in class_sizes)
         self._index = {lam: i for i, lam in enumerate(self.order)}
         self._keys: dict[str, tuple[BasisIndex, ...]] = {}
-        self._weights: tuple[Fraction, ...] | None = None
         self._images: dict[str, list[dict | None]] = {}
         if len(self.values) != len(self.order) or any(
             len(row) != len(self.order) for row in self.values
@@ -178,6 +190,10 @@ class SupercharTable:
             raise ValueError("table shape does not match index order")
         if len(self.class_sizes) != len(self.order):
             raise ValueError("class size vector does not match index order")
+        # w_lam = 1 / (|G| q^crs(lam)) in index order: supercharacters are
+        # orthogonal with <chi^lam, chi^lam> = q^crs(lam)
+        g = group_order(n, q)
+        self.weights = tuple(Fraction(1, g * q ** crossing_statistic(lam)) for lam in self.order)
 
     @property
     def group_order(self) -> int:
@@ -200,36 +216,38 @@ class SupercharTable:
             keys = self._keys[basis] = tuple(BasisIndex(basis, self.n, lam) for lam in self.order)
         return keys
 
-    def weights(self) -> tuple[Fraction, ...]:
-        """w_lam = 1 / (|G| q^crs(lam)) in index order, built once per table:
-        supercharacters are orthogonal with <chi^lam, chi^lam> = q^crs(lam)."""
-        weights = self._weights
-        if weights is None:
-            order = self.group_order
-            weights = self._weights = tuple(
-                Fraction(1, order * self.q ** crossing_statistic(lam)) for lam in self.order
-            )
-        return weights
-
-    def image(self, change: str, i: int, build) -> dict:
-        """The sparse image of index order[i] under the basis change named
-        ``change``: ``build(self, i)``, a map from basis indices to nonzero
-        ``CycRational`` values, built on first use and cached per index; a
-        thread race only builds an entry twice.  Every caller shares the
-        cached map, so none may mutate it."""
-        images = self._images.get(change)
+    def image(self, source: str, i: int) -> dict:
+        """The sparse image of index order[i] of the basis ``source`` under
+        its table basis change (``_CHANGES``): a map from basis indices of
+        the target to nonzero ``CycRational`` values, built on first use and
+        cached per index; a thread race only builds an entry twice.  Every
+        caller shares the cached map, so none may mutate it."""
+        images = self._images.get(source)
         if images is None:
-            images = self._images.setdefault(change, [None] * len(self.order))
+            images = self._images.setdefault(source, [None] * len(self.order))
         image = images[i]
         if image is None:
-            image = images[i] = build(self, i)
+            image = images[i] = self._build_image(source, i)
         return image
+
+    def _build_image(self, source: str, i: int) -> dict:
+        target, scaled, column = _CHANGES[source]
+        if column:
+            entries = [(j, row[i].conj()) for j, row in enumerate(self.values) if row[i]]
+        else:
+            entries = [(j, v) for j, v in enumerate(self.values[i]) if v]
+        keys = self.indices(target)
+        if not scaled:
+            return {keys[j]: v for j, v in entries}
+        # S[lam][mu] = w_lam |K_mu| T[lam][mu]; lam runs down a column
+        w, sizes = self.weights, self.class_sizes
+        return {keys[j]: v * (w[j] * sizes[i] if column else w[i] * sizes[j]) for j, v in entries}
 
     def inverse(self) -> tuple[tuple[CycRational, ...], ...]:
         """The exact inverse of the value matrix, as the tuple of its rows:
-        the dense view of the ``kappa_to_chi`` images."""
+        the dense view of the ``kappa`` images."""
         zero, keys = CycRational.zero(self.q), self.indices("chi")
-        images = (self.image("kappa_to_chi", i, _inverse_table_row) for i in range(len(keys)))
+        images = (self.image("kappa", i) for i in range(len(keys)))
         return tuple(tuple(image.get(key, zero) for key in keys) for image in images)
 
     def validate_basic(self) -> None:
@@ -254,12 +272,13 @@ class SupercharTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "SupercharTable":
+        rows = json_list(data["values"], "values")
         return cls(
             json_int(data["n"], "n"),
             json_int(data["q"], "q"),
-            [LabeledSetPartition.from_json(item) for item in data["order"]],
-            [[CycRational.from_json(v) for v in row] for row in data["values"]],
-            [json_int(s, "a class size") for s in data["class_sizes"]],
+            [LabeledSetPartition.from_json(item) for item in json_list(data["order"], "order")],
+            [[CycRational.from_json(v) for v in json_list(row, "a table row")] for row in rows],
+            [json_int(s, "a class size") for s in json_list(data["class_sizes"], "class sizes")],
         )
 
 
@@ -402,40 +421,26 @@ def clear_table_cache() -> None:
 # basis change and inner product
 
 
-def _table_row(table: SupercharTable, i: int) -> dict:
-    return {key: v for key, v in zip(table.indices("kappa"), table.values[i]) if v}
+def _table_change(x: AlgebraElement, source: str) -> AlgebraElement:
+    """The table basis change of ``_CHANGES`` from ``source``, per grade,
+    reading only the images of the indices in x."""
+
+    def image(idx):
+        table = supercharacter_table(idx.grade, x.q)
+        return table.image(source, table.index(idx.partition))
+
+    return linear_map(x, _CHANGES[source][0], image, source=source)
 
 
 def chi_to_kappa(x: AlgebraElement) -> AlgebraElement:
-    """chi^lam = sum_mu table[lam][mu] kappa_mu, per grade."""
-
-    def image(idx):
-        table = supercharacter_table(idx.grade, x.q)
-        return table.image("chi_to_kappa", table.index(idx.partition), _table_row)
-
-    return linear_map(x, "kappa", image, source="chi")
-
-
-def _inverse_table_row(table: SupercharTable, i: int) -> dict:
-    """Row mu = order[i] of the inverse table by orthogonality, without its
-    zeros: T^-1[mu][lam] = |K_mu| conj(T[lam][mu]) w_lam."""
-    size = table.class_sizes[i]
-    return {
-        key: row[i].conj() * (size * w)
-        for key, row, w in zip(table.indices("chi"), table.values, table.weights())
-        if row[i]
-    }
+    """chi^lam = sum_mu T[lam][mu] kappa_mu: row lam of the table."""
+    return _table_change(x, "chi")
 
 
 def kappa_to_chi(x: AlgebraElement) -> AlgebraElement:
-    """kappa_mu = sum_lam T^-1[mu][lam] chi^lam, per grade, reading only the
-    inverse rows of the indices in x."""
-
-    def image(idx):
-        table = supercharacter_table(idx.grade, x.q)
-        return table.image("kappa_to_chi", table.index(idx.partition), _inverse_table_row)
-
-    return linear_map(x, "chi", image, source="kappa")
+    """kappa_mu = sum_lam T^-1[mu][lam] chi^lam, with
+    T^-1[mu][lam] = |K_mu| conj(T[lam][mu]) w_lam by orthogonality."""
+    return _table_change(x, "kappa")
 
 
 def inner_product(x: AlgebraElement, y: AlgebraElement) -> CycRational:

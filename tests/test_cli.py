@@ -31,6 +31,10 @@ from nchopf.superfunctions import kappa_element, table_work
 from nchopf.verify import axioms_work, duality_work, hopf_work, iso_work, oracle_work
 
 
+#: The coefficient 1 at q = 3, as JSON.
+ONE_AT_3 = {"p": 3, "coeffs": ["1", "0"]}
+
+
 def lsp(text):
     return LabeledSetPartition.from_text(text)
 
@@ -198,6 +202,48 @@ class TestCliBasics:
         code, out, err = invoke(["mul"], json.dumps({"left": element, "right": element}))
         assert code == EXIT_INVALID and not out
         assert err.startswith("nchopf: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "basis, q, terms",
+        [
+            ("kappa", 2, [{"n": 1, "arcs": [], "coeff": {"p": 2, "coeffs": "12"}}]),
+            ("kappa", 2, [{"n": 1, "arcs": [], "coeff": {"p": 2, "coeffs": {"1": 0, "2": 0}}}]),
+            ("kappa", 2, ""),
+            ("kappa", 2, {}),
+            ("kappa", 2, [{"n": 0, "arcs": "", "coeff": {"p": 2, "coeffs": ["1"]}}]),
+            ("M", 2, [{"n": 0, "word": "", "coeff": {"p": 2, "coeffs": ["1"]}}]),
+            ("M", 2, [{"n": 7, "word": [1], "coeff": {"p": 2, "coeffs": ["1"]}}]),
+            ("m_colored", 3, [{"n": 7, "blocks": [[1]], "colors": [1], "r": 2, "coeff": ONE_AT_3}]),
+        ],
+        ids=[
+            "coeffs-string",
+            "coeffs-object",
+            "terms-string",
+            "terms-object",
+            "arcs-string",
+            "word-string",
+            "permutation-of-another-size",
+            "colored-index-of-another-size",
+        ],
+    )
+    def test_json_fields_of_the_wrong_shape_exit_one(self, basis, q, terms):
+        # strings and objects were iterated as arrays, and a payload's n
+        # was ignored, so each of these read as some other element
+        done = invoke_subprocess(["antipode"], json.dumps({"q": q, "basis": basis, "terms": terms}))
+        assert done.returncode == EXIT_INVALID and not done.stdout
+        assert done.stderr.startswith("nchopf: ") and "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+
+    def test_an_empty_term_array_is_the_zero_element(self):
+        done = invoke_subprocess(["antipode"], '{"q": 2, "basis": "kappa", "terms": []}')
+        assert done.returncode == EXIT_OK and not done.stderr
+        assert json.loads(done.stdout) == {"q": 2, "basis": "kappa", "terms": []}
+
+    def test_a_colored_payload_without_n_is_read(self):
+        term = {"blocks": [[1]], "colors": [1], "r": 2, "coeff": ONE_AT_3}
+        payload = json.dumps({"q": 3, "basis": "m_colored", "terms": [term]})
+        code, out, _ = invoke(["antipode"], payload)
+        assert code == EXIT_OK and json.loads(out)["terms"][0]["n"] == 1
 
     def test_integer_coefficient_entries_are_read_exactly(self):
         term = {"n": 1, "arcs": [], "coeff": {"p": 3, "coeffs": [2, 0]}}

@@ -27,6 +27,7 @@ from nchopf.setpartitions import (
     enumerate_labeled_partitions,
     partition_mobius,
     refinements,
+    set_partitions_of,
     straighten,
     underlying_set_partition,
     unstraighten,
@@ -387,6 +388,21 @@ class TestRefinementLattice:
         a = SetPartition.from_text("135|24")
         b = SetPartition.from_text("12|345")
         assert common_refinement(a, b) == SetPartition.from_text("1|35|2|4")
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_all_set_partitions_are_the_validated_ones(self, n):
+        # the validating constructor is the reference for the unchecked build
+        reference = [SetPartition(n, blocks) for blocks in set_partitions_of(range(1, n + 1))]
+        reference.sort(key=lambda sp: (sp.num_blocks(), sp.blocks))
+        built = all_set_partitions(n)
+        assert len(built) == len(reference) == bell(n)
+        assert all(a is b for a, b in zip(built, reference))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_set_partitions_of_orders_blocks_by_their_minima(self, n):
+        for blocks in set_partitions_of(range(1, n + 1)):
+            assert all(block == sorted(block) for block in blocks)
+            assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
 
     def test_idempotent(self):
         for sp in all_set_partitions(4):

@@ -356,41 +356,28 @@ class TestClosedFormInverse:
 
     @pytest.mark.parametrize("n,q", TABLE_SIZES)
     def test_inverse_row_does_not_depend_on_build_order(self, n, q):
-        # each kappa_to_chi image, the sparse row of the inverse, built first
-        # on a fresh table equals the one built in index order
-        from nchopf.superfunctions import _inverse_table_row
-
+        # each kappa image, the sparse row of the inverse, built first on a
+        # fresh table equals the one built in index order
         table = supercharacter_table(n, q)
 
         def fresh():
             return SupercharTable(n, q, table.order, table.values, table.class_sizes)
 
-        def image(t, i):
-            return t.image("kappa_to_chi", i, _inverse_table_row)
-
         in_order = fresh()
-        rows = [image(in_order, i) for i in range(len(table.order))]
+        rows = [in_order.image("kappa", i) for i in range(len(table.order))]
         for i in range(len(table.order)):
             first = fresh()
-            assert image(first, i) == rows[i]
+            assert first.image("kappa", i) == rows[i]
             assert first.inverse() == in_order.inverse()
-            assert image(first, i) is image(first, i)
+            assert first.image("kappa", i) is first.image("kappa", i)
 
     def test_kappa_to_chi_reads_only_the_rows_it_needs(self, monkeypatch):
         from nchopf import superfunctions
 
-        superfunctions.clear_table_cache()
-        read = []
-        inverse_table_row = superfunctions._inverse_table_row
-
-        def counted(table, i):
-            read.append((table.n, i))
-            return inverse_table_row(table, i)
-
         def whole(self):
             raise AssertionError("kappa_to_chi built the whole inverse")
 
-        monkeypatch.setattr(superfunctions, "_inverse_table_row", counted)
+        superfunctions.clear_table_cache()
         monkeypatch.setattr(SupercharTable, "inverse", whole)
         try:
             lams = enumerate_labeled_partitions(4, 3)[5:8] + enumerate_labeled_partitions(2, 3)[:1]
@@ -398,9 +385,17 @@ class TestClosedFormInverse:
             for lam in lams:
                 x = x + kappa_element(3, lam)
             kappa_to_chi(x)
+            tables = [supercharacter_table(n, 3) for n in (2, 4)]
+            filled = sorted(
+                (t.n, source, i)
+                for t in tables
+                for source, images in t._images.items()
+                for i, image in enumerate(images)
+                if image is not None
+            )
         finally:
             superfunctions.clear_table_cache()
-        assert sorted(read) == [(2, 0), (4, 5), (4, 6), (4, 7)]
+        assert filled == [(2, "kappa", 0), (4, "kappa", 5), (4, "kappa", 6), (4, "kappa", 7)]
 
 
 class TestCachedImages:
@@ -458,6 +453,17 @@ class TestCachedImages:
                 doubled = {k: 2 * v for k, v in expected.items()}
                 assert change(element(q, lam).scale(2)).terms == doubled
                 assert change(element(q, lam)).terms == expected
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 5)])
+    def test_images_built_in_reverse_order_equal_their_formulas(self, n, q):
+        # the dual sources first and the last index first, on a fresh table
+        table = supercharacter_table(n, q)
+        fresh = SupercharTable(n, q, table.order, table.values, table.class_sizes)
+        sources = [source for source, _, _ in self.changes(q)]
+        for source, formula in reversed(list(zip(sources, self.formulas(table)))):
+            for i in reversed(range(len(table.order))):
+                assert fresh.image(source, i) == formula(i)
+        assert list(fresh._images) == sources[::-1]
 
     def test_images_under_thread_races(self, monkeypatch):
         # four threads fill one fresh table's images through the four basis
