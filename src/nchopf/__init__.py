@@ -75,9 +75,6 @@ _EXPORTS = {
             "ColoredIndex",
             "ch",
             "collect_k",
-            "coproduct_k",
-            "coproduct_m",
-            "coproduct_p",
             "expand_k_in_colored_m",
             "k_element",
             "m_element",
@@ -85,9 +82,6 @@ _EXPORTS = {
             "p_element",
             "p_to_m",
             "primitive_root",
-            "product_k",
-            "product_m",
-            "product_p",
         ),
         "duals": (
             "M_element",
@@ -107,7 +101,6 @@ _EXPORTS = {
             "kappa_star_to_chi_star",
             "multiply_truncated",
             "product_M",
-            "product_U",
             "u_to_v",
             "v_to_u",
             "z_scalar",
@@ -115,10 +108,8 @@ _EXPORTS = {
         "unitriangular": (
             "ClassFunctionRaw",
             "ProductClassFunction",
-            "UTElement",
             "UTGroup",
             "def_parts",
-            "enumerate_group",
             "get_group",
             "inf_parts",
             "oracle_supercharacter_table",
@@ -127,8 +118,6 @@ _EXPORTS = {
             "raw_inner_product",
             "res_J",
             "sind_J",
-            "superclass_of",
-            "trace_supercharacter",
         ),
     }.items()
     for name in names

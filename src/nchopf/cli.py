@@ -111,7 +111,10 @@ def build_parser() -> _Parser:
     ver.add_argument("--suite", choices=sorted(SUITES), required=True)
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--q", type=int, required=True)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the hopf suite's random samples; the other suites ignore it",
+    )
 
     return parser
 

@@ -320,10 +320,6 @@ register_basis("U", product=_kappa_star_product, coproduct=_chi_star_coproduct)
 register_basis("V", product=_kappa_star_product, coproduct=_kappa_star_coproduct)
 
 
-def product_U(mu: SetPartition, nu: SetPartition, q: int = 2) -> AlgebraElement:
-    return product(U_element(q, mu), U_element(q, nu))
-
-
 def V_from_U(mu: SetPartition, q: int = 2) -> AlgebraElement:
     """V of a partition expands as the sum of U over all its refinements."""
     terms = {BasisIndex("U", mu.n, arc_encoding(finer)): 1 for finer in refinements(mu)}

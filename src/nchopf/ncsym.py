@@ -41,9 +41,7 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
-    coproduct,
     linear_map,
-    product,
     register_basis,
 )
 from .setpartitions import (
@@ -290,22 +288,6 @@ def p_to_m(x: AlgebraElement) -> AlgebraElement:
     return linear_map(x, "m", image, source="p")
 
 
-def product_m(lam: SetPartition, mu: SetPartition, q: int = 2) -> AlgebraElement:
-    return product(m_element(q, lam), m_element(q, mu))
-
-
-def coproduct_m(lam: SetPartition, q: int = 2) -> TensorElement:
-    return coproduct(m_element(q, lam))
-
-
-def product_p(lam: SetPartition, mu: SetPartition, q: int = 2) -> AlgebraElement:
-    return product(p_element(q, lam), p_element(q, mu))
-
-
-def coproduct_p(lam: SetPartition, q: int = 2) -> TensorElement:
-    return coproduct(p_element(q, lam))
-
-
 # ---------------------------------------------------------------------------
 # colored monomials
 
@@ -439,14 +421,6 @@ register_basis("k_colored", product=_kappa_product, coproduct=_kappa_coproduct)
 
 def k_element(q: int, lam: LabeledSetPartition, coeff=1) -> AlgebraElement:
     return AlgebraElement.monomial(q, "k_colored", lam, coeff)
-
-
-def product_k(mu: LabeledSetPartition, nu: LabeledSetPartition, q: int) -> AlgebraElement:
-    return product(k_element(q, mu), k_element(q, nu))
-
-
-def coproduct_k(lam: LabeledSetPartition, q: int) -> TensorElement:
-    return coproduct(k_element(q, lam))
 
 
 # ---------------------------------------------------------------------------

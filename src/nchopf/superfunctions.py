@@ -287,11 +287,14 @@ _TABLE_LOCK = threading.Lock()
 
 
 def default_cache_dir() -> Path:
+    """NCHOPF_CACHE_DIR unless it is empty, else nchopf under XDG_CACHE_HOME
+    if that is an absolute path (the XDG Base Directory spec ignores a
+    relative one), else ~/.cache/nchopf."""
     env = os.environ.get("NCHOPF_CACHE_DIR")
     if env:
         return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    base = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
     return base / "nchopf"
 
 
@@ -346,7 +349,8 @@ def supercharacter_table(
     cache_dir: str | os.PathLike | None = None,
     use_disk_cache: bool = True,
 ) -> SupercharTable:
-    """The supercharacter table of UT_n(q), cached in memory and on disk."""
+    """The supercharacter table of UT_n(q), cached in memory and on disk, in
+    cache_dir or, when that is None or empty, in ``default_cache_dir()``."""
     check_prime(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -356,7 +360,7 @@ def supercharacter_table(
         if key in _TABLE_CACHE:
             return _TABLE_CACHE[key]
     check_table_size(n, q)
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    directory = Path(cache_dir) if cache_dir else default_cache_dir()
     path = _table_path(n, q, directory)
     table = None
     if use_disk_cache and path.is_file():

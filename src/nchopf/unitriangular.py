@@ -8,12 +8,16 @@ inflation / deflation act literally on functions on group elements.
 
 Elements, nilpotent matrices, and linear functionals all share one dense
 layout: a tuple of residues indexed by the strictly-upper positions (i, j),
-i < j, in lexicographic order.
+i < j, in lexicographic order.  A group element u is its entry tuple, which
+is also the tuple of u - 1; class functions are keyed by these tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,66 +32,27 @@ from .setpartitions import (
 from .superfunctions import SupercharTable, check_table_size
 
 
-class UTElement:
-    """A unitriangular matrix: ones on the diagonal, residues mod q above it."""
-
-    __slots__ = ("n", "q", "entries", "_hash")
-
-    def __init__(self, n: int, q: int, entries: tuple[int, ...]):
-        if len(entries) != n * (n - 1) // 2:
-            raise ValueError(f"expected {n * (n - 1) // 2} entries, got {len(entries)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "entries", tuple(int(e) % q for e in entries))
-        object.__setattr__(self, "_hash", hash((n, q, self.entries)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UTElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UTElement)
-            and self.n == other.n
-            and self.q == other.q
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        pos = positions(self.n)
-        nonzero = [f"({i},{j})={e}" for (i, j), e in zip(pos, self.entries) if e]
-        return f"UTElement(n={self.n}, q={self.q}, {' '.join(nonzero) or '1'})"
-
-    @classmethod
-    def identity(cls, n: int, q: int) -> "UTElement":
-        return cls(n, q, (0,) * (n * (n - 1) // 2))
-
-    def entry(self, i: int, j: int) -> int:
-        if i == j:
-            return 1
-        if i > j:
-            return 0
-        return self.entries[_position_index(self.n)[(i, j)]]
-
-
-_POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {}
-_POSITION_INDEX: dict[int, dict[tuple[int, int], int]] = {}
-
-
+@functools.cache
 def positions(n: int) -> tuple[tuple[int, int], ...]:
-    if n not in _POSITIONS:
-        _POSITIONS[n] = tuple(
-            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        )
-    return _POSITIONS[n]
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@functools.cache
 def _position_index(n: int) -> dict[tuple[int, int], int]:
-    if n not in _POSITION_INDEX:
-        _POSITION_INDEX[n] = {pos: k for k, pos in enumerate(positions(n))}
-    return _POSITION_INDEX[n]
+    return {pos: k for k, pos in enumerate(positions(n))}
+
+
+def _closure(start: tuple[int, ...], moves) -> set[tuple[int, ...]]:
+    """Every tuple reachable from start, where moves(t) yields the tuples
+    one step from t."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for step in moves(frontier.pop()):
+            if step not in seen:
+                seen.add(step)
+                frontier.append(step)
+    return seen
 
 
 def nilpotent_of(lam: LabeledSetPartition, q: int) -> tuple[int, ...]:
@@ -112,8 +77,7 @@ class UTGroup:
         self.order = q**self.num_positions
         self.positions = positions(n)
         self.index = _position_index(n)
-        self._elements: tuple[UTElement, ...] | None = None
-        self._inverses: tuple[tuple[int, ...], ...] | None = None
+        self._elements: tuple[tuple[int, ...], ...] | None = None
         self._superclasses: dict[LabeledSetPartition, frozenset[tuple[int, ...]]] | None = None
         self._functional_orbits: dict[LabeledSetPartition, tuple[tuple[int, ...], ...]] = {}
         self._raw_characters: dict[LabeledSetPartition, "ClassFunctionRaw"] = {}
@@ -129,38 +93,16 @@ class UTGroup:
 
     # -- raw tuple arithmetic
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        q, index = self.q, self.index
-        out = []
-        for i, j in self.positions:
-            total = a[index[(i, j)]] + b[index[(i, j)]]
-            for k in range(i + 1, j):
-                total += a[index[(i, k)]] * b[index[(k, j)]]
-            out.append(total % q)
-        return tuple(out)
-
-    def nil_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        q, index = self.q, self.index
-        out = []
-        for i, j in self.positions:
-            total = 0
-            for k in range(i + 1, j):
-                total += a[index[(i, k)]] * b[index[(k, j)]]
-            out.append(total % q)
-        return tuple(out)
-
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        # (1 + N)^-1 = 1 - N + N^2 - ... with N nilpotent.
-        out = tuple(-x % self.q for x in a)
-        power = a
-        sign = -1
-        for _ in range(2, self.n):
-            power = self.nil_mul(power, a)
-            if not any(power):
-                break
-            sign = -sign
-            out = tuple((x + sign * y) % self.q for x, y in zip(out, power))
-        return out
+        """(1 + A)^-1 = 1 + V with V = -(A + A V), solved from the last row up."""
+        q, index = self.q, self.index
+        out = [0] * self.num_positions
+        for i, j in reversed(self.positions):
+            total = a[index[(i, j)]]
+            for k in range(i + 1, j):
+                total += a[index[(i, k)]] * out[index[(k, j)]]
+            out[index[(i, j)]] = -total % q
+        return tuple(out)
 
     def sandwich(self, x: tuple[int, ...], mid: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         """x * mid * y with x, y group elements and mid nilpotent."""
@@ -179,18 +121,12 @@ class UTGroup:
             out.append(total % q)
         return tuple(out)
 
-    def wrap(self, entries: tuple[int, ...]) -> UTElement:
-        return UTElement(self.n, self.q, entries)
-
     # -- enumeration
 
-    def elements(self) -> tuple[UTElement, ...]:
+    def elements(self) -> tuple[tuple[int, ...], ...]:
         self._check_bound()
         if self._elements is None:
-            self._elements = tuple(
-                self.wrap(entries)
-                for entries in itertools.product(range(self.q), repeat=self.num_positions)
-            )
+            self._elements = tuple(itertools.product(range(self.q), repeat=self.num_positions))
         return self._elements
 
     def _elementary_positions(self):
@@ -202,30 +138,22 @@ class UTGroup:
 
     def superclass_orbit(self, lam: LabeledSetPartition) -> frozenset[tuple[int, ...]]:
         self._check_bound()
-        start = nilpotent_of(lam, self.q)
-        seen = {start}
-        frontier = [start]
-        index, q = self.index, self.q
-        while frontier:
-            current = frontier.pop()
+        index, q, n = self.index, self.q, self.n
+
+        def moves(current):
             for (r, s), c in self._elementary_positions():
                 # row operation: add c * (row s) to row r
                 left = list(current)
-                for j in range(s + 1, self.n + 1):
+                for j in range(s + 1, n + 1):
                     left[index[(r, j)]] = (left[index[(r, j)]] + c * current[index[(s, j)]]) % q
-                left_t = tuple(left)
-                if left_t not in seen:
-                    seen.add(left_t)
-                    frontier.append(left_t)
+                yield tuple(left)
                 # column operation: add c * (column r) to column s
                 right = list(current)
                 for i in range(1, r):
                     right[index[(i, s)]] = (right[index[(i, s)]] + c * current[index[(i, r)]]) % q
-                right_t = tuple(right)
-                if right_t not in seen:
-                    seen.add(right_t)
-                    frontier.append(right_t)
-        return frozenset(seen)
+                yield tuple(right)
+
+        return frozenset(_closure(nilpotent_of(lam, q), moves))
 
     def superclasses(self) -> dict[LabeledSetPartition, frozenset[tuple[int, ...]]]:
         """Orbit of every labeled set partition; together they partition the group."""
@@ -254,23 +182,20 @@ class UTGroup:
         cached = self._functional_orbits.get(lam)
         if cached is not None:
             return cached
+        if lam.n != self.n or any(arc.label >= self.q for arc in lam.arcs):
+            raise ValueError(f"{lam!r} does not index a supercharacter of UT_{self.n}({self.q})")
         self._check_bound()
         index, q, n = self.index, self.q, self.n
-        start = tuple(-c % q for c in nilpotent_of(lam, q))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
+
+        def moves(current):
             for (r, s), c in self._elementary_positions():
                 # left action of 1 + c e_rs: row s picks up -c times row r
                 moved = list(current)
                 for j in range(s + 1, n + 1):
                     moved[index[(s, j)]] = (moved[index[(s, j)]] - c * current[index[(r, j)]]) % q
-                moved_t = tuple(moved)
-                if moved_t not in seen:
-                    seen.add(moved_t)
-                    frontier.append(moved_t)
-        orbit = tuple(sorted(seen))
+                yield tuple(moved)
+
+        orbit = tuple(sorted(_closure(tuple(-c % q for c in nilpotent_of(lam, q)), moves)))
         self._functional_orbits[lam] = orbit
         return orbit
 
@@ -294,27 +219,65 @@ class UTGroup:
                 total = total + theta(self.q, sum(c * x for c, x in zip(mu, uinv)) % self.q)
         return total
 
-    def trace_supercharacter(self, lam: LabeledSetPartition, u: UTElement) -> CycRational:
-        """Trace of u on the orbit module of lam."""
-        if (u.n, u.q) != (self.n, self.q):
-            raise ValueError("group element does not belong to this group")
-        return self._trace(self.functional_orbit(lam), self.inv(u.entries))
-
-    def inverses(self) -> tuple[tuple[int, ...], ...]:
-        """Entry tuples of the inverses, aligned with ``elements()``; cached."""
-        if self._inverses is None:
-            self._inverses = tuple(self.inv(u.entries) for u in self.elements())
-        return self._inverses
+    def trace_supercharacter(self, lam: LabeledSetPartition, u: tuple[int, ...]) -> CycRational:
+        """Trace of the group element with entry tuple u on the orbit module of lam."""
+        if len(u) != self.num_positions or not all(x in range(self.q) for x in u):
+            raise ValueError(f"{u!r} is not the entry tuple of an element of UT_{self.n}({self.q})")
+        return self._trace(self.functional_orbit(lam), self.inv(u))
 
     def supercharacter_raw(self, lam: LabeledSetPartition) -> "ClassFunctionRaw":
-        cached = self._raw_characters.get(lam)
-        if cached is not None:
-            return cached
-        orbit = self.functional_orbit(lam)
-        values = {u: self._trace(orbit, uinv) for u, uinv in zip(self.elements(), self.inverses())}
-        result = ClassFunctionRaw(self.n, self.q, values)
-        self._raw_characters[lam] = result
-        return result
+        """The trace of every group element on the orbit module of lam."""
+        if not self._raw_characters:
+            self._raw_characters = self._all_supercharacters()
+        if lam not in self._raw_characters:
+            raise ValueError(f"{lam!r} does not index a supercharacter of UT_{self.n}({self.q})")
+        return self._raw_characters[lam]
+
+    def _all_supercharacters(self) -> dict[LabeledSetPartition, "ClassFunctionRaw"]:
+        """Every supercharacter in one pass over the group.
+
+        The element with inverse entries v fixes mu when mu(v X) = 0 for
+        every X, that is when column j of mu, m, has sum_{k<i} m_k v_ki = 0
+        for every i < j.  Column j's conditions are column j - 1's and one
+        more, and its last entry is free, so the fixed functionals are built
+        column by column; each is sorted into its orbit.  This costs the sum
+        of the stabilizer orders, where tracing each orbit module separately
+        costs |G| times the orbit size."""
+        q, index = self.q, self.index
+        lams = enumerate_labeled_partitions(self.n, q)
+        by_column = [index[(k, j)] for j in range(2, self.n + 1) for k in range(1, j)]
+        orbit_of = {
+            tuple(mu[k] for k in by_column): number
+            for number, lam in enumerate(lams)
+            for mu in self.functional_orbit(lam)
+        }
+        values: list[list[CycRational]] = [[] for _ in lams]
+
+        @functools.cache
+        def trace(count: tuple[int, ...]) -> CycRational:
+            return sum((theta(q, e) * c for e, c in enumerate(count) if c), CycRational.zero(q))
+
+        for v in map(self.inv, self.elements()):
+            # fixed: (mu's first columns, mu(v) on them); kernel: the columns
+            # that meet the conditions so far, before the free last entry.
+            fixed, kernel = [((), 0)], [()]
+            for j in range(2, self.n + 1):
+                column = [v[index[(k, j)]] for k in range(1, j)]
+                kernel = [m + (x,) for m in kernel for x in range(q)]
+                pieces = [(m, sum(map(operator.mul, m, column)) % q) for m in kernel]
+                fixed = [(head + m, e + f) for head, e in fixed for m, f in pieces]
+                kernel = [m for m, f in pieces if f == 0]
+            counts = [[0] * q for _ in lams]
+            for mu, e in fixed:
+                if mu in orbit_of:
+                    counts[orbit_of[mu]][e % q] += 1
+            for function, count in zip(values, counts):
+                function.append(trace(tuple(count)))
+        position = {u: k for k, u in enumerate(self.elements())}
+        return {
+            lam: ClassFunctionRaw(self.n, q, Tabulated(position, function))
+            for lam, function in zip(lams, values)
+        }
 
     def oracle_table(self) -> SupercharTable:
         """The supercharacter table from orbit traces, sizes from orbit sizes.
@@ -322,7 +285,7 @@ class UTGroup:
         check_table_size(self.n, self.q)
         order = enumerate_labeled_partitions(self.n, self.q)
         classes = self.superclasses()
-        reps = [self.wrap(nilpotent_of(mu, self.q)) for mu in order]
+        reps = [nilpotent_of(mu, self.q) for mu in order]
         values = [
             [self.trace_supercharacter(lam, rep) for rep in reps] for lam in order
         ]
@@ -340,41 +303,36 @@ class UTGroup:
                 g[self.index[(r, s)]] = c
                 g = tuple(g)
                 generators.append((g, self.inv(g)))
+
+            def moves(u):
+                # g u g^-1 = 1 + g (u - 1) g^-1
+                return (self.sandwich(g, u, ginv) for g, ginv in generators)
+
             classes = []
             visited: set[tuple[int, ...]] = set()
             for u in self.elements():
-                if u.entries in visited:
-                    continue
-                seen = {u.entries}
-                frontier = [u.entries]
-                while frontier:
-                    current = frontier.pop()
-                    for g, ginv in generators:
-                        conj = self.mul(self.mul(g, current), ginv)
-                        if conj not in seen:
-                            seen.add(conj)
-                            frontier.append(conj)
-                visited |= seen
-                classes.append(frozenset(seen))
+                if u not in visited:
+                    members = _closure(u, moves)
+                    visited |= members
+                    classes.append(frozenset(members))
             self._conjugacy_classes = classes
         return self._conjugacy_classes
 
     # -- cached two-sided sandwich counts (for superinduction)
 
-    def sandwich_counts(self, u: UTElement) -> dict[tuple[int, ...], int]:
+    def sandwich_counts(self, u: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Multiset of x (u - 1) y over all pairs (x, y) of group elements."""
-        cached = self._sandwich_counts.get(u.entries)
+        cached = self._sandwich_counts.get(u)
         if cached is not None:
             return cached
         self._check_bound()
-        mid = u.entries
         counts: dict[tuple[int, ...], int] = {}
-        members = [e.entries for e in self.elements()]
+        members = self.elements()
         for x in members:
             for y in members:
-                z = self.sandwich(x, mid, y)
+                z = self.sandwich(x, u, y)
                 counts[z] = counts.get(z, 0) + 1
-        self._sandwich_counts[u.entries] = counts
+        self._sandwich_counts[u] = counts
         return counts
 
 
@@ -389,19 +347,6 @@ def get_group(n: int, q: int) -> UTGroup:
     return group
 
 
-def enumerate_group(n: int, q: int) -> list[UTElement]:
-    return list(get_group(n, q).elements())
-
-
-def superclass_of(lam: LabeledSetPartition, q: int) -> frozenset[UTElement]:
-    group = get_group(lam.n, q)
-    return frozenset(group.wrap(x) for x in group.superclass_orbit(lam))
-
-
-def trace_supercharacter(lam: LabeledSetPartition, u: UTElement) -> CycRational:
-    return get_group(u.n, u.q).trace_supercharacter(lam, u)
-
-
 def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
     return get_group(n, q).oracle_table()
 
@@ -410,32 +355,56 @@ def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
 # raw class functions and the four function-level operations
 
 
+class Tabulated(Mapping):
+    """A function on a group, as the list of its values in the order of the
+    group's elements(); the functions on one group share one key index, so
+    each costs a list where a dict would cost a hash table.  ``items()`` is
+    a plain iterator of (element, value) pairs."""
+
+    def __init__(self, index: dict[tuple[int, ...], int], values: list[CycRational]):
+        self._index, self._values = index, values
+
+    def __getitem__(self, u: tuple[int, ...]) -> CycRational:
+        return self._values[self._index[u]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def items(self):
+        return zip(self._index, self._values)
+
+
 class ClassFunctionRaw(NamedTuple):
-    """A function on all of UT_n(q), dense, with exact values."""
+    """A function on all of UT_n(q), dense, with exact values, keyed by
+    entry tuples."""
 
     n: int
     q: int
-    values: dict[UTElement, CycRational]
+    values: Mapping[tuple[int, ...], CycRational]
 
-    def __call__(self, u: UTElement) -> CycRational:
+    def __call__(self, u: tuple[int, ...]) -> CycRational:
         return self.values[u]
 
 
 class ProductClassFunction(NamedTuple):
-    """A function on a product UT_{n_1}(q) x ... x UT_{n_l}(q)."""
+    """A function on a product UT_{n_1}(q) x ... x UT_{n_l}(q), keyed by
+    tuples of entry tuples."""
 
     ns: tuple[int, ...]
     q: int
-    values: dict[tuple[UTElement, ...], CycRational]
+    values: dict[tuple[tuple[int, ...], ...], CycRational]
 
-    def __call__(self, us: tuple[UTElement, ...]) -> CycRational:
+    def __call__(self, us: tuple[tuple[int, ...], ...]) -> CycRational:
         return self.values[us]
 
 
 def outer_product(functions: list[ClassFunctionRaw]) -> ProductClassFunction:
     ns = tuple(f.n for f in functions)
     q = functions[0].q
-    values: dict[tuple[UTElement, ...], CycRational] = {}
+    values: dict[tuple[tuple[int, ...], ...], CycRational] = {}
     for combo in itertools.product(*(list(f.values.items()) for f in functions)):
         keys = tuple(k for k, _ in combo)
         value = combo[0][1]
@@ -449,41 +418,28 @@ def _part_sizes(J: SetComposition) -> tuple[int, ...]:
     return tuple(len(part) for part in J.parts)
 
 
-def embed_parts(us: tuple[UTElement, ...], J: SetComposition, q: int) -> UTElement:
+def embed_parts(us: tuple[tuple[int, ...], ...], J: SetComposition) -> tuple[int, ...]:
     """Inverse straightening: place block matrices at the positions of J's parts."""
-    n = J.n
-    index = _position_index(n)
-    entries = [0] * (n * (n - 1) // 2)
+    index = _position_index(J.n)
+    entries = [0] * len(index)
     for part, u in zip(J.parts, us):
-        for a in range(1, len(part) + 1):
-            for b in range(a + 1, len(part) + 1):
-                entries[index[(part[a - 1], part[b - 1])]] = u.entry(a, b)
-    return UTElement(n, q, entries)
+        for (a, b), value in zip(positions(len(part)), u):
+            entries[index[(part[a - 1], part[b - 1])]] = value
+    return tuple(entries)
 
 
-def project_parts(u: UTElement, J: SetComposition) -> tuple[UTElement, ...] | None:
+def project_parts(u: tuple[int, ...], J: SetComposition) -> tuple[tuple[int, ...], ...] | None:
     """Straighten an element of the parabolic-like subgroup determined by J;
     None when some nonzero entry straddles two parts."""
     part_of = {i: k for k, part in enumerate(J.parts) for i in part}
-    for (i, j), value in zip(positions(u.n), u.entries):
+    for (i, j), value in zip(positions(J.n), u):
         if value and part_of[i] != part_of[j]:
             return None
-    out = []
-    for part in J.parts:
-        size = len(part)
-        entries = [
-            u.entry(part[a - 1], part[b - 1])
-            for a in range(1, size + 1)
-            for b in range(a + 1, size + 1)
-        ]
-        out.append(UTElement(size, u.q, tuple(entries)))
-    return tuple(out)
-
-
-def _as_product(psi) -> ProductClassFunction:
-    if isinstance(psi, ProductClassFunction):
-        return psi
-    return outer_product(list(psi))
+    index = _position_index(J.n)
+    return tuple(
+        tuple(u[index[(part[a - 1], part[b - 1])]] for a, b in positions(len(part)))
+        for part in J.parts
+    )
 
 
 def res_J(f: ClassFunctionRaw, J: SetComposition) -> ProductClassFunction:
@@ -494,20 +450,18 @@ def res_J(f: ClassFunctionRaw, J: SetComposition) -> ProductClassFunction:
     groups = [get_group(size, q) for size in _part_sizes(J)]
     values = {}
     for us in itertools.product(*(g.elements() for g in groups)):
-        values[us] = f.values[embed_parts(us, J, q)]
+        values[us] = f.values[embed_parts(us, J)]
     return ProductClassFunction(_part_sizes(J), q, values)
 
 
-def sind_J(psi, J: SetComposition) -> ClassFunctionRaw:
+def sind_J(psi: ProductClassFunction, J: SetComposition) -> ClassFunctionRaw:
     """Superinduction: average the two-sided sandwich values landing in the
     straightened subgroup.  The result can have non-integral values.
 
-    Accepts a function on the product group or a list of per-part functions.
     The average is over all |G|^2 sandwich pairs with the Frobenius-adjoint
     normalization 1/(|G| |H|), the unique one for which
     <SInd psi, chi> = <psi, Res chi> holds exactly.
     """
-    psi = _as_product(psi)
     if _part_sizes(J) != psi.ns:
         raise ValueError(f"function on {psi.ns} does not match composition {J!r}")
     q = psi.q
@@ -520,37 +474,29 @@ def sind_J(psi, J: SetComposition) -> ClassFunctionRaw:
         counts = group.sandwich_counts(u)
         total = CycRational.zero(q)
         for z, count in counts.items():
-            parts = project_parts(group.wrap(z), J)
+            parts = project_parts(z, J)
             if parts is not None:
                 total = total + psi.values[parts] * count
         values[u] = total * normalizer
     return ClassFunctionRaw(n, q, values)
 
 
-def _interval_composition(sizes: tuple[int, ...]) -> SetComposition:
-    return SetComposition.from_interval_sizes(sizes)
-
-
-def inf_parts(psi, sizes: tuple[int, ...]) -> ClassFunctionRaw:
+def inf_parts(psi: ProductClassFunction, sizes: tuple[int, ...]) -> ClassFunctionRaw:
     """Inflation along an integer composition: evaluate after zeroing every
-    entry outside the diagonal blocks.  Accepts a function on the product
-    group or a list of per-part functions."""
-    psi = _as_product(psi)
+    entry outside the diagonal blocks."""
     if tuple(sizes) != psi.ns:
         raise ValueError(f"function on {psi.ns} does not match composition {sizes}")
     q = psi.q
     n = sum(sizes)
-    J = _interval_composition(tuple(sizes))
+    J = SetComposition.from_interval_sizes(tuple(sizes))
     part_of = {i: k for k, part in enumerate(J.parts) for i in part}
-    group = get_group(n, q)
     values = {}
-    for u in group.elements():
+    for u in get_group(n, q).elements():
         truncated = tuple(
             value if part_of[i] == part_of[j] else 0
-            for (i, j), value in zip(positions(n), u.entries)
+            for (i, j), value in zip(positions(n), u)
         )
-        parts = project_parts(group.wrap(truncated), J)
-        values[u] = psi.values[parts]
+        values[u] = psi.values[project_parts(truncated, J)]
     return ClassFunctionRaw(n, q, values)
 
 
@@ -560,7 +506,7 @@ def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ProductClassFuncti
         raise ValueError(f"composition {sizes} does not sum to {f.n}")
     q = f.q
     n = f.n
-    J = _interval_composition(tuple(sizes))
+    J = SetComposition.from_interval_sizes(tuple(sizes))
     part_of = {i: k for k, part in enumerate(J.parts) for i in part}
     cross = [k for k, (i, j) in enumerate(positions(n)) if part_of[i] != part_of[j]]
     kernel_size = q ** len(cross)
@@ -568,13 +514,13 @@ def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ProductClassFuncti
     groups = [get_group(size, q) for size in sizes]
     values = {}
     for us in itertools.product(*(g.elements() for g in groups)):
-        base = list(embed_parts(us, J, q).entries)
+        base = embed_parts(us, J)
         total = CycRational.zero(q)
         for assignment in itertools.product(range(q), repeat=len(cross)):
             fiber = list(base)
             for k, value in zip(cross, assignment):
                 fiber[k] = value
-            total = total + f.values[UTElement(n, q, tuple(fiber))]
+            total = total + f.values[tuple(fiber)]
         values[us] = total * normalizer
     return ProductClassFunction(tuple(sizes), q, values)
 

@@ -18,11 +18,11 @@ from nchopf.elements import (
 )
 from nchopf.duals import (
     Permutation,
+    U_element,
     kappa_star_element,
     product_M,
-    product_U,
 )
-from nchopf.ncsym import coproduct_m
+from nchopf.ncsym import m_element
 from nchopf.setpartitions import (
     LabeledSetPartition,
     SetComposition,
@@ -121,7 +121,7 @@ def test_criterion_1_worked_examples():
 
         # monomial coproduct of 14|2|3 with multiplicities 1,2,1,1,2,1
         groups = {}
-        for (l, r), c in coproduct_m(sp("14|2|3")).terms.items():
+        for (l, r), c in coproduct(m_element(2, sp("14|2|3"))).terms.items():
             key = (
                 underlying_set_partition(l.partition).to_text(),
                 underlying_set_partition(r.partition).to_text(),
@@ -173,7 +173,7 @@ def test_criterion_1_worked_examples():
         }
 
         # block-splitting product on the cycle-support basis
-        u_prod = product_U(sp("124|3"), sp("1"))
+        u_prod = product(U_element(2, sp("124|3")), U_element(2, sp("1")))
         support = {
             underlying_set_partition(i.partition): int(c.rational_value())
             for i, c in u_prod.terms.items()

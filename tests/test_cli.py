@@ -75,14 +75,15 @@ def invoke(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
-def invoke_subprocess(argv, stdin_text=""):
-    """``python -m nchopf.cli`` in a fresh interpreter on this checkout."""
+def invoke_subprocess(argv, stdin_text="", cwd=None, env=None):
+    """``python -m nchopf.cli`` in a fresh interpreter on this checkout, in
+    cwd, with env (default: this process's) as its environment."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "nchopf.cli", *argv],
-        input=stdin_text, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        input=stdin_text, capture_output=True, text=True, timeout=60, cwd=cwd,
+        env={**(os.environ if env is None else env), "PYTHONPATH": path},
     )
 
 
@@ -330,6 +331,40 @@ class TestCliBasics:
         code, out, err = invoke(argv)
         assert code == EXIT_INVALID and not out
         assert err.startswith("nchopf: ") and "Traceback" not in err
+
+    def test_empty_cache_dir_reads_as_unset(self, tmp_path):
+        # --cache-dir "" falls back to NCHOPF_CACHE_DIR, as an empty
+        # NCHOPF_CACHE_DIR falls back to the default; neither is the cwd
+        work, cache = tmp_path / "work", tmp_path / "cache"
+        work.mkdir()
+        env = {**os.environ, "NCHOPF_CACHE_DIR": str(cache)}
+        done = invoke_subprocess(["table", "--n", "2", "--q", "2", "--cache-dir", ""], cwd=work, env=env)
+        assert done.returncode == 0 and done.stdout
+        assert not list(work.iterdir())
+        assert superfunctions._table_path(2, 2, cache).is_file()
+
+    @pytest.mark.parametrize("nchopf_cache_dir", [None, ""])
+    def test_relative_xdg_cache_home_is_ignored(self, tmp_path, nchopf_cache_dir):
+        work, home = tmp_path / "work", tmp_path / "home"
+        work.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "NCHOPF_CACHE_DIR"}
+        env.update(HOME=str(home), XDG_CACHE_HOME="relcache")
+        if nchopf_cache_dir is not None:
+            env["NCHOPF_CACHE_DIR"] = nchopf_cache_dir
+        done = invoke_subprocess(["table", "--n", "2", "--q", "2"], cwd=work, env=env)
+        assert done.returncode == 0 and done.stdout
+        assert not list(work.iterdir())
+        assert superfunctions._table_path(2, 2, home / ".cache" / "nchopf").is_file()
+
+    def test_absolute_xdg_cache_home_is_used(self, tmp_path):
+        work, xdg = tmp_path / "work", tmp_path / "xdg"
+        work.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "NCHOPF_CACHE_DIR"}
+        env.update(HOME=str(tmp_path / "home"), XDG_CACHE_HOME=str(xdg))
+        done = invoke_subprocess(["table", "--n", "2", "--q", "2"], cwd=work, env=env)
+        assert done.returncode == 0 and done.stdout
+        assert not list(work.iterdir())
+        assert superfunctions._table_path(2, 2, xdg / "nchopf").is_file()
 
 
 class TestCliWorkBounds:

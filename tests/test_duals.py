@@ -32,7 +32,6 @@ from nchopf.duals import (
     kappa_star_to_chi_star,
     multiply_truncated,
     product_M,
-    product_U,
     u_to_v,
     v_to_u,
     via_U,
@@ -353,7 +352,7 @@ def permutations_with_support(partition):
 
 class TestUBasis:
     def test_displayed_example(self):
-        result = product_U(sp("124|3"), sp("1"))
+        result = product(U_element(2, sp("124|3")), U_element(2, sp("1")))
         support = {
             underlying_set_partition(idx.partition): int(c.rational_value())
             for idx, c in result.terms.items()
@@ -380,7 +379,7 @@ class TestUBasis:
                         key = csupp(idx.partition)
                         total[key] = total.get(key, 0) + int(c.rational_value())
             expected = {}
-            for idx, c in product_U(mu, nu).terms.items():
+            for idx, c in product(U_element(2, mu), U_element(2, nu)).terms.items():
                 lam = underlying_set_partition(idx.partition)
                 count = len(permutations_with_support(lam))
                 expected[lam] = int(c.rational_value()) * count
@@ -396,7 +395,7 @@ class TestUBasis:
             return SetPartition(len(ground), [[relabel[i] for i in b] for b in blocks])
 
         for mu, nu in set_partition_pairs(4):
-            result = product_U(mu, nu)
+            result = product(U_element(2, mu), U_element(2, nu))
             for idx, coeff in result.terms.items():
                 lam = underlying_set_partition(idx.partition)
                 count = 0

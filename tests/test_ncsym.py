@@ -23,7 +23,6 @@ from nchopf.ncsym import (
     ColoredIndex,
     ch,
     collect_k,
-    coproduct_m,
     discrete_log_table,
     expand_k_in_colored_m,
     expand_monomials_truncated,
@@ -33,9 +32,6 @@ from nchopf.ncsym import (
     p_element,
     p_to_m,
     primitive_root,
-    product_k,
-    product_m,
-    product_p,
     via_colored_m,
 )
 from nchopf.setpartitions import (
@@ -60,7 +56,7 @@ def m_support(element):
 
 class TestMonomialBasis:
     def test_product_of_singletons(self):
-        result = product_m(sp("1"), sp("1"))
+        result = product(m_element(2, sp("1")), m_element(2, sp("1")))
         assert m_support(result) == {
             sp("1|2"): CycRational.one(2),
             sp("12"): CycRational.one(2),
@@ -74,11 +70,11 @@ class TestMonomialBasis:
         one = CycRational.one(2)
         for a in all_set_partitions(3):
             for b in all_set_partitions(2):
-                result = product_m(a, b)
+                result = product(m_element(2, a), m_element(2, b))
                 assert all(c == one for c in result.terms.values())
 
     def test_displayed_coproduct(self):
-        t = coproduct_m(sp("14|2|3"))
+        t = coproduct(m_element(2, sp("14|2|3")))
         groups = Counter()
         for (l, r), c in t.terms.items():
             groups[
@@ -105,7 +101,7 @@ class TestMonomialBasis:
     def test_cocommutative(self):
         for n in range(5):
             for partition in all_set_partitions(n):
-                t = coproduct_m(partition)
+                t = coproduct(m_element(2, partition))
                 assert t.swap() == t
 
     def test_words_oracle_for_product(self):
@@ -119,7 +115,7 @@ class TestMonomialBasis:
                     u + v for u in left_words for v in right_words
                 )
                 expanded = Counter()
-                for idx, coeff in product_m(a, b).terms.items():
+                for idx, coeff in product(m_element(2, a), m_element(2, b)).terms.items():
                     assert coeff == CycRational.one(2)
                     for word in expand_monomials_truncated(
                         underlying_set_partition(idx.partition), variables
@@ -130,7 +126,7 @@ class TestMonomialBasis:
 
 class TestPowerBasis:
     def test_product_concatenates(self):
-        result = product_p(sp("1|2"), sp("1"))
+        result = product(p_element(2, sp("1|2")), p_element(2, sp("1")))
         assert m_support(result) == {sp("1|2|3"): CycRational.one(2)}
 
     def test_product_is_set_partition_concatenation(self):
@@ -142,7 +138,7 @@ class TestPowerBasis:
                     for mu in all_set_partitions(total - a):
                         merged = arc_encoding(concat_set_partitions(lam, mu))
                         expected = AlgebraElement(2, "p", {BasisIndex("p", total, merged): 1})
-                        assert product_p(lam, mu) == expected
+                        assert product(p_element(2, lam), p_element(2, mu)) == expected
 
     def test_expansion_by_coarsenings(self):
         expanded = p_to_m(p_element(2, sp("1|2")))
@@ -274,7 +270,7 @@ class TestLabeledBasis:
             for a in range(total + 1):
                 for mu in enumerate_labeled_partitions(a, q):
                     for nu in enumerate_labeled_partitions(total - a, q):
-                        left = product_k(mu, nu, q)
+                        left = product(k_element(q, mu), k_element(q, nu))
                         right = product(kappa_element(q, mu), kappa_element(q, nu))
                         assert {
                             (i.grade, i.partition): c for i, c in left.terms.items()

@@ -15,21 +15,19 @@ from nchopf.superfunctions import (
     supercharacter_value,
 )
 from nchopf.unitriangular import (
-    UTElement,
     def_parts,
     embed_parts,
-    enumerate_group,
     get_group,
     inf_parts,
+    nilpotent_of,
     oracle_supercharacter_table,
     outer_product,
+    positions,
     product_inner_product,
     project_parts,
     raw_inner_product,
     res_J,
     sind_J,
-    superclass_of,
-    trace_supercharacter,
 )
 from nchopf.verify import suite_axioms
 
@@ -38,8 +36,21 @@ def lsp(text):
     return LabeledSetPartition.from_text(text)
 
 
-def element(n, q, entries):
-    return UTElement(n, q, tuple(entries))
+def mul(group, a, b):
+    """The reference group product: multiply the full unitriangular
+    matrices with entry tuples a and b, mod q."""
+    n = group.n
+
+    def matrix(u):
+        rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+        for (i, j), value in zip(positions(n), u):
+            rows[i][j] = value
+        return rows
+
+    x, y = matrix(a), matrix(b)
+    return tuple(
+        sum(x[i][k] * y[k][j] for k in range(1, n + 1)) % group.q for i, j in positions(n)
+    )
 
 
 class TestGroupArithmetic:
@@ -47,62 +58,76 @@ class TestGroupArithmetic:
         "n,q,size", [(2, 2, 2), (3, 2, 8), (4, 3, 729), (1, 5, 1), (0, 2, 1)]
     )
     def test_enumeration_counts(self, n, q, size):
-        assert len(enumerate_group(n, q)) == size
+        assert len(get_group(n, q).elements()) == size
 
     def test_bound(self, monkeypatch):
         with pytest.raises(BoundExceededError):
-            enumerate_group(10, 3)
+            get_group(10, 3).elements()
         monkeypatch.setattr(unitriangular, "DEFAULT_GROUP_BOUND", 7)
         with pytest.raises(BoundExceededError):
-            enumerate_group(3, 2)
+            get_group(3, 2).elements()
 
     def test_inverses(self):
-        group = get_group(3, 3)
-        identity = UTElement.identity(3, 3).entries
-        for u in group.elements():
-            assert group.mul(u.entries, group.inv(u.entries)) == identity
-            assert group.mul(group.inv(u.entries), u.entries) == identity
+        for group in (get_group(3, 3), get_group(4, 2), get_group(3, 5)):
+            identity = (0,) * group.num_positions
+            for u in group.elements():
+                assert mul(group, u, group.inv(u)) == identity
+                assert mul(group, group.inv(u), u) == identity
 
     def test_multiplication_is_associative(self):
         group = get_group(3, 2)
-        members = [u.entries for u in group.elements()]
+        members = group.elements()
         for a in members:
             for b in members:
                 for c in members:
-                    assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+                    assert mul(group, mul(group, a, b), c) == mul(group, a, mul(group, b, c))
 
     def test_sandwich_matches_explicit_products(self):
         group = get_group(3, 3)
-        members = [u.entries for u in group.elements()]
+        members = group.elements()
         mid = (1, 2, 0)  # e12 + 2 e13
         for x in members[:9]:
             for y in members[:9]:
                 # x (mid) y computed through group products on 1 + mid
                 direct = group.sandwich(x, mid, y)
-                via_group = group.mul(group.mul(x, mid), y)
+                via_group = mul(group, mul(group, x, mid), y)
                 # mul treats operands as unipotent (implicit 1s); correct by
                 # subtracting the parts contributed by x*y itself
-                xy = group.mul(x, y)
+                xy = mul(group, x, y)
                 expected = tuple(
                     (v - w) % 3 for v, w in zip(via_group, xy)
                 )
                 assert direct == expected
 
+    @pytest.mark.parametrize("n,q,count", [(3, 2, 5), (3, 3, 11), (4, 2, 16), (4, 3, 57)])
+    def test_conjugacy_classes_are_closed_and_partition_the_group(self, n, q, count):
+        # k(UT_3(q)) = q^2 + q - 1 and k(UT_4(q)) = 2q^3 + q^2 - 2q.  The
+        # elementary matrices 1 + c e_rs generate the group, so a class closed
+        # under conjugation by each of them is closed under every g.  (4, 3)
+        # is the only size here at which taking g for g^-1 changes the classes.
+        group = get_group(n, q)
+        classes = group.conjugacy_classes()
+        assert len(classes) == count
+        assert sorted(u for members in classes for u in members) == sorted(group.elements())
+        elementary = [g for g in group.elements() if sum(map(bool, g)) == 1]
+        for members in classes:
+            for g in elementary:
+                ginv = group.inv(g)
+                assert {mul(group, mul(group, g, u), ginv) for u in members} == members
+
 
 class TestSuperclasses:
     def test_long_arc_is_fixed(self):
-        orbit = superclass_of(lsp("3; 1-1-3"), 2)
-        assert orbit == frozenset({element(3, 2, (0, 1, 0))})
+        orbit = get_group(3, 2).superclass_orbit(lsp("3; 1-1-3"))
+        assert orbit == frozenset({(0, 1, 0)})
 
     def test_identity_superclass(self):
-        orbit = superclass_of(LabeledSetPartition(3), 2)
-        assert orbit == frozenset({UTElement.identity(3, 2)})
+        orbit = get_group(3, 2).superclass_orbit(LabeledSetPartition(3))
+        assert orbit == frozenset({(0, 0, 0)})
 
     def test_short_arc_orbit(self):
-        orbit = superclass_of(lsp("3; 1-1-2"), 2)
-        assert orbit == frozenset(
-            {element(3, 2, (1, 0, 0)), element(3, 2, (1, 1, 0))}
-        )
+        orbit = get_group(3, 2).superclass_orbit(lsp("3; 1-1-2"))
+        assert orbit == frozenset({(1, 0, 0), (1, 1, 0)})
 
     @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3)])
     def test_orbits_partition_the_group(self, n, q):
@@ -116,25 +141,45 @@ class TestTraces:
     def test_identity_gives_degree(self):
         for q in (2, 3):
             for lam in enumerate_labeled_partitions(3, q):
-                value = trace_supercharacter(lam, UTElement.identity(3, q))
+                value = get_group(3, q).trace_supercharacter(lam, (0, 0, 0))
                 assert value == supercharacter_degree(lam, q)
 
     def test_trivial_character(self):
-        for u in enumerate_group(3, 2):
-            assert trace_supercharacter(LabeledSetPartition(3), u) == 1
+        group = get_group(3, 2)
+        for u in group.elements():
+            assert group.trace_supercharacter(LabeledSetPartition(3), u) == 1
+
+    @pytest.mark.parametrize("u", [(0, 0), (0, 0, 0, 0), (0, 3, 0), (0, -1, 0), ()])
+    def test_trace_refuses_a_tuple_outside_the_group(self, u):
+        with pytest.raises(ValueError, match="not the entry tuple"):
+            get_group(3, 3).trace_supercharacter(LabeledSetPartition(3), u)
+
+    @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (3, 2), (4, 2), (3, 3), (3, 5)])
+    def test_supercharacters_are_the_orbit_module_traces(self, n, q):
+        # supercharacter_raw sorts every element's fixed functionals into
+        # orbits; trace_supercharacter traces one orbit module literally.
+        group = get_group(n, q)
+        for lam in enumerate_labeled_partitions(n, q):
+            function = group.supercharacter_raw(lam)
+            assert list(function.values) == list(group.elements())
+            assert function.values == {
+                u: group.trace_supercharacter(lam, u) for u in group.elements()
+            }
+
+    @pytest.mark.parametrize("text", ["2; 1-1-2", "4; 1-1-4", "3; 1-2-3", "3; 1-3-2"])
+    def test_an_index_of_another_group_is_refused(self, text):
+        group = get_group(3, 2)
+        with pytest.raises(ValueError, match="does not index"):
+            group.supercharacter_raw(lsp(text))
+        with pytest.raises(ValueError, match="does not index"):
+            group.trace_supercharacter(lsp(text), (0, 0, 0))
 
     @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_traces_match_formula_on_representatives(self, n, q):
         group = get_group(n, q)
         for lam in enumerate_labeled_partitions(n, q):
             for mu in enumerate_labeled_partitions(n, q):
-                rep = group.wrap(
-                    tuple(
-                        (0,) * group.num_positions
-                        if not mu.arcs
-                        else __import__("nchopf.unitriangular", fromlist=["nilpotent_of"]).nilpotent_of(mu, q)
-                    )
-                )
+                rep = nilpotent_of(mu, q)
                 assert group.trace_supercharacter(lam, rep) == supercharacter_value(
                     lam, mu, q
                 )
@@ -155,7 +200,7 @@ class TestTraces:
         for lam in enumerate_labeled_partitions(3, 3):
             function = group.supercharacter_raw(lam)
             for orbit in group.superclasses().values():
-                values = {function.values[group.wrap(member)] for member in orbit}
+                values = {function.values[member] for member in orbit}
                 assert len(values) == 1
 
 
@@ -216,12 +261,12 @@ class TestEmbedding:
         import itertools
 
         for us in itertools.product(*(g.elements() for g in groups)):
-            embedded = embed_parts(us, J, q)
+            embedded = embed_parts(us, J)
             assert project_parts(embedded, J) == us
 
     def test_project_rejects_straddlers(self):
         J = SetComposition.from_text("12|3")
-        u = element(3, 2, (0, 1, 0))  # nonzero at (1, 3), straddling
+        u = (0, 1, 0)  # nonzero at (1, 3), straddling
         assert project_parts(u, J) is None
 
 
