@@ -63,12 +63,15 @@ UNIT_COST_NS = {
     "duality": 100_000,
     # verify.axioms_work, supercharacters times group elements, and
     # verify.oracle_work, which adds the SInd/Res sandwiches where the
-    # oracle suite runs that check.  Admitted: (5, 2) at 53,248 units took
-    # 17.8-23.3 s (oracle, 0.33-0.44 ms/unit) and 2.4 s (axioms), (4, 3) at
-    # 35,721 11.9 s and 1.1 s, (2, 101) at 10,201 (axioms) and 15,352
-    # (oracle); (3, 5) at 13,390 took 8.7-10.9 s (oracle, 0.65-0.81
-    # ms/unit) and (4, 2) at 2,270 1.8 s.  Refused: (4, 5) at 3.1e6, (6, 2)
-    # at 6.7e6 and (5, 3) at 1.5e7 ran past 45 s.
+    # oracle suite runs that check.  `verify --suite oracle` as a
+    # subprocess, four runs each: admitted (5, 2) at 53,248 units took
+    # 5.5-7.6 s (0.10-0.14 ms/unit), (4, 3) at 35,721 2.3-3.7 s (0.07-0.10),
+    # (3, 5) at 13,390 6.1-10.4 s (0.45-0.78) and (4, 2) at 2,270 2.3-3.8 s
+    # (1.0-1.7); the last two are mostly the SInd sandwiches, which are not
+    # tallied.  The axioms suite took 2.4 s at (5, 2) and 1.1 s at (4, 3);
+    # (2, 101) is admitted at 10,201 units (axioms) and 15,352 (oracle).
+    # Refused: (4, 5) at 3.1e6, (6, 2) at 6.7e6 and (5, 3) at 1.5e7 ran
+    # past 45 s.  The cost stays at 1 ms, so no case changes side.
     "oracle": 1_000_000,
     # setpartitions.count_labeled_partitions, per listed partition of
     # ``nchopf enumerate``.  Admitted: (7, 5) at 170,389 took 5.3 s

@@ -5,6 +5,9 @@ group elements are enumerated explicitly, superclasses are two-sided orbits
 of u - 1 under row and column operations, supercharacter values are traces of
 the orbit modules over the dual space, and restriction / superinduction /
 inflation / deflation act literally on functions on group elements.
+Every exact sum first counts how often each distinct term occurs and then
+does one exact multiply-add per distinct term; every element is still
+visited.
 
 Elements, nilpotent matrices, and linear functionals all share one dense
 layout: a tuple of residues indexed by the strictly-upper positions (i, j),
@@ -17,11 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Mapping
+from collections import Counter
+from collections.abc import ItemsView, Iterable, Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CycRational, theta
+from .cyclotomic import CycRational
 from .limits import DEFAULT_GROUP_BOUND, BoundExceededError
 from .setpartitions import (
     LabeledSetPartition,
@@ -53,6 +57,26 @@ def _closure(start: tuple[int, ...], moves) -> set[tuple[int, ...]]:
                 seen.add(step)
                 frontier.append(step)
     return seen
+
+
+def _tallied_sum(q: int, terms: Iterable[tuple[CycRational, int]]) -> CycRational:
+    """The sum of value * count over (value, count) terms.  The counts of
+    equal values are added as integers first, so the exact arithmetic runs
+    once per distinct value."""
+    tally: Counter[CycRational] = Counter()
+    for value, count in terms:
+        tally[value] += count
+    total = CycRational.zero(q)
+    for value, count in tally.items():
+        total = total + value * count
+    return total
+
+
+def _root_sum(q: int, counts: Iterable[int]) -> CycRational:
+    """sum_e counts[e] zeta^e over e = 0, ..., q - 1: on the power basis,
+    zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2))."""
+    *low, top = counts
+    return CycRational(q, [c - top for c in low])
 
 
 def nilpotent_of(lam: LabeledSetPartition, q: int) -> tuple[int, ...]:
@@ -213,11 +237,11 @@ class UTGroup:
     def _trace(self, orbit: tuple[tuple[int, ...], ...], uinv: tuple[int, ...]) -> CycRational:
         """Trace on an orbit module of the element with inverse entries uinv:
         the orbit functionals mu it fixes contribute theta(mu(u^-1 - 1))."""
-        total = CycRational.zero(self.q)
+        counts = [0] * self.q
         for mu in orbit:
             if self._act_left(uinv, mu) == mu:
-                total = total + theta(self.q, sum(c * x for c, x in zip(mu, uinv)) % self.q)
-        return total
+                counts[sum(map(operator.mul, mu, uinv)) % self.q] += 1
+        return _root_sum(self.q, counts)
 
     def trace_supercharacter(self, lam: LabeledSetPartition, u: tuple[int, ...]) -> CycRational:
         """Trace of the group element with entry tuple u on the orbit module of lam."""
@@ -240,9 +264,10 @@ class UTGroup:
         every X, that is when column j of mu, m, has sum_{k<i} m_k v_ki = 0
         for every i < j.  Column j's conditions are column j - 1's and one
         more, and its last entry is free, so the fixed functionals are built
-        column by column; each is sorted into its orbit.  This costs the sum
-        of the stabilizer orders, where tracing each orbit module separately
-        costs |G| times the orbit size."""
+        column by column, keeping only those whose first columns begin a
+        member of one of the chosen orbits; each is sorted into its orbit.
+        This costs about the sum of the stabilizer orders, where tracing each
+        orbit module separately costs |G| times the orbit size."""
         q, index = self.q, self.index
         lams = enumerate_labeled_partitions(self.n, q)
         by_column = [index[(k, j)] for j in range(2, self.n + 1) for k in range(1, j)]
@@ -251,26 +276,29 @@ class UTGroup:
             for number, lam in enumerate(lams)
             for mu in self.functional_orbit(lam)
         }
+        # prefixes[j - 2]: columns 2..j of the members, j(j - 1)/2 entries
+        prefixes = [{mu[: j * (j - 1) // 2] for mu in orbit_of} for j in range(2, self.n + 1)]
         values: list[list[CycRational]] = [[] for _ in lams]
-
-        @functools.cache
-        def trace(count: tuple[int, ...]) -> CycRational:
-            return sum((theta(q, e) * c for e, c in enumerate(count) if c), CycRational.zero(q))
+        trace = functools.cache(functools.partial(_root_sum, q))
 
         for v in map(self.inv, self.elements()):
             # fixed: (mu's first columns, mu(v) on them); kernel: the columns
             # that meet the conditions so far, before the free last entry.
             fixed, kernel = [((), 0)], [()]
-            for j in range(2, self.n + 1):
+            for j, members in zip(range(2, self.n + 1), prefixes):
                 column = [v[index[(k, j)]] for k in range(1, j)]
                 kernel = [m + (x,) for m in kernel for x in range(q)]
                 pieces = [(m, sum(map(operator.mul, m, column)) % q) for m in kernel]
-                fixed = [(head + m, e + f) for head, e in fixed for m, f in pieces]
+                fixed = [
+                    (mu, e + f)
+                    for head, e in fixed
+                    for m, f in pieces
+                    if (mu := head + m) in members
+                ]
                 kernel = [m for m, f in pieces if f == 0]
             counts = [[0] * q for _ in lams]
             for mu, e in fixed:
-                if mu in orbit_of:
-                    counts[orbit_of[mu]][e % q] += 1
+                counts[orbit_of[mu]][e % q] += 1
             for function, count in zip(values, counts):
                 function.append(trace(tuple(count)))
         position = {u: k for k, u in enumerate(self.elements())}
@@ -355,11 +383,18 @@ def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
 # raw class functions and the four function-level operations
 
 
+class _TabulatedItems(ItemsView):
+    """The items of a ``Tabulated``, iterated from its key index and value
+    list side by side rather than by one lookup per key."""
+
+    def __iter__(self):
+        return zip(self._mapping._index, self._mapping._values)
+
+
 class Tabulated(Mapping):
     """A function on a group, as the list of its values in the order of the
     group's elements(); the functions on one group share one key index, so
-    each costs a list where a dict would cost a hash table.  ``items()`` is
-    a plain iterator of (element, value) pairs."""
+    each costs a list where a dict would cost a hash table."""
 
     def __init__(self, index: dict[tuple[int, ...], int], values: list[CycRational]):
         self._index, self._values = index, values
@@ -373,8 +408,8 @@ class Tabulated(Mapping):
     def __len__(self) -> int:
         return len(self._values)
 
-    def items(self):
-        return zip(self._index, self._values)
+    def items(self) -> _TabulatedItems:
+        return _TabulatedItems(self)
 
 
 class ClassFunctionRaw(NamedTuple):
@@ -471,13 +506,12 @@ def sind_J(psi: ProductClassFunction, J: SetComposition) -> ClassFunctionRaw:
     normalizer = CycRational.from_rational(q, Fraction(1, group.order * subgroup_order))
     values = {}
     for u in group.elements():
-        counts = group.sandwich_counts(u)
-        total = CycRational.zero(q)
-        for z, count in counts.items():
-            parts = project_parts(z, J)
-            if parts is not None:
-                total = total + psi.values[parts] * count
-        values[u] = total * normalizer
+        landed = (
+            (psi.values[parts], count)
+            for z, count in group.sandwich_counts(u).items()
+            if (parts := project_parts(z, J)) is not None
+        )
+        values[u] = _tallied_sum(q, landed) * normalizer
     return ClassFunctionRaw(n, q, values)
 
 
@@ -514,22 +548,24 @@ def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ProductClassFuncti
     groups = [get_group(size, q) for size in sizes]
     values = {}
     for us in itertools.product(*(g.elements() for g in groups)):
-        base = embed_parts(us, J)
-        total = CycRational.zero(q)
+        fiber = list(embed_parts(us, J))
+        over_fiber = Counter()
         for assignment in itertools.product(range(q), repeat=len(cross)):
-            fiber = list(base)
             for k, value in zip(cross, assignment):
                 fiber[k] = value
-            total = total + f.values[tuple(fiber)]
-        values[us] = total * normalizer
+            over_fiber[f.values[tuple(fiber)]] += 1
+        values[us] = _tallied_sum(q, over_fiber.items()) * normalizer
     return ProductClassFunction(tuple(sizes), q, values)
 
 
-def _mean_product(q: int, order: int, f: dict, g: dict) -> CycRational:
-    """(1/order) sum over the keys of f of f * conj(g)."""
-    total = CycRational.zero(q)
-    for key, value in f.items():
-        total = total + value * g[key].conj()
+def _mean_product(q: int, order: int, f: Mapping, g: Mapping) -> CycRational:
+    """(1/order) sum over the keys of f of f * conj(g), one exact product
+    per distinct pair of values."""
+    if type(f) is type(g) is Tabulated and f._index is g._index:
+        pairs = Counter(zip(f._values, g._values))
+    else:
+        pairs = Counter((value, g[key]) for key, value in f.items())
+    total = _tallied_sum(q, ((a * b.conj(), count) for (a, b), count in pairs.items()))
     return total * CycRational.from_rational(q, Fraction(1, order))
 
 

@@ -1,7 +1,11 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from nchopf import unitriangular
-from nchopf.cyclotomic import CycRational
+from nchopf.cyclotomic import CycRational, theta
 from nchopf.limits import BoundExceededError
 from nchopf.setpartitions import (
     LabeledSetPartition,
@@ -15,6 +19,9 @@ from nchopf.superfunctions import (
     supercharacter_value,
 )
 from nchopf.unitriangular import (
+    ClassFunctionRaw,
+    ProductClassFunction,
+    Tabulated,
     def_parts,
     embed_parts,
     get_group,
@@ -258,8 +265,6 @@ class TestEmbedding:
         q = 2
         J = SetComposition.from_text("14|3|256")
         groups = [get_group(2, q), get_group(1, q), get_group(3, q)]
-        import itertools
-
         for us in itertools.product(*(g.elements() for g in groups)):
             embedded = embed_parts(us, J)
             assert project_parts(embedded, J) == us
@@ -332,3 +337,170 @@ class TestFunctors:
                         assert raw_inner_product(inflated, chi) == product_inner_product(
                             psi, def_parts(chi, sizes)
                         )
+
+
+# ---------------------------------------------------------------------------
+# The literal running sums: one exact multiply-add per group element (or per
+# sandwich, fiber member or fixed functional).  The module tallies equal
+# terms first; these are the reference it must match exactly.
+
+
+def literal_mean_product(q, order, f, g):
+    total = CycRational.zero(q)
+    for key, value in f.items():
+        total = total + value * g[key].conj()
+    return total * CycRational.from_rational(q, Fraction(1, order))
+
+
+def literal_raw_inner_product(f, g):
+    return literal_mean_product(f.q, f.q ** (f.n * (f.n - 1) // 2), f.values, g.values)
+
+
+def literal_sind_J(psi, J):
+    q, n = psi.q, J.n
+    group = get_group(n, q)
+    subgroup_order = q ** sum(size * (size - 1) // 2 for size in psi.ns)
+    normalizer = CycRational.from_rational(q, Fraction(1, group.order * subgroup_order))
+    values = {}
+    for u in group.elements():
+        total = CycRational.zero(q)
+        for z, count in group.sandwich_counts(u).items():
+            parts = project_parts(z, J)
+            if parts is not None:
+                total = total + psi.values[parts] * count
+        values[u] = total * normalizer
+    return values
+
+
+def literal_def_parts(f, sizes):
+    q, n = f.q, f.n
+    J = SetComposition.from_interval_sizes(tuple(sizes))
+    part_of = {i: k for k, part in enumerate(J.parts) for i in part}
+    cross = [k for k, (i, j) in enumerate(positions(n)) if part_of[i] != part_of[j]]
+    normalizer = CycRational.from_rational(q, Fraction(1, q ** len(cross)))
+    values = {}
+    for us in itertools.product(*(get_group(size, q).elements() for size in sizes)):
+        base = embed_parts(us, J)
+        total = CycRational.zero(q)
+        for assignment in itertools.product(range(q), repeat=len(cross)):
+            fiber = list(base)
+            for k, value in zip(cross, assignment):
+                fiber[k] = value
+            total = total + f.values[tuple(fiber)]
+        values[us] = total * normalizer
+    return values
+
+
+def literal_trace(group, lam, u):
+    q, uinv = group.q, group.inv(u)
+    total = CycRational.zero(q)
+    for mu in group.functional_orbit(lam):
+        if group._act_left(uinv, mu) == mu:
+            total = total + theta(q, sum(c * x for c, x in zip(mu, uinv)) % q)
+    return total
+
+
+def two_part_compositions(n):
+    points = range(1, n + 1)
+    for k in range(1, n):
+        for part in itertools.combinations(points, k):
+            yield SetComposition([list(part), [i for i in points if i not in part]])
+
+
+def characters(n, q):
+    group = get_group(n, q)
+    return [group.supercharacter_raw(lam) for lam in enumerate_labeled_partitions(n, q)]
+
+
+def mixed_values(q, count, rng):
+    """count values drawn with repeats from a few rational and non-rational
+    elements of Q(zeta_q), zero among them."""
+    z = CycRational.zeta_power(q, 1)
+    pool = [
+        CycRational.zero(q),
+        CycRational.one(q),
+        CycRational.from_rational(q, Fraction(-2, 3)),
+        z,
+        z * z - Fraction(1, 2),
+        CycRational.zeta_power(q, q - 1) * 3 + 1,
+    ]
+    return [rng.choice(pool) for _ in range(count)]
+
+
+class TestTabulated:
+    def test_items_is_a_sized_reusable_view(self):
+        group = get_group(3, 2)
+        function = group.supercharacter_raw(lsp("3; 1-1-2"))
+        items = function.values.items()
+        assert len(items) == group.order == 8
+        first, second = list(items), list(items)
+        assert first == second == [(u, function(u)) for u in group.elements()]
+        u = group.elements()[1]
+        assert (u, function(u)) in items
+        assert (u, function(u) + 1) not in items
+        assert ((0, 0, 0, 0), function(u)) not in items
+
+
+class TestTalliedSums:
+    """Each tallied sum equals its literal running sum exactly."""
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
+    def test_inner_products_of_raw_characters(self, n, q):
+        raw = characters(n, q)
+        for f in raw:
+            # the same function as a dict takes the key-by-key path
+            as_dict = ClassFunctionRaw(n, q, dict(f.values))
+            for g in raw:
+                want = literal_raw_inner_product(f, g)
+                assert raw_inner_product(f, g) == want
+                assert raw_inner_product(as_dict, g) == want
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3)])
+    def test_sind_and_def_of_outer_products(self, n, q):
+        raw = characters(n, q)
+        for J in two_part_compositions(n):
+            sizes = tuple(len(part) for part in J.parts)
+            interval = SetComposition.from_interval_sizes(sizes)
+            lowered = [def_parts(chi, sizes) for chi in raw]
+            assert [f.values for f in lowered] == [literal_def_parts(chi, sizes) for chi in raw]
+            for f1 in characters(sizes[0], q):
+                for f2 in characters(sizes[1], q):
+                    psi = outer_product([f1, f2])
+                    induced = sind_J(psi, J)
+                    assert induced.values == literal_sind_J(psi, J)
+                    # Def of a superinduced function: non-integral values
+                    raised = sind_J(psi, interval)
+                    assert def_parts(raised, sizes).values == literal_def_parts(raised, sizes)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_repeated_mixed_values(self, q):
+        rng = random.Random(q)
+        group = get_group(3, q)
+        position = {u: k for k, u in enumerate(group.elements())}
+        f, g = (mixed_values(q, group.order, rng) for _ in range(2))
+        tabulated = [ClassFunctionRaw(3, q, Tabulated(position, v)) for v in (f, g)]
+        plain = [ClassFunctionRaw(3, q, dict(zip(group.elements(), v))) for v in (f, g)]
+        want = literal_raw_inner_product(*plain)
+        assert not want.is_rational()
+        assert raw_inner_product(*tabulated) == want
+        assert raw_inner_product(*plain) == want
+        assert raw_inner_product(tabulated[0], plain[1]) == want
+        for sizes in ((1, 2), (2, 1)):
+            assert def_parts(tabulated[0], sizes).values == literal_def_parts(plain[0], sizes)
+        keys = list(itertools.product(get_group(1, q).elements(), get_group(2, q).elements()))
+        psi, phi = (
+            ProductClassFunction((1, 2), q, dict(zip(keys, mixed_values(q, len(keys), rng))))
+            for _ in range(2)
+        )
+        assert product_inner_product(psi, phi) == literal_mean_product(q, q, psi.values, phi.values)
+        if q == 3:
+            # SInd enumerates |G|^3 sandwiches: seconds at q = 5
+            J = SetComposition.from_text("2|13")
+            assert sind_J(psi, J).values == literal_sind_J(psi, J)
+
+    @pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (3, 5)])
+    def test_traces(self, n, q):
+        group = get_group(n, q)
+        for lam in enumerate_labeled_partitions(n, q):
+            for u in group.elements():
+                assert group.trace_supercharacter(lam, u) == literal_trace(group, lam, u)
