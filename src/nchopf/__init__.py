@@ -107,7 +107,6 @@ _EXPORTS = {
         ),
         "unitriangular": (
             "ClassFunctionRaw",
-            "ProductClassFunction",
             "UTGroup",
             "def_parts",
             "get_group",

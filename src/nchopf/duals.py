@@ -203,12 +203,12 @@ def duality_pairing(f: AlgebraElement, x: AlgebraElement) -> CycRational:
     """Bilinear extension of the Kronecker pairing of kappa_star against kappa."""
     if f.q != x.q:
         raise ValueError(f"q mismatch: {f.q} vs {x.q}")
+    if f.basis not in ("kappa_star", "chi_star") or x.basis not in ("kappa", "chi"):
+        raise ValueError(f"cannot pair {f.basis!r} against {x.basis!r}")
     if f.basis == "chi_star":
         f = chi_star_to_kappa_star(f)
     if x.basis == "chi":
         x = chi_to_kappa(x)
-    if f.basis != "kappa_star" or x.basis != "kappa":
-        raise ValueError(f"cannot pair {f.basis!r} against {x.basis!r}")
     total = CycRational.zero(f.q)
     for idx, coeff in f.terms.items():
         partner = BasisIndex("kappa", idx.grade, idx.partition)

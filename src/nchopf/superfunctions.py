@@ -456,12 +456,14 @@ def inner_product(x: AlgebraElement, y: AlgebraElement) -> CycRational:
     if x.q != y.q:
         raise ValueError(f"q mismatch: {x.q} vs {y.q}")
     q = x.q
+    if x.basis not in ("kappa", "chi") or y.basis not in ("kappa", "chi"):
+        raise ValueError(
+            f"inner products are defined for kappa/chi elements, not {x.basis!r} and {y.basis!r}"
+        )
     if x.basis == "chi":
         x = chi_to_kappa(x)
     if y.basis == "chi":
         y = chi_to_kappa(y)
-    if x.basis != "kappa" or y.basis != "kappa":
-        raise ValueError("inner products are defined for kappa/chi elements")
     total = CycRational.zero(q)
     for n in sorted(x.grades() & y.grades()):
         table = supercharacter_table(n, q)

@@ -12,7 +12,9 @@ visited.
 Elements, nilpotent matrices, and linear functionals all share one dense
 layout: a tuple of residues indexed by the strictly-upper positions (i, j),
 i < j, in lexicographic order.  A group element u is its entry tuple, which
-is also the tuple of u - 1; class functions are keyed by these tuples.
+is also the tuple of u - 1.  A function on UT_{n_1}(q) x ... x UT_{n_l}(q)
+is the tuple of its values in the order of itertools.product over the
+factors' elements().
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import ItemsView, Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -153,6 +155,13 @@ class UTGroup:
             self._elements = tuple(itertools.product(range(self.q), repeat=self.num_positions))
         return self._elements
 
+    def code(self, u: tuple[int, ...]) -> int:
+        """The place of u in elements(): its entries read as base-q digits.
+        A tuple that is not the entry tuple of a group element is refused."""
+        if len(u) != self.num_positions or not all(x in range(self.q) for x in u):
+            raise ValueError(f"{u!r} is not the entry tuple of an element of UT_{self.n}({self.q})")
+        return _code(self.q, u)
+
     def _elementary_positions(self):
         for pos in self.positions:
             for c in range(1, self.q):
@@ -245,8 +254,7 @@ class UTGroup:
 
     def trace_supercharacter(self, lam: LabeledSetPartition, u: tuple[int, ...]) -> CycRational:
         """Trace of the group element with entry tuple u on the orbit module of lam."""
-        if len(u) != self.num_positions or not all(x in range(self.q) for x in u):
-            raise ValueError(f"{u!r} is not the entry tuple of an element of UT_{self.n}({self.q})")
+        self.code(u)  # refuses a tuple outside the group
         return self._trace(self.functional_orbit(lam), self.inv(u))
 
     def supercharacter_raw(self, lam: LabeledSetPartition) -> "ClassFunctionRaw":
@@ -301,9 +309,8 @@ class UTGroup:
                 counts[orbit_of[mu]][e % q] += 1
             for function, count in zip(values, counts):
                 function.append(trace(tuple(count)))
-        position = {u: k for k, u in enumerate(self.elements())}
         return {
-            lam: ClassFunctionRaw(self.n, q, Tabulated(position, function))
+            lam: ClassFunctionRaw((self.n,), q, tuple(function))
             for lam, function in zip(lams, values)
         }
 
@@ -353,6 +360,7 @@ class UTGroup:
         cached = self._sandwich_counts.get(u)
         if cached is not None:
             return cached
+        self.code(u)  # refuses a tuple outside the group, before it is cached
         self._check_bound()
         counts: dict[tuple[int, ...], int] = {}
         members = self.elements()
@@ -383,113 +391,79 @@ def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
 # raw class functions and the four function-level operations
 
 
-class _TabulatedItems(ItemsView):
-    """The items of a ``Tabulated``, iterated from its key index and value
-    list side by side rather than by one lookup per key."""
-
-    def __iter__(self):
-        return zip(self._mapping._index, self._mapping._values)
-
-
-class Tabulated(Mapping):
-    """A function on a group, as the list of its values in the order of the
-    group's elements(); the functions on one group share one key index, so
-    each costs a list where a dict would cost a hash table."""
-
-    def __init__(self, index: dict[tuple[int, ...], int], values: list[CycRational]):
-        self._index, self._values = index, values
-
-    def __getitem__(self, u: tuple[int, ...]) -> CycRational:
-        return self._values[self._index[u]]
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def items(self) -> _TabulatedItems:
-        return _TabulatedItems(self)
-
-
 class ClassFunctionRaw(NamedTuple):
-    """A function on all of UT_n(q), dense, with exact values, keyed by
-    entry tuples."""
-
-    n: int
-    q: int
-    values: Mapping[tuple[int, ...], CycRational]
-
-    def __call__(self, u: tuple[int, ...]) -> CycRational:
-        return self.values[u]
-
-
-class ProductClassFunction(NamedTuple):
-    """A function on a product UT_{n_1}(q) x ... x UT_{n_l}(q), keyed by
-    tuples of entry tuples."""
+    """A function on UT_{n_1}(q) x ... x UT_{n_l}(q), ns = (n_1, ..., n_l),
+    dense, with exact values: the tuple of its values in the order of
+    itertools.product over the factors' elements().  A function on UT_n(q)
+    has ns == (n,)."""
 
     ns: tuple[int, ...]
     q: int
-    values: dict[tuple[tuple[int, ...], ...], CycRational]
+    values: tuple[CycRational, ...]
 
-    def __call__(self, us: tuple[tuple[int, ...], ...]) -> CycRational:
-        return self.values[us]
+    def __call__(self, *us: tuple[int, ...]) -> CycRational:
+        """The value at (u_1, ..., u_l), one entry tuple per factor."""
+        if len(us) != len(self.ns):
+            raise ValueError(f"{len(us)} arguments for a function on {len(self.ns)} factors")
+        k = 0
+        for n, u in zip(self.ns, us):
+            group = get_group(n, self.q)
+            k = k * group.order + group.code(u)
+        return self.values[k]
 
 
-def outer_product(functions: list[ClassFunctionRaw]) -> ProductClassFunction:
-    ns = tuple(f.n for f in functions)
-    q = functions[0].q
-    values: dict[tuple[tuple[int, ...], ...], CycRational] = {}
-    for combo in itertools.product(*(list(f.values.items()) for f in functions)):
-        keys = tuple(k for k, _ in combo)
-        value = combo[0][1]
-        for _, v in combo[1:]:
-            value = value * v
-        values[keys] = value
-    return ProductClassFunction(ns, q, values)
+def outer_product(functions: list[ClassFunctionRaw]) -> ClassFunctionRaw:
+    values = itertools.product(*(f.values for f in functions))
+    return ClassFunctionRaw(
+        tuple(n for f in functions for n in f.ns),
+        functions[0].q,
+        tuple(functools.reduce(operator.mul, combo) for combo in values),
+    )
 
 
 def _part_sizes(J: SetComposition) -> tuple[int, ...]:
     return tuple(len(part) for part in J.parts)
 
 
+def _code(q: int, digits: Iterable[int]) -> int:
+    """The number with base-q digits `digits`, most significant first.  An
+    entry tuple's code is its place in elements(); the entry tuples of a
+    product's factors, laid end to end, give its place in product order."""
+    k = 0
+    for x in digits:
+        k = k * q + x
+    return k
+
+
+def _split(J: SetComposition) -> tuple[list[int], list[int]]:
+    """The places in an entry tuple of UT_{J.n} that hold the straightened
+    subgroup's entries, part by part in each part's own order, and the
+    places that straddle two parts."""
+    index = _position_index(J.n)
+    inside = [
+        index[(part[a - 1], part[b - 1])] for part in J.parts for a, b in positions(len(part))
+    ]
+    return inside, sorted(set(index.values()) - set(inside))
+
+
 def embed_parts(us: tuple[tuple[int, ...], ...], J: SetComposition) -> tuple[int, ...]:
     """Inverse straightening: place block matrices at the positions of J's parts."""
-    index = _position_index(J.n)
-    entries = [0] * len(index)
-    for part, u in zip(J.parts, us):
-        for (a, b), value in zip(positions(len(part)), u):
-            entries[index[(part[a - 1], part[b - 1])]] = value
+    entries = [0] * (J.n * (J.n - 1) // 2)
+    for k, value in zip(_split(J)[0], itertools.chain(*us)):
+        entries[k] = value
     return tuple(entries)
 
 
-def project_parts(u: tuple[int, ...], J: SetComposition) -> tuple[tuple[int, ...], ...] | None:
-    """Straighten an element of the parabolic-like subgroup determined by J;
-    None when some nonzero entry straddles two parts."""
-    part_of = {i: k for k, part in enumerate(J.parts) for i in part}
-    for (i, j), value in zip(positions(J.n), u):
-        if value and part_of[i] != part_of[j]:
-            return None
-    index = _position_index(J.n)
-    return tuple(
-        tuple(u[index[(part[a - 1], part[b - 1])]] for a, b in positions(len(part)))
-        for part in J.parts
-    )
-
-
-def res_J(f: ClassFunctionRaw, J: SetComposition) -> ProductClassFunction:
+def res_J(f: ClassFunctionRaw, J: SetComposition) -> ClassFunctionRaw:
     """Restriction along J, straightened onto a product of smaller groups."""
-    if J.n != f.n:
-        raise ValueError(f"composition of [{J.n}] does not match functions on UT_{f.n}")
-    q = f.q
-    groups = [get_group(size, q) for size in _part_sizes(J)]
-    values = {}
-    for us in itertools.product(*(g.elements() for g in groups)):
-        values[us] = f.values[embed_parts(us, J)]
-    return ProductClassFunction(_part_sizes(J), q, values)
+    if f.ns != (J.n,):
+        raise ValueError(f"function on {f.ns} does not match composition {J!r}")
+    sizes = _part_sizes(J)
+    factors = itertools.product(*(get_group(size, f.q).elements() for size in sizes))
+    return ClassFunctionRaw(sizes, f.q, tuple(f(embed_parts(us, J)) for us in factors))
 
 
-def sind_J(psi: ProductClassFunction, J: SetComposition) -> ClassFunctionRaw:
+def sind_J(psi: ClassFunctionRaw, J: SetComposition) -> ClassFunctionRaw:
     """Superinduction: average the two-sided sandwich values landing in the
     straightened subgroup.  The result can have non-integral values.
 
@@ -500,84 +474,64 @@ def sind_J(psi: ProductClassFunction, J: SetComposition) -> ClassFunctionRaw:
     if _part_sizes(J) != psi.ns:
         raise ValueError(f"function on {psi.ns} does not match composition {J!r}")
     q = psi.q
-    n = J.n
-    group = get_group(n, q)
-    subgroup_order = q ** sum(size * (size - 1) // 2 for size in psi.ns)
-    normalizer = CycRational.from_rational(q, Fraction(1, group.order * subgroup_order))
-    values = {}
+    group = get_group(J.n, q)
+    inside, cross = _split(J)
+    normalizer = CycRational.from_rational(q, Fraction(1, group.order * len(psi.values)))
+    values = []
     for u in group.elements():
         landed = (
-            (psi.values[parts], count)
+            (psi.values[_code(q, (z[k] for k in inside))], count)
             for z, count in group.sandwich_counts(u).items()
-            if (parts := project_parts(z, J)) is not None
+            if not any(z[k] for k in cross)
         )
-        values[u] = _tallied_sum(q, landed) * normalizer
-    return ClassFunctionRaw(n, q, values)
+        values.append(_tallied_sum(q, landed) * normalizer)
+    return ClassFunctionRaw((J.n,), q, tuple(values))
 
 
-def inf_parts(psi: ProductClassFunction, sizes: tuple[int, ...]) -> ClassFunctionRaw:
-    """Inflation along an integer composition: evaluate after zeroing every
-    entry outside the diagonal blocks."""
+def inf_parts(psi: ClassFunctionRaw, sizes: tuple[int, ...]) -> ClassFunctionRaw:
+    """Inflation along an integer composition: the value at u is psi at u's
+    diagonal blocks, every entry outside them zeroed."""
     if tuple(sizes) != psi.ns:
         raise ValueError(f"function on {psi.ns} does not match composition {sizes}")
-    q = psi.q
-    n = sum(sizes)
     J = SetComposition.from_interval_sizes(tuple(sizes))
-    part_of = {i: k for k, part in enumerate(J.parts) for i in part}
-    values = {}
-    for u in get_group(n, q).elements():
-        truncated = tuple(
-            value if part_of[i] == part_of[j] else 0
-            for (i, j), value in zip(positions(n), u)
-        )
-        values[u] = psi.values[project_parts(truncated, J)]
-    return ClassFunctionRaw(n, q, values)
+    inside, _ = _split(J)
+    values = tuple(
+        psi.values[_code(psi.q, (u[k] for k in inside))]
+        for u in get_group(J.n, psi.q).elements()
+    )
+    return ClassFunctionRaw((J.n,), psi.q, values)
 
 
-def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ProductClassFunction:
+def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ClassFunctionRaw:
     """Deflation: average over the fibers of the block-truncation map."""
-    if sum(sizes) != f.n:
-        raise ValueError(f"composition {sizes} does not sum to {f.n}")
+    if (sum(sizes),) != f.ns:
+        raise ValueError(f"function on {f.ns} does not match composition {sizes}")
     q = f.q
-    n = f.n
-    J = SetComposition.from_interval_sizes(tuple(sizes))
-    part_of = {i: k for k, part in enumerate(J.parts) for i in part}
-    cross = [k for k, (i, j) in enumerate(positions(n)) if part_of[i] != part_of[j]]
-    kernel_size = q ** len(cross)
-    normalizer = CycRational.from_rational(q, Fraction(1, kernel_size))
-    groups = [get_group(size, q) for size in sizes]
-    values = {}
-    for us in itertools.product(*(g.elements() for g in groups)):
-        fiber = list(embed_parts(us, J))
-        over_fiber = Counter()
-        for assignment in itertools.product(range(q), repeat=len(cross)):
-            for k, value in zip(cross, assignment):
-                fiber[k] = value
-            over_fiber[f.values[tuple(fiber)]] += 1
-        values[us] = _tallied_sum(q, over_fiber.items()) * normalizer
-    return ProductClassFunction(tuple(sizes), q, values)
+    inside, cross = _split(SetComposition.from_interval_sizes(tuple(sizes)))
+    fibers = [Counter() for _ in range(q ** len(inside))]
+    for u, value in zip(get_group(sum(sizes), q).elements(), f.values):
+        fibers[_code(q, (u[k] for k in inside))][value] += 1
+    normalizer = CycRational.from_rational(q, Fraction(1, q ** len(cross)))
+    return ClassFunctionRaw(
+        tuple(sizes), q, tuple(_tallied_sum(q, fiber.items()) * normalizer for fiber in fibers)
+    )
 
 
-def _mean_product(q: int, order: int, f: Mapping, g: Mapping) -> CycRational:
-    """(1/order) sum over the keys of f of f * conj(g), one exact product
-    per distinct pair of values."""
-    if type(f) is type(g) is Tabulated and f._index is g._index:
-        pairs = Counter(zip(f._values, g._values))
-    else:
-        pairs = Counter((value, g[key]) for key, value in f.items())
-    total = _tallied_sum(q, ((a * b.conj(), count) for (a, b), count in pairs.items()))
-    return total * CycRational.from_rational(q, Fraction(1, order))
+def _mean_product(f: ClassFunctionRaw, g: ClassFunctionRaw) -> CycRational:
+    """(1/|G|) sum over the group G of f * conj(g), one exact product per
+    distinct pair of values."""
+    if (f.ns, f.q) != (g.ns, g.q):
+        raise ValueError("inner product needs functions on the same group")
+    pairs = Counter(zip(f.values, g.values))
+    total = _tallied_sum(f.q, ((a * b.conj(), count) for (a, b), count in pairs.items()))
+    return total * CycRational.from_rational(f.q, Fraction(1, len(f.values)))
 
 
 def raw_inner_product(f: ClassFunctionRaw, g: ClassFunctionRaw) -> CycRational:
-    """(1/|G|) sum over the group of f * conj(g)."""
-    if (f.n, f.q) != (g.n, g.q):
-        raise ValueError("inner product needs functions on the same group")
-    return _mean_product(f.q, f.q ** (f.n * (f.n - 1) // 2), f.values, g.values)
+    """The inner product of two functions on UT_n(q)."""
+    return _mean_product(f, g)
 
 
-def product_inner_product(f: ProductClassFunction, g: ProductClassFunction) -> CycRational:
-    if (f.ns, f.q) != (g.ns, g.q):
-        raise ValueError("inner product needs functions on the same product group")
-    order = f.q ** sum(size * (size - 1) // 2 for size in f.ns)
-    return _mean_product(f.q, order, f.values, g.values)
+def product_inner_product(f: ClassFunctionRaw, g: ClassFunctionRaw) -> CycRational:
+    """The inner product of two functions on a product of groups."""
+    return _mean_product(f, g)

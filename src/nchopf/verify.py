@@ -483,7 +483,7 @@ def _axiom_checks(n: int, q: int) -> list[CheckResult]:
     class_of = {member: i for i, members in enumerate(classes) for member in members}
     empty = LabeledSetPartition(n)
     identity = (0,) * (n * (n - 1) // 2)
-    trivial = group.supercharacter_raw(empty).values.values()
+    trivial = map(group.supercharacter_raw(empty), group.elements())
     characters = ((lam, group.supercharacter_raw(lam)) for lam in superclasses)
     expected = len(enumerate_labeled_partitions(n, q))
 
@@ -493,7 +493,7 @@ def _axiom_checks(n: int, q: int) -> list[CheckResult]:
 
     def constant(case) -> bool:
         _, function, _, orbit = case
-        return len({function.values[member] for member in orbit}) == 1
+        return len(set(map(function, orbit))) == 1
 
     return [
         _check(

@@ -153,6 +153,21 @@ class TestDualityPairing:
         x = kappa_element(2, LabeledSetPartition(2))
         assert duality_pairing(f, x).is_zero()
 
+    @pytest.mark.parametrize(
+        "left,right",
+        [("chi", "chi"), ("kappa", "kappa"), ("chi_star", "chi_star"), ("chi_star", "p")],
+    )
+    def test_unpairable_tags_are_named_before_any_basis_change(self, left, right, monkeypatch):
+        def refuse(x):
+            raise AssertionError("converted before the tags were checked")
+
+        monkeypatch.setattr(duals, "chi_to_kappa", refuse)
+        monkeypatch.setattr(duals, "chi_star_to_kappa_star", refuse)
+        lam = lsp("2; 1-1-2")
+        f, x = (AlgebraElement.monomial(2, basis, lam) for basis in (left, right))
+        with pytest.raises(ValueError, match=f"cannot pair '{left}' against '{right}'"):
+            duality_pairing(f, x)
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_adjointness_small(self, q):
         total = 3

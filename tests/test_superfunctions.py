@@ -574,6 +574,19 @@ class TestInnerProduct:
         y = kappa_element(2, LabeledSetPartition(2))
         assert inner_product(x, y).is_zero()
 
+    @pytest.mark.parametrize("left,right", [("chi", "kappa_star"), ("chi_star", "chi"), ("p", "m")])
+    def test_other_tags_are_named_before_any_basis_change(self, left, right, monkeypatch):
+        from nchopf import superfunctions
+
+        def refuse(x):
+            raise AssertionError("converted before the tags were checked")
+
+        monkeypatch.setattr(superfunctions, "chi_to_kappa", refuse)
+        lam = LabeledSetPartition.from_text("2; 1-1-2")
+        x, y = (AlgebraElement.monomial(2, basis, lam) for basis in (left, right))
+        with pytest.raises(ValueError, match=f"not '{left}' and '{right}'"):
+            inner_product(x, y)
+
 
 class TestFiltration:
     def test_membership(self):

@@ -20,8 +20,7 @@ from nchopf.superfunctions import (
 )
 from nchopf.unitriangular import (
     ClassFunctionRaw,
-    ProductClassFunction,
-    Tabulated,
+    UTGroup,
     def_parts,
     embed_parts,
     get_group,
@@ -31,7 +30,6 @@ from nchopf.unitriangular import (
     outer_product,
     positions,
     product_inner_product,
-    project_parts,
     raw_inner_product,
     res_J,
     sind_J,
@@ -57,6 +55,21 @@ def mul(group, a, b):
     x, y = matrix(a), matrix(b)
     return tuple(
         sum(x[i][k] * y[k][j] for k in range(1, n + 1)) % group.q for i, j in positions(n)
+    )
+
+
+def project_parts(u, J):
+    """The reference straightening: the blocks of u on J's parts, as entry
+    tuples of the smaller groups; None when some nonzero entry straddles two
+    parts."""
+    part_of = {i: k for k, part in enumerate(J.parts) for i in part}
+    for (i, j), value in zip(positions(J.n), u):
+        if value and part_of[i] != part_of[j]:
+            return None
+    entry = dict(zip(positions(J.n), u))
+    return tuple(
+        tuple(entry[(part[a - 1], part[b - 1])] for a, b in positions(len(part)))
+        for part in J.parts
     )
 
 
@@ -168,10 +181,10 @@ class TestTraces:
         group = get_group(n, q)
         for lam in enumerate_labeled_partitions(n, q):
             function = group.supercharacter_raw(lam)
-            assert list(function.values) == list(group.elements())
-            assert function.values == {
-                u: group.trace_supercharacter(lam, u) for u in group.elements()
-            }
+            assert function.ns == (n,)
+            assert function.values == tuple(
+                group.trace_supercharacter(lam, u) for u in group.elements()
+            )
 
     @pytest.mark.parametrize("text", ["2; 1-1-2", "4; 1-1-4", "3; 1-2-3", "3; 1-3-2"])
     def test_an_index_of_another_group_is_refused(self, text):
@@ -207,7 +220,7 @@ class TestTraces:
         for lam in enumerate_labeled_partitions(3, 3):
             function = group.supercharacter_raw(lam)
             for orbit in group.superclasses().values():
-                values = {function.values[member] for member in orbit}
+                values = {function(member) for member in orbit}
                 assert len(values) == 1
 
 
@@ -281,7 +294,7 @@ class TestFunctors:
         one = CycRational.one(2)
         f = group.supercharacter_raw(LabeledSetPartition(3))
         restricted = res_J(f, SetComposition.from_text("13|2"))
-        assert all(v == one for v in restricted.values.values())
+        assert all(v == one for v in restricted.values)
 
     def test_inflation_is_concatenation_on_supercharacters(self):
         q = 2
@@ -342,18 +355,33 @@ class TestFunctors:
 # ---------------------------------------------------------------------------
 # The literal running sums: one exact multiply-add per group element (or per
 # sandwich, fiber member or fixed functional).  The module tallies equal
-# terms first; these are the reference it must match exactly.
+# terms first; these are the reference it must match exactly.  Each reference
+# reads its arguments through calls and returns a dict from argument tuples
+# (u_1, ..., u_l), one entry tuple per factor, to values.
 
 
-def literal_mean_product(q, order, f, g):
-    total = CycRational.zero(q)
-    for key, value in f.items():
-        total = total + value * g[key].conj()
-    return total * CycRational.from_rational(q, Fraction(1, order))
+def arguments(ns, q):
+    """The elements of UT_{n_1}(q) x ... x UT_{n_l}(q) as argument tuples,
+    in the order of itertools.product over the factors' elements()."""
+    return list(itertools.product(*(get_group(n, q).elements() for n in ns)))
 
 
-def literal_raw_inner_product(f, g):
-    return literal_mean_product(f.q, f.q ** (f.n * (f.n - 1) // 2), f.values, g.values)
+def table_of(f):
+    """f's values keyed by the argument tuple at their place in f.values."""
+    return dict(zip(arguments(f.ns, f.q), f.values))
+
+
+def literal_inner_product(f, g):
+    args = arguments(f.ns, f.q)
+    total = CycRational.zero(f.q)
+    for us in args:
+        total = total + f(*us) * g(*us).conj()
+    return total * CycRational.from_rational(f.q, Fraction(1, len(args)))
+
+
+def literal_res_J(f, J):
+    sizes = tuple(len(part) for part in J.parts)
+    return {us: f(embed_parts(us, J)) for us in arguments(sizes, f.q)}
 
 
 def literal_sind_J(psi, J):
@@ -367,28 +395,47 @@ def literal_sind_J(psi, J):
         for z, count in group.sandwich_counts(u).items():
             parts = project_parts(z, J)
             if parts is not None:
-                total = total + psi.values[parts] * count
-        values[u] = total * normalizer
+                total = total + psi(*parts) * count
+        values[(u,)] = total * normalizer
+    return values
+
+
+def literal_inf_parts(psi, sizes):
+    n = sum(sizes)
+    J = SetComposition.from_interval_sizes(tuple(sizes))
+    part_of = {i: k for k, part in enumerate(J.parts) for i in part}
+    values = {}
+    for u in get_group(n, psi.q).elements():
+        truncated = tuple(
+            value if part_of[i] == part_of[j] else 0 for (i, j), value in zip(positions(n), u)
+        )
+        values[(u,)] = psi(*project_parts(truncated, J))
     return values
 
 
 def literal_def_parts(f, sizes):
-    q, n = f.q, f.n
+    q, n = f.q, sum(sizes)
     J = SetComposition.from_interval_sizes(tuple(sizes))
     part_of = {i: k for k, part in enumerate(J.parts) for i in part}
     cross = [k for k, (i, j) in enumerate(positions(n)) if part_of[i] != part_of[j]]
     normalizer = CycRational.from_rational(q, Fraction(1, q ** len(cross)))
     values = {}
-    for us in itertools.product(*(get_group(size, q).elements() for size in sizes)):
+    for us in arguments(sizes, q):
         base = embed_parts(us, J)
         total = CycRational.zero(q)
         for assignment in itertools.product(range(q), repeat=len(cross)):
             fiber = list(base)
             for k, value in zip(cross, assignment):
                 fiber[k] = value
-            total = total + f.values[tuple(fiber)]
+            total = total + f(tuple(fiber))
         values[us] = total * normalizer
     return values
+
+
+def literal_outer_product(f1, f2):
+    return {
+        (u1, u2): f1(u1) * f2(u2) for u1, u2 in arguments(f1.ns + f2.ns, f1.q)
+    }
 
 
 def literal_trace(group, lam, u):
@@ -427,18 +474,67 @@ def mixed_values(q, count, rng):
     return [rng.choice(pool) for _ in range(count)]
 
 
-class TestTabulated:
-    def test_items_is_a_sized_reusable_view(self):
-        group = get_group(3, 2)
-        function = group.supercharacter_raw(lsp("3; 1-1-2"))
-        items = function.values.items()
-        assert len(items) == group.order == 8
-        first, second = list(items), list(items)
-        assert first == second == [(u, function(u)) for u in group.elements()]
-        u = group.elements()[1]
-        assert (u, function(u)) in items
-        assert (u, function(u) + 1) not in items
-        assert ((0, 0, 0, 0), function(u)) not in items
+class TestLayout:
+    """Every function is the tuple of its values, one per element of its
+    product group in itertools.product order, and a call reads the value at
+    its arguments' place."""
+
+    @staticmethod
+    def check(f, ns, reference):
+        assert f.ns == ns
+        assert type(f.values) is tuple
+        assert len(f.values) == len(arguments(ns, f.q))
+        assert table_of(f) == reference
+        assert all(f(*us) == value for us, value in reference.items())
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
+    def test_every_operation_lays_out_its_values_in_product_order(self, n, q):
+        group = get_group(n, q)
+        raw = characters(n, q)
+        for lam, chi in zip(enumerate_labeled_partitions(n, q), raw):
+            reference = {(u,): group.trace_supercharacter(lam, u) for u in group.elements()}
+            self.check(chi, (n,), reference)
+        for J in two_part_compositions(n):
+            sizes = tuple(len(part) for part in J.parts)
+            for chi in raw:
+                self.check(res_J(chi, J), sizes, literal_res_J(chi, J))
+                self.check(def_parts(chi, sizes), sizes, literal_def_parts(chi, sizes))
+            for f1 in characters(sizes[0], q):
+                for f2 in characters(sizes[1], q):
+                    psi = outer_product([f1, f2])
+                    self.check(psi, sizes, literal_outer_product(f1, f2))
+                    self.check(sind_J(psi, J), (n,), literal_sind_J(psi, J))
+                    self.check(inf_parts(psi, sizes), (n,), literal_inf_parts(psi, sizes))
+
+    def test_a_call_refuses_a_non_element_or_a_wrong_count(self):
+        chi = get_group(3, 3).supercharacter_raw(lsp("3; 1-1-2"))
+        for u in [(0, 0), (0, 0, 0, 0), (0, 3, 0), (0, -1, 0), ()]:
+            with pytest.raises(ValueError, match="not the entry tuple"):
+                chi(u)
+        for us in [(), ((0, 0, 0), (0, 0, 0))]:
+            with pytest.raises(ValueError, match="arguments for a function on 1 factors"):
+                chi(*us)
+        psi = outer_product(
+            [
+                get_group(1, 3).supercharacter_raw(lsp("1")),
+                get_group(2, 3).supercharacter_raw(lsp("2; 1-2-2")),
+            ]
+        )
+        assert psi((), (1,)) == psi.values[1]
+        # (0,) followed by () lays out the same digits as () followed by (0,)
+        for us in [((0,), ()), ((), (3,)), ((), (0, 0))]:
+            with pytest.raises(ValueError, match="not the entry tuple"):
+                psi(*us)
+        for us in [((0,),), ((), (0,), ())]:
+            with pytest.raises(ValueError, match="arguments for a function on 2 factors"):
+                psi(*us)
+
+    @pytest.mark.parametrize("u", [(5,), (1, 7, 9)])
+    def test_sandwich_counts_refuse_a_tuple_outside_the_group(self, u):
+        group = UTGroup(2, 3)
+        with pytest.raises(ValueError, match="not the entry tuple"):
+            group.sandwich_counts(u)
+        assert group._sandwich_counts == {}
 
 
 class TestTalliedSums:
@@ -448,12 +544,8 @@ class TestTalliedSums:
     def test_inner_products_of_raw_characters(self, n, q):
         raw = characters(n, q)
         for f in raw:
-            # the same function as a dict takes the key-by-key path
-            as_dict = ClassFunctionRaw(n, q, dict(f.values))
             for g in raw:
-                want = literal_raw_inner_product(f, g)
-                assert raw_inner_product(f, g) == want
-                assert raw_inner_product(as_dict, g) == want
+                assert raw_inner_product(f, g) == literal_inner_product(f, g)
 
     @pytest.mark.parametrize("n,q", [(3, 2), (3, 3)])
     def test_sind_and_def_of_outer_products(self, n, q):
@@ -461,42 +553,37 @@ class TestTalliedSums:
         for J in two_part_compositions(n):
             sizes = tuple(len(part) for part in J.parts)
             interval = SetComposition.from_interval_sizes(sizes)
-            lowered = [def_parts(chi, sizes) for chi in raw]
-            assert [f.values for f in lowered] == [literal_def_parts(chi, sizes) for chi in raw]
+            lowered = [table_of(def_parts(chi, sizes)) for chi in raw]
+            assert lowered == [literal_def_parts(chi, sizes) for chi in raw]
             for f1 in characters(sizes[0], q):
                 for f2 in characters(sizes[1], q):
                     psi = outer_product([f1, f2])
                     induced = sind_J(psi, J)
-                    assert induced.values == literal_sind_J(psi, J)
+                    assert table_of(induced) == literal_sind_J(psi, J)
                     # Def of a superinduced function: non-integral values
                     raised = sind_J(psi, interval)
-                    assert def_parts(raised, sizes).values == literal_def_parts(raised, sizes)
+                    assert table_of(def_parts(raised, sizes)) == literal_def_parts(raised, sizes)
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_repeated_mixed_values(self, q):
         rng = random.Random(q)
         group = get_group(3, q)
-        position = {u: k for k, u in enumerate(group.elements())}
-        f, g = (mixed_values(q, group.order, rng) for _ in range(2))
-        tabulated = [ClassFunctionRaw(3, q, Tabulated(position, v)) for v in (f, g)]
-        plain = [ClassFunctionRaw(3, q, dict(zip(group.elements(), v))) for v in (f, g)]
-        want = literal_raw_inner_product(*plain)
-        assert not want.is_rational()
-        assert raw_inner_product(*tabulated) == want
-        assert raw_inner_product(*plain) == want
-        assert raw_inner_product(tabulated[0], plain[1]) == want
-        for sizes in ((1, 2), (2, 1)):
-            assert def_parts(tabulated[0], sizes).values == literal_def_parts(plain[0], sizes)
-        keys = list(itertools.product(get_group(1, q).elements(), get_group(2, q).elements()))
-        psi, phi = (
-            ProductClassFunction((1, 2), q, dict(zip(keys, mixed_values(q, len(keys), rng))))
-            for _ in range(2)
+        f, g = (
+            ClassFunctionRaw((3,), q, tuple(mixed_values(q, group.order, rng))) for _ in range(2)
         )
-        assert product_inner_product(psi, phi) == literal_mean_product(q, q, psi.values, phi.values)
+        want = literal_inner_product(f, g)
+        assert not want.is_rational()
+        assert raw_inner_product(f, g) == want
+        for sizes in ((1, 2), (2, 1)):
+            assert table_of(def_parts(f, sizes)) == literal_def_parts(f, sizes)
+        psi, phi = (
+            ClassFunctionRaw((1, 2), q, tuple(mixed_values(q, q, rng))) for _ in range(2)
+        )
+        assert product_inner_product(psi, phi) == literal_inner_product(psi, phi)
         if q == 3:
             # SInd enumerates |G|^3 sandwiches: seconds at q = 5
             J = SetComposition.from_text("2|13")
-            assert sind_J(psi, J).values == literal_sind_J(psi, J)
+            assert table_of(sind_J(psi, J)) == literal_sind_J(psi, J)
 
     @pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (3, 5)])
     def test_traces(self, n, q):
