@@ -26,7 +26,7 @@ import re
 import sys
 import weakref
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .setpartitions import _no_ref, check_prime, json_int, json_list
 
@@ -360,6 +360,24 @@ def _sum(p: int, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Cy
         nums = tuple(x + y for x, y in zip(a, b))
         return _intern(p, nums, 1) if da == 1 else _reduced(p, nums, da)
     return _reduced(p, tuple(x * db + y * da for x, y in zip(a, b)), da * db)
+
+
+def weighted_sum(p: int, terms: Iterable[tuple[CycRational, int]]) -> CycRational:
+    """sum count * value over the (value, count) terms, in one construction:
+    the integer numerators are added over a running lcm of the denominators,
+    and the total is reduced once at the end.  No terms give 0."""
+    check_prime(p)
+    nums, den = [0] * (p - 1), 1
+    for value, count in terms:
+        if value.p != p:
+            raise ConductorMismatchError(f"conductor mismatch: {value.p} vs {p}")
+        if den % value.den:
+            scale = value.den // math.gcd(den, value.den)
+            nums = [a * scale for a in nums]
+            den *= scale
+        count *= den // value.den
+        nums = [a + count * b for a, b in zip(nums, value.nums)]
+    return _reduced(p, tuple(nums), den)
 
 
 def _ratio_text(num: int, den: int) -> str:

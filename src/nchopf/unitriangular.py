@@ -6,28 +6,30 @@ of u - 1 under row and column operations, supercharacter values are traces of
 the orbit modules over the dual space, and restriction / superinduction /
 inflation / deflation act literally on functions on group elements.
 Every exact sum first counts how often each distinct term occurs and then
-does one exact multiply-add per distinct term; every element is still
+builds the sum once (``cyclotomic.weighted_sum``); every element is still
 visited.
 
 Elements, nilpotent matrices, and linear functionals all share one dense
 layout: a tuple of residues indexed by the strictly-upper positions (i, j),
 i < j, in lexicographic order.  A group element u is its entry tuple, which
 is also the tuple of u - 1.  A function on UT_{n_1}(q) x ... x UT_{n_l}(q)
-is the tuple of its values in the order of itertools.product over the
-factors' elements().
+has one value per element of the product, in the order of itertools.product
+over the factors' elements(); it stores its distinct values once each (its
+palette) and one small int code per element, so tallies count ints.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
+from array import array
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import NamedTuple
 
-from .cyclotomic import CycRational
+from .cyclotomic import CycRational, weighted_sum
 from .limits import DEFAULT_GROUP_BOUND, BoundExceededError
 from .setpartitions import (
     LabeledSetPartition,
@@ -59,19 +61,6 @@ def _closure(start: tuple[int, ...], moves) -> set[tuple[int, ...]]:
                 seen.add(step)
                 frontier.append(step)
     return seen
-
-
-def _tallied_sum(q: int, terms: Iterable[tuple[CycRational, int]]) -> CycRational:
-    """The sum of value * count over (value, count) terms.  The counts of
-    equal values are added as integers first, so the exact arithmetic runs
-    once per distinct value."""
-    tally: Counter[CycRational] = Counter()
-    for value, count in terms:
-        tally[value] += count
-    total = CycRational.zero(q)
-    for value, count in tally.items():
-        total = total + value * count
-    return total
 
 
 def _root_sum(q: int, counts: Iterable[int]) -> CycRational:
@@ -286,8 +275,10 @@ class UTGroup:
         }
         # prefixes[j - 2]: columns 2..j of the members, j(j - 1)/2 entries
         prefixes = [{mu[: j * (j - 1) // 2] for mu in orbit_of} for j in range(2, self.n + 1)]
-        values: list[list[CycRational]] = [[] for _ in lams]
-        trace = functools.cache(functools.partial(_root_sum, q))
+        # Each character codes an element by its count tuple: the number of
+        # fixed functionals in the orbit per value of mu(v).
+        codes: list[list[int]] = [[] for _ in lams]
+        code_of: dict[tuple[int, ...], int] = {}
 
         for v in map(self.inv, self.elements()):
             # fixed: (mu's first columns, mu(v) on them); kernel: the columns
@@ -307,11 +298,11 @@ class UTGroup:
             counts = [[0] * q for _ in lams]
             for mu, e in fixed:
                 counts[orbit_of[mu]][e % q] += 1
-            for function, count in zip(values, counts):
-                function.append(trace(tuple(count)))
+            for function, count in zip(codes, counts):
+                function.append(code_of.setdefault(tuple(count), len(code_of)))
+        traces = [_root_sum(q, count) for count in code_of]
         return {
-            lam: ClassFunctionRaw((self.n,), q, tuple(function))
-            for lam, function in zip(lams, values)
+            lam: _function((self.n,), q, traces, function) for lam, function in zip(lams, codes)
         }
 
     def oracle_table(self) -> SupercharTable:
@@ -391,15 +382,40 @@ def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
 # raw class functions and the four function-level operations
 
 
-class ClassFunctionRaw(NamedTuple):
+class ClassFunctionRaw:
     """A function on UT_{n_1}(q) x ... x UT_{n_l}(q), ns = (n_1, ..., n_l),
-    dense, with exact values: the tuple of its values in the order of
+    dense, with exact values, one per element of the product in the order of
     itertools.product over the factors' elements().  A function on UT_n(q)
-    has ns == (n,)."""
+    has ns == (n,).
 
-    ns: tuple[int, ...]
-    q: int
-    values: tuple[CycRational, ...]
+    It is stored as its palette, its distinct values once each in order of
+    first occurrence, and its codes, one int per element that indexes the
+    palette: bytes when at most 256 values are distinct, array('I') beyond.
+    That form is canonical, so equality and the hash depend on ns, q and the
+    values only, whichever operation built the function."""
+
+    __slots__ = ("ns", "q", "palette", "codes")
+
+    def __new__(cls, ns: Iterable[int], q: int, values: Iterable) -> "ClassFunctionRaw":
+        """The function with the given values, exact scalars of Q(zeta_q), one
+        per element of the product."""
+        ns = tuple(ns)
+        size = math.prod(get_group(n, q).order for n in ns)
+        values = [CycRational.coerce(q, v) for v in values]
+        if len(values) != size:
+            raise ValueError(f"{len(values)} values for a function on {size} elements")
+        return _function(ns, q, values, range(size))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassFunctionRaw is immutable")
+
+    def __reduce__(self):
+        return ClassFunctionRaw, (self.ns, self.q, self.values)
+
+    @property
+    def values(self) -> tuple[CycRational, ...]:
+        """Every value, in element order."""
+        return tuple(map(self.palette.__getitem__, self.codes))
 
     def __call__(self, *us: tuple[int, ...]) -> CycRational:
         """The value at (u_1, ..., u_l), one entry tuple per factor."""
@@ -409,16 +425,64 @@ class ClassFunctionRaw(NamedTuple):
         for n, u in zip(self.ns, us):
             group = get_group(n, self.q)
             k = k * group.order + group.code(u)
-        return self.values[k]
+        return self.palette[self.codes[k]]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassFunctionRaw):
+            return NotImplemented
+        return (self.ns, self.q, self.palette, self.codes) == (
+            other.ns, other.q, other.palette, other.codes
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ns, self.q, self.palette, bytes(self.codes)))
+
+    def __repr__(self) -> str:
+        return f"ClassFunctionRaw({self.ns!r}, {self.q!r}, {self.values!r})"
+
+
+def _function(ns: tuple[int, ...], q: int, palette, codes: Sequence[int]) -> ClassFunctionRaw:
+    """The function on ns with value palette[codes[k]] at place k, brought to
+    the canonical form: palette values that no code uses are dropped, equal
+    ones merged, and the rest numbered in order of first occurrence."""
+    renumber = dict.fromkeys(codes)  # the codes in use, in order of first occurrence
+    distinct: dict[CycRational, int] = {}
+    for c in renumber:
+        renumber[c] = distinct.setdefault(palette[c], len(distinct))
+    codes = list(map(renumber.__getitem__, codes))
+    codes = bytes(codes) if len(distinct) <= 256 else array("I", codes)
+    f = object.__new__(ClassFunctionRaw)
+    for name, value in zip(ClassFunctionRaw.__slots__, (ns, q, tuple(distinct), codes)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def _tallied(
+    ns: tuple[int, ...], f: ClassFunctionRaw, tallies, scale: Fraction
+) -> ClassFunctionRaw:
+    """The function on ns whose value at place k is scale times the sum of
+    count * f.palette[code] over the (code, count) items of tallies[k]: one
+    weighted_sum per distinct tally."""
+    code_of: dict[tuple[tuple[int, int], ...], int] = {}
+    codes = [code_of.setdefault(tuple(sorted(t.items())), len(code_of)) for t in tallies]
+    sums = [weighted_sum(f.q, ((f.palette[c], n) for c, n in key)) * scale for key in code_of]
+    return _function(ns, f.q, sums, codes)
 
 
 def outer_product(functions: list[ClassFunctionRaw]) -> ClassFunctionRaw:
-    values = itertools.product(*(f.values for f in functions))
-    return ClassFunctionRaw(
-        tuple(n for f in functions for n in f.ns),
-        functions[0].q,
-        tuple(functools.reduce(operator.mul, combo) for combo in values),
-    )
+    """psi(u_1, ..., u_l) = f_1(u_1) ... f_l(u_l).  The palettes are
+    multiplied, and an element's code is its factors' codes in mixed radix."""
+    if not functions:
+        raise ValueError("an outer product needs at least one function")
+    q = functions[0].q
+    if any(f.q != q for f in functions):
+        qs = [f.q for f in functions]
+        raise ValueError(f"an outer product needs functions over one q, not {qs}")
+    palette, codes = [CycRational.one(q)], [0]
+    for f in functions:
+        palette = [a * b for a in palette for b in f.palette]
+        codes = [c * len(f.palette) + d for c in codes for d in f.codes]
+    return _function(tuple(n for f in functions for n in f.ns), q, palette, codes)
 
 
 def _part_sizes(J: SetComposition) -> tuple[int, ...]:
@@ -447,7 +511,11 @@ def _split(J: SetComposition) -> tuple[list[int], list[int]]:
 
 
 def embed_parts(us: tuple[tuple[int, ...], ...], J: SetComposition) -> tuple[int, ...]:
-    """Inverse straightening: place block matrices at the positions of J's parts."""
+    """Inverse straightening: place block matrices at the positions of J's
+    parts.  us must hold one entry tuple per part, of that part's length."""
+    sizes = _part_sizes(J)
+    if len(us) != len(sizes) or any(len(u) != s * (s - 1) // 2 for u, s in zip(us, sizes)):
+        raise ValueError(f"{us!r} is not one entry tuple per part of {J!r}")
     entries = [0] * (J.n * (J.n - 1) // 2)
     for k, value in zip(_split(J)[0], itertools.chain(*us)):
         entries[k] = value
@@ -459,8 +527,10 @@ def res_J(f: ClassFunctionRaw, J: SetComposition) -> ClassFunctionRaw:
     if f.ns != (J.n,):
         raise ValueError(f"function on {f.ns} does not match composition {J!r}")
     sizes = _part_sizes(J)
+    group = get_group(J.n, f.q)
     factors = itertools.product(*(get_group(size, f.q).elements() for size in sizes))
-    return ClassFunctionRaw(sizes, f.q, tuple(f(embed_parts(us, J)) for us in factors))
+    codes = [f.codes[group.code(embed_parts(us, J))] for us in factors]
+    return _function(sizes, f.q, f.palette, codes)
 
 
 def sind_J(psi: ClassFunctionRaw, J: SetComposition) -> ClassFunctionRaw:
@@ -476,16 +546,14 @@ def sind_J(psi: ClassFunctionRaw, J: SetComposition) -> ClassFunctionRaw:
     q = psi.q
     group = get_group(J.n, q)
     inside, cross = _split(J)
-    normalizer = CycRational.from_rational(q, Fraction(1, group.order * len(psi.values)))
-    values = []
+    tallies = []
     for u in group.elements():
-        landed = (
-            (psi.values[_code(q, (z[k] for k in inside))], count)
-            for z, count in group.sandwich_counts(u).items()
-            if not any(z[k] for k in cross)
-        )
-        values.append(_tallied_sum(q, landed) * normalizer)
-    return ClassFunctionRaw((J.n,), q, tuple(values))
+        tally: Counter[int] = Counter()
+        for z, count in group.sandwich_counts(u).items():
+            if not any(z[k] for k in cross):
+                tally[psi.codes[_code(q, (z[k] for k in inside))]] += count
+        tallies.append(tally)
+    return _tallied((J.n,), psi, tallies, Fraction(1, group.order * len(psi.codes)))
 
 
 def inf_parts(psi: ClassFunctionRaw, sizes: tuple[int, ...]) -> ClassFunctionRaw:
@@ -495,11 +563,10 @@ def inf_parts(psi: ClassFunctionRaw, sizes: tuple[int, ...]) -> ClassFunctionRaw
         raise ValueError(f"function on {psi.ns} does not match composition {sizes}")
     J = SetComposition.from_interval_sizes(tuple(sizes))
     inside, _ = _split(J)
-    values = tuple(
-        psi.values[_code(psi.q, (u[k] for k in inside))]
-        for u in get_group(J.n, psi.q).elements()
-    )
-    return ClassFunctionRaw((J.n,), psi.q, values)
+    codes = [
+        psi.codes[_code(psi.q, (u[k] for k in inside))] for u in get_group(J.n, psi.q).elements()
+    ]
+    return _function((J.n,), psi.q, psi.palette, codes)
 
 
 def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ClassFunctionRaw:
@@ -508,23 +575,21 @@ def def_parts(f: ClassFunctionRaw, sizes: tuple[int, ...]) -> ClassFunctionRaw:
         raise ValueError(f"function on {f.ns} does not match composition {sizes}")
     q = f.q
     inside, cross = _split(SetComposition.from_interval_sizes(tuple(sizes)))
-    fibers = [Counter() for _ in range(q ** len(inside))]
-    for u, value in zip(get_group(sum(sizes), q).elements(), f.values):
-        fibers[_code(q, (u[k] for k in inside))][value] += 1
-    normalizer = CycRational.from_rational(q, Fraction(1, q ** len(cross)))
-    return ClassFunctionRaw(
-        tuple(sizes), q, tuple(_tallied_sum(q, fiber.items()) * normalizer for fiber in fibers)
-    )
+    fibers: list[Counter[int]] = [Counter() for _ in range(q ** len(inside))]
+    for u, c in zip(get_group(sum(sizes), q).elements(), f.codes):
+        fibers[_code(q, (u[k] for k in inside))][c] += 1
+    return _tallied(tuple(sizes), f, fibers, Fraction(1, q ** len(cross)))
 
 
 def _mean_product(f: ClassFunctionRaw, g: ClassFunctionRaw) -> CycRational:
-    """(1/|G|) sum over the group G of f * conj(g), one exact product per
-    distinct pair of values."""
+    """(1/|G|) sum over the group G of f * conj(g): the pairs of codes are
+    counted, and each distinct pair costs one exact product."""
     if (f.ns, f.q) != (g.ns, g.q):
         raise ValueError("inner product needs functions on the same group")
-    pairs = Counter(zip(f.values, g.values))
-    total = _tallied_sum(f.q, ((a * b.conj(), count) for (a, b), count in pairs.items()))
-    return total * CycRational.from_rational(f.q, Fraction(1, len(f.values)))
+    conj = [b.conj() for b in g.palette]
+    pairs = Counter(zip(f.codes, g.codes))
+    total = weighted_sum(f.q, ((f.palette[a] * conj[b], n) for (a, b), n in pairs.items()))
+    return total * Fraction(1, len(f.codes))
 
 
 def raw_inner_product(f: ClassFunctionRaw, g: ClassFunctionRaw) -> CycRational:

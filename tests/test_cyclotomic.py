@@ -18,6 +18,7 @@ from nchopf.cyclotomic import (
     invert_matrix,
     solve_linear_system,
     theta,
+    weighted_sum,
 )
 
 
@@ -524,3 +525,33 @@ class TestHashConsing:
         with pytest.raises(AttributeError):
             x.p = 5
         assert pickle.loads(pickle.dumps(x)) is x
+
+
+class TestWeightedSum:
+    """weighted_sum equals the literal running sum of count * value."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_running_sum(self, p):
+        rng = random.Random(p)
+        for size in (1, 2, 5, 20):
+            terms = [(random_cyc(rng, p), rng.randint(-4, 4)) for _ in range(size)]
+            terms.append((CycRational(p, [Fraction(1, 7)] * (p - 1)), 0))
+            terms.append((CycRational.from_rational(p, Fraction(-5, 12)), 3))
+            total = CycRational.zero(p)
+            for value, count in terms:
+                total = total + value * count
+            got = weighted_sum(p, terms)
+            assert got == total
+            assert got is total  # canonical, so the one pooled instance
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_cancelling_and_empty_sums_are_zero(self, p):
+        x = CycRational(p, [Fraction(3, 4)] + [Fraction(-1, 6)] * (p - 2))
+        assert weighted_sum(p, []) is CycRational.zero(p)
+        assert weighted_sum(p, [(x, 2), (x, -2)]) is CycRational.zero(p)
+        assert weighted_sum(p, [(x, 0)]) is CycRational.zero(p)
+        assert weighted_sum(p, [(x, 4), (CycRational.one(p), -3)]) == 4 * x - 3
+
+    def test_refuses_a_value_of_another_conductor(self):
+        with pytest.raises(ConductorMismatchError):
+            weighted_sum(3, [(CycRational.one(5), 1)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,13 @@ class TestEmbedding:
         u = (0, 1, 0)  # nonzero at (1, 3), straddling
         assert project_parts(u, J) is None
 
+    @pytest.mark.parametrize("us", [((1, 1, 1), ()), ((1,),), ((1,), (), ()), ((), (1,)), ()])
+    def test_embed_refuses_a_wrong_count_or_length_of_factors(self, us):
+        J = SetComposition.from_text("13|2")
+        assert embed_parts(((1,), ()), J) == (0, 1, 0)
+        with pytest.raises(ValueError, match="not one entry tuple per part"):
+            embed_parts(us, J)
+
 
 class TestFunctors:
     def test_restriction_of_constant_function(self):
@@ -309,7 +317,7 @@ class TestFunctors:
                     )
                     inflated = inf_parts(psi, (n1, n2))
                     target = get_group(n1 + n2, q).supercharacter_raw(concat(lam1, lam2))
-                    assert inflated.values == target.values
+                    assert inflated == target and hash(inflated) == hash(target)
 
     def test_sind_res_adjoint_small(self):
         q = 2
@@ -486,6 +494,10 @@ class TestLayout:
         assert len(f.values) == len(arguments(ns, f.q))
         assert table_of(f) == reference
         assert all(f(*us) == value for us, value in reference.items())
+        # the same values through the public constructor: the same function
+        literal = ClassFunctionRaw(ns, f.q, [reference[us] for us in arguments(ns, f.q)])
+        assert f == literal and hash(f) == hash(literal)
+        assert (f.palette, f.codes) == (literal.palette, literal.codes)
 
     @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
     def test_every_operation_lays_out_its_values_in_product_order(self, n, q):
@@ -535,6 +547,92 @@ class TestLayout:
         with pytest.raises(ValueError, match="not the entry tuple"):
             group.sandwich_counts(u)
         assert group._sandwich_counts == {}
+
+
+class TestClassFunctionRaw:
+    """The palette-and-codes form is canonical: equal values give equal,
+    equally hashed functions, whichever operation built them."""
+
+    def test_palette_is_the_distinct_values_in_order_of_first_occurrence(self):
+        one, z = CycRational.one(3), CycRational.zeta_power(3, 1)
+        f = ClassFunctionRaw((2,), 3, (z, one, z))
+        assert f.palette == (z, one) and f.codes == bytes([0, 1, 0])
+        assert f.values == (z, one, z) and f((2,)) == z
+        assert ClassFunctionRaw((2,), 3, (1, 1, 1)).palette == (one,)
+        assert f != ClassFunctionRaw((2,), 3, (one, z, z))
+        assert f != ClassFunctionRaw((1, 2), 3, (z, one, z))
+
+    @pytest.mark.parametrize(
+        "ns,q,values",
+        [
+            ((2,), 3, (1, 2)),
+            ((2,), 3, (1, 2, 3, 4)),
+            ((1, 2), 2, (1,) * 3),
+            ((), 2, ()),
+            ((3,), 2, ()),
+        ],
+    )
+    def test_refuses_a_values_count_that_is_not_the_group_order(self, ns, q, values):
+        with pytest.raises(ValueError, match="values for a function on"):
+            ClassFunctionRaw(ns, q, values)
+
+    def test_refuses_a_value_of_another_field(self):
+        with pytest.raises(ValueError):
+            ClassFunctionRaw((2,), 3, [CycRational.one(5)] * 3)
+
+    def test_hashable_immutable_and_picklable(self):
+        import pickle
+
+        f, g = characters(3, 2)[:2]
+        assert len({f, g, res_J(f, SetComposition.from_text("123")), f}) == 2
+        with pytest.raises(AttributeError):
+            f.q = 3
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert repr(f).startswith("ClassFunctionRaw((3,), 2, (CycRational(p=2, 1), ")
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
+    def test_equal_values_from_different_operations_are_equal(self, n, q):
+        # Res to the whole of [n] and Inf along the one-part composition are
+        # the identity; Res of an inflated outer product is the product again.
+        one_part = SetComposition.from_interval_sizes((n,))
+        for chi in characters(n, q):
+            same = [res_J(chi, one_part), inf_parts(res_J(chi, one_part), (n,)),
+                    outer_product([chi]), ClassFunctionRaw((n,), q, chi.values)]
+            assert all(f == chi and hash(f) == hash(chi) for f in same)
+        for J in two_part_compositions(n):
+            sizes = tuple(len(part) for part in J.parts)
+            interval = SetComposition.from_interval_sizes(sizes)
+            for f1 in characters(sizes[0], q):
+                for f2 in characters(sizes[1], q):
+                    psi = outer_product([f1, f2])
+                    back = res_J(inf_parts(psi, sizes), interval)
+                    assert back == psi and hash(back) == hash(psi)
+
+    def test_more_than_256_distinct_values(self):
+        q = 7
+        group = get_group(3, q)
+        values = [CycRational.from_rational(q, Fraction(k, 3)) for k in range(group.order)]
+        f = ClassFunctionRaw((3,), q, values)
+        assert isinstance(f.codes, array) and len(f.palette) == group.order == 343
+        assert f.values == tuple(values)
+        assert all(f(u) == v for u, v in zip(group.elements(), values))
+        g = ClassFunctionRaw((3,), q, values)
+        assert f == g and hash(f) == hash(g) and f != ClassFunctionRaw((3,), q, values[::-1])
+        assert raw_inner_product(f, g) == literal_inner_product(f, g)
+        # Res keeps 49 of the values, Def averages 7 per fiber: back to bytes
+        J = SetComposition.from_text("12|3")
+        restricted = res_J(f, J)
+        assert type(restricted.codes) is bytes and table_of(restricted) == literal_res_J(f, J)
+        lowered = def_parts(f, (2, 1))
+        assert type(lowered.codes) is bytes
+        assert table_of(lowered) == literal_def_parts(f, (2, 1))
+
+    def test_outer_product_refuses_no_factors_or_mixed_q(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            outer_product([])
+        f2, f3 = characters(1, 2)[0], characters(1, 3)[0]
+        with pytest.raises(ValueError, match="over one q"):
+            outer_product([f2, f3])
 
 
 class TestTalliedSums:
