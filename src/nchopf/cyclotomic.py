@@ -28,7 +28,7 @@ import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .setpartitions import _no_ref, check_prime, json_int, json_list
+from .setpartitions import _Value, _no_ref, check_prime, json_int, json_list
 
 
 class ConductorMismatchError(ValueError):
@@ -78,10 +78,11 @@ def _reduced(p: int, nums: tuple[int, ...], den: int) -> "CycRational":
     return _intern(p, nums, den)
 
 
-class CycRational:
+class CycRational(_Value):
     """An element of Q(zeta_p), exact, in canonical form."""
 
     __slots__ = ("p", "nums", "den", "__weakref__")
+    _fields = ("p", "coeffs")
 
     def __new__(cls, p: int, coeffs: Sequence[Fraction | int]):
         check_prime(p)
@@ -92,12 +93,6 @@ class CycRational:
         fractions = [Fraction(c) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fractions))
         return _reduced(p, tuple(f.numerator * (den // f.denominator) for f in fractions), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycRational is immutable")
-
-    def __reduce__(self):
-        return CycRational, (self.p, self.coeffs)
 
     # -- constructors
 

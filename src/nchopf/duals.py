@@ -53,6 +53,7 @@ from .elements import (
 from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
+    _Value,
     _labeled,
     _set_partition,
     arc_encoding,
@@ -69,10 +70,11 @@ from .superfunctions import _table_change, chi_to_kappa, group_order, superchara
 # permutations
 
 
-class Permutation:
+class Permutation(_Value):
     """A permutation of [n] in one-line notation; cycles derived on demand."""
 
     __slots__ = ("word", "_hash")
+    _fields = ("word",)
 
     def __init__(self, word: Iterable[int]):
         word = tuple(int(x) for x in word)
@@ -81,24 +83,12 @@ class Permutation:
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "_hash", hash(word))
 
-    def __reduce__(self):
-        return Permutation, (self.word,)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
     @property
     def n(self) -> int:
         return len(self.word)
 
     def __call__(self, i: int) -> int:
         return self.word[i - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.sort_key() < other.sort_key()

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycRational, _integer
-from .setpartitions import LabeledSetPartition, _no_ref, _restrict
+from .setpartitions import LabeledSetPartition, _Value, _no_ref, _restrict
 
 #: Bases indexed by labeled set partitions.  For the set-partition bases
 #: (m, p, U, V) the labels are forced to 1, i.e. the q=2 arc encoding.
@@ -62,12 +62,15 @@ SET_PARTITION_BASES = frozenset({"m", "p", "U", "V"})
 class UnsupportedBasisError(KeyError):
     """Raised when an operation has no rule registered for a basis tag."""
 
+    # KeyError's str() is the repr of its key; this one is a message.
+    __str__ = Exception.__str__
+
 
 _INDICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INDEX_REFS = _INDICES.data
 
 
-class BasisIndex:
+class BasisIndex(_Value):
     """A basis tag, a grade, and the indexing object of that grade.
 
     The indexing object is a ``LabeledSetPartition`` for the arc bases, a
@@ -79,6 +82,7 @@ class BasisIndex:
     """
 
     __slots__ = ("basis", "grade", "partition", "_hash", "__weakref__")
+    _fields = ("basis", "grade", "partition")
 
     def __new__(cls, basis: str, grade: int, partition):
         key = (basis, grade, partition)
@@ -98,23 +102,6 @@ class BasisIndex:
         object.__setattr__(idx, "partition", partition)
         object.__setattr__(idx, "_hash", hash(key))
         return _INDICES.setdefault(key, idx)
-
-    def __reduce__(self):
-        return BasisIndex, (self.basis, self.grade, self.partition)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisIndex is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, BasisIndex)
-            and self.basis == other.basis
-            and self.grade == other.grade
-            and self.partition == other.partition
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "BasisIndex") -> bool:
         return self.sort_key() < other.sort_key()
@@ -273,7 +260,7 @@ def _pair_terms(left: Mapping, right: Mapping) -> dict:
     return {(a, b): ca * cb for a, ca in left.items() for b, cb in right.items()}
 
 
-class LinearCombination:
+class LinearCombination(_Value):
     """A finite map from keys to nonzero scalars in Q(zeta_q), every basis
     index in the keys carrying one basis tag; the arc bases also need labels
     below q, and colored monomials of positive grade need q - 1 colors.
@@ -283,6 +270,7 @@ class LinearCombination:
     terms it already holds go through ``_trusted`` instead."""
 
     __slots__ = ("q", "basis", "terms")
+    _fields = ("q", "basis", "terms")
 
     def __init__(self, q: int, basis: str, terms: Mapping | None = None):
         arc_basis = basis in ARC_BASES
@@ -323,15 +311,9 @@ class LinearCombination:
         _SET_TERMS(x, terms)
         return x
 
-    def __reduce__(self):
-        return type(self), (self.q, self.basis, self.terms)
-
     @staticmethod
     def _indices(key) -> tuple[BasisIndex, ...]:
         raise NotImplementedError
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; build a new one")
 
     @classmethod
     def zero(cls, q: int, basis: str):
@@ -348,14 +330,6 @@ class LinearCombination:
 
     def coefficient(self, key) -> CycRational:
         return self.terms.get(key, CycRational.zero(self.q))
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.q == other.q
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.q, self.basis, frozenset(self.terms.items())))

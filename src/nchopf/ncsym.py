@@ -47,6 +47,7 @@ from .elements import (
 from .setpartitions import (
     LabeledSetPartition,
     SetPartition,
+    _Value,
     _labeled,
     _no_ref,
     _set_partition,
@@ -88,7 +89,7 @@ def _colored_index(partition: SetPartition, colors: tuple[int, ...], r: int) -> 
     return idx
 
 
-class ColoredIndex:
+class ColoredIndex(_Value):
     """A set partition of [n] with one color (an exponent mod r) per position.
 
     Hash-consed: the constructor reduces the colors mod r (the empty index
@@ -97,6 +98,7 @@ class ColoredIndex:
     """
 
     __slots__ = ("partition", "colors", "r", "_hash", "__weakref__")
+    _fields = ("partition", "colors", "r")
 
     def __new__(cls, partition: SetPartition, colors: Iterable[int], r: int):
         if r < 1:
@@ -106,26 +108,9 @@ class ColoredIndex:
             raise ValueError(f"expected {partition.n} colors, got {len(colors)}")
         return _colored_index(partition, colors, r)
 
-    def __reduce__(self):
-        return ColoredIndex, (self.partition, self.colors, self.r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredIndex is immutable")
-
     @property
     def n(self) -> int:
         return self.partition.n
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, ColoredIndex)
-            and self.partition == other.partition
-            and self.colors == other.colors
-            and self.r == other.r
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "ColoredIndex") -> bool:
         return self.sort_key() < other.sort_key()

@@ -138,6 +138,38 @@ class Arc(tuple):
         return f"{self.left}-{self.label}-{self.right}"
 
 
+class _Value:
+    """The base of every immutable value type: a slotted class whose
+    ``_fields`` name the public constructor's arguments in order, each
+    readable as an attribute.
+
+    It refuses attribute assignment (constructors fill the slots through
+    ``object.__setattr__`` or the slot descriptors), pickles and copies
+    through the public constructor, so a hash-consed value comes back as the
+    pooled instance, and compares field by field with values of exactly its
+    own type.  The hash is the ``_hash`` slot the subclass fills; a subclass
+    that equals other types or computes its hash overrides ``__eq__`` or
+    ``__hash__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and all(getattr(self, name) == getattr(other, name) for name in self._fields)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 def _no_ref() -> None:
     """Stands in for the weak reference of a key a pool does not hold.
 
@@ -174,7 +206,7 @@ def _labeled(n: int, arcs: tuple) -> "LabeledSetPartition":
     return lam
 
 
-class LabeledSetPartition:
+class LabeledSetPartition(_Value):
     """An element of S_n(q): arcs with distinct lefts and distinct rights.
 
     Immutable and hash-consed: the constructor validates and sorts the arcs,
@@ -188,6 +220,7 @@ class LabeledSetPartition:
     """
 
     __slots__ = ("n", "arcs", "_hash", "_max_label", "__weakref__")
+    _fields = ("n", "arcs")
 
     def __new__(cls, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         if n < 0:
@@ -207,22 +240,6 @@ class LabeledSetPartition:
     def __init__(self, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         """Nothing to do: ``__new__`` built or found the shared instance.
         Defined so the constructor stays an ordinary, wrappable method."""
-
-    def __reduce__(self):
-        return LabeledSetPartition, (self.n, self.arcs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabeledSetPartition is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, LabeledSetPartition)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "LabeledSetPartition") -> bool:
         return self.sort_key() < other.sort_key()
@@ -293,7 +310,7 @@ def _set_partition(n: int, blocks: tuple) -> "SetPartition":
     return sp
 
 
-class SetPartition:
+class SetPartition(_Value):
     """A partition of [n] into disjoint nonempty blocks covering [n].
 
     Blocks are stored sorted internally and ordered by their minima.
@@ -304,6 +321,7 @@ class SetPartition:
     """
 
     __slots__ = ("n", "blocks", "_hash", "__weakref__")
+    _fields = ("n", "blocks")
 
     def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
         normalized = tuple(
@@ -317,22 +335,6 @@ class SetPartition:
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks {normalized} do not partition [1, {n}]")
         return _set_partition(n, normalized)
-
-    def __reduce__(self):
-        return SetPartition, (self.n, self.blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "SetPartition") -> bool:
         return (self.n, self.blocks) < (other.n, other.blocks)
@@ -375,10 +377,11 @@ def _blocks_from_text(text: str) -> list[list[int]]:
     return blocks
 
 
-class SetComposition:
+class SetComposition(_Value):
     """An ordered list of disjoint nonempty subsets covering [n]."""
 
     __slots__ = ("n", "parts", "_hash")
+    _fields = ("parts",)
 
     def __init__(self, parts: Iterable[Iterable[int]]):
         normalized = tuple(tuple(sorted(p)) for p in parts)
@@ -393,15 +396,6 @@ class SetComposition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parts", normalized)
         object.__setattr__(self, "_hash", hash(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetComposition is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SetComposition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"SetComposition({self.to_text()!r})"
@@ -520,6 +514,9 @@ def straighten(lam: LabeledSetPartition, J: SetComposition) -> list[LabeledSetPa
 def unstraighten(mu: LabeledSetPartition, A: Iterable[int], n: int) -> LabeledSetPartition:
     """Embed mu into [n] along the order-preserving bijection [|A|] -> A."""
     positions = sorted(A)
+    for a, b in zip(positions, positions[1:]):
+        if a == b:
+            raise ValueError(f"subset {positions} repeats position {a}")
     if len(positions) != mu.n:
         raise ValueError(f"subset of size {len(positions)} cannot carry a partition of [{mu.n}]")
     if positions and not (1 <= positions[0] and positions[-1] <= n):

@@ -34,6 +34,7 @@ from .limits import DEFAULT_GROUP_BOUND, BoundExceededError
 from .setpartitions import (
     LabeledSetPartition,
     SetComposition,
+    _Value,
     check_prime,
     enumerate_labeled_partitions,
 )
@@ -382,7 +383,7 @@ def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
 # raw class functions and the four function-level operations
 
 
-class ClassFunctionRaw:
+class ClassFunctionRaw(_Value):
     """A function on UT_{n_1}(q) x ... x UT_{n_l}(q), ns = (n_1, ..., n_l),
     dense, with exact values, one per element of the product in the order of
     itertools.product over the factors' elements().  A function on UT_n(q)
@@ -395,6 +396,7 @@ class ClassFunctionRaw:
     values only, whichever operation built the function."""
 
     __slots__ = ("ns", "q", "palette", "codes")
+    _fields = ("ns", "q", "values")
 
     def __new__(cls, ns: Iterable[int], q: int, values: Iterable) -> "ClassFunctionRaw":
         """The function with the given values, exact scalars of Q(zeta_q), one
@@ -405,12 +407,6 @@ class ClassFunctionRaw:
         if len(values) != size:
             raise ValueError(f"{len(values)} values for a function on {size} elements")
         return _function(ns, q, values, range(size))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassFunctionRaw is immutable")
-
-    def __reduce__(self):
-        return ClassFunctionRaw, (self.ns, self.q, self.values)
 
     @property
     def values(self) -> tuple[CycRational, ...]:

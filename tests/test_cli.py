@@ -832,6 +832,13 @@ class TestCliElementOps:
         tensor = tensor_from_json(json.loads(out))
         assert len(tensor.terms) == 2
 
+    @pytest.mark.parametrize("command", ["comul", "antipode"])
+    def test_unsupported_basis_is_named_without_quotes(self, command):
+        x = AlgebraElement(2, "M", {BasisIndex("M", 2, Permutation([2, 1])): 1})
+        code, out, err = invoke([command], canonical_dumps(element_to_json(x)))
+        assert code == EXIT_INVALID and not out
+        assert err == "nchopf: invalid input: no coproduct rule registered for basis 'M'\n"
+
     def test_antipode_fixes_unit(self):
         payload = canonical_dumps(element_to_json(AlgebraElement.unit(2, "kappa")))
         code, out, _ = invoke(["antipode"], payload)

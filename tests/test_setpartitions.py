@@ -347,6 +347,13 @@ class TestStraightening:
         with pytest.raises(ValueError):
             unstraighten(LabeledSetPartition(2, [(1, 2, 1)]), {1}, 4)
 
+    @pytest.mark.parametrize("mu", [LabeledSetPartition(2), LabeledSetPartition(2, [(1, 2, 1)])])
+    def test_unstraighten_refuses_a_repeated_position(self, mu):
+        # without the check the first gave LabeledSetPartition('3;') and the
+        # second blamed the arc (2, 2) it built
+        with pytest.raises(ValueError, match=r"subset \[2, 2\] repeats position 2"):
+            unstraighten(mu, [2, 2], 3)
+
     @settings(max_examples=150, deadline=None)
     @given(labeled_partitions(max_n=4), st.data())
     def test_unstraighten_then_straighten_roundtrip(self, mu, data):

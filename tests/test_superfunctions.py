@@ -341,6 +341,41 @@ class TestTables:
         self._load_from_bad_cache(tmp_path, data)
 
 
+def scaled(lam, q, factor):
+    """lam with the label of each arc (i, j) multiplied by factor(i, j) mod q."""
+    return LabeledSetPartition(lam.n, [(i, j, a * factor(i, j) % q) for i, j, a in lam.arcs])
+
+
+class TestTableSymmetries:
+    """Two symmetries of the formula table, entry by entry.  F_q^x acts on the
+    labels and, through zeta -> zeta^b, on the values (Galois); the diagonal
+    torus conjugates superclasses and supercharacters alike (torus).  An
+    overall scalar t acts trivially, so t_1 = 1 loses nothing."""
+
+    SIZES = [(3, 3), (3, 5), (4, 3), (3, 7)]
+
+    @pytest.mark.parametrize("n,q", SIZES)
+    def test_galois(self, n, q):
+        table = supercharacter_table(n, q)
+        for b in range(1, q):
+            for lam, row in zip(table.order, table.values):
+                image = table.values[table.index(scaled(lam, q, lambda i, j: b))]
+                assert image == tuple(v._galois(b) for v in row), (b, lam)
+
+    @pytest.mark.parametrize("n,q", SIZES)
+    def test_torus(self, n, q):
+        # T[t.lam][t.mu] = T[lam][mu]: mu's arc (i, j) scaled by t_i / t_j,
+        # lam's by t_j / t_i
+        table = supercharacter_table(n, q)
+        for rest in itertools.product(range(1, q), repeat=n - 1):
+            t = (None, 1) + rest  # t[i] for positions i = 1..n
+            ratio = lambda i, j: t[i] * pow(t[j], -1, q) % q
+            columns = [table.index(scaled(mu, q, ratio)) for mu in table.order]
+            for lam, row in zip(table.order, table.values):
+                image = table.values[table.index(scaled(lam, q, lambda i, j: ratio(j, i)))]
+                assert tuple(image[k] for k in columns) == row, (t, lam)
+
+
 # every table up to (5, 2), (4, 3) and (3, 5)
 TABLE_SIZES = [(n, 2) for n in range(6)] + [(n, 3) for n in range(5)] + [(n, 5) for n in range(4)]
 

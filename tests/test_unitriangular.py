@@ -689,3 +689,30 @@ class TestTalliedSums:
         for lam in enumerate_labeled_partitions(n, q):
             for u in group.elements():
                 assert group.trace_supercharacter(lam, u) == literal_trace(group, lam, u)
+
+
+class TestSuperinductionOnSuperclasses:
+    """Literal superinduction takes one value on each superclass: the
+    multiset of sandwiches x X y is the same for every X of one superclass,
+    which a per-superclass SInd would rest on."""
+
+    @pytest.mark.parametrize(
+        "n,q,compositions,cases",
+        [(3, 2, None, 12), (3, 3, None, 18), (4, 2, ["2|134"], 5)],
+    )
+    def test_sind_is_constant_on_superclasses(self, n, q, compositions, cases):
+        group = get_group(n, q)
+        if compositions is None:
+            compositions = two_part_compositions(n)
+        else:
+            compositions = map(SetComposition.from_text, compositions)
+        checked = 0
+        for J in compositions:
+            sizes = tuple(len(part) for part in J.parts)
+            for f1 in characters(sizes[0], q):
+                for f2 in characters(sizes[1], q):
+                    induced = sind_J(outer_product([f1, f2]), J)
+                    for lam, orbit in group.superclasses().items():
+                        assert len({induced(u) for u in orbit}) == 1, (J, lam)
+                    checked += 1
+        assert checked == cases
