@@ -36,11 +36,11 @@ UNIT_COST_NS = {
     # subprocess, two runs each: admitted (6, 2) at 8.4e6 units took
     # 2.9-3.6 s (0.35-0.43 us/unit), (5, 3) at 6.8e7 7.4-10.6 s (0.11-0.16),
     # (4, 5) at 1.3e8 7.3-8.0 s (0.06), (3, 7) at 6.0e6 0.6 s; oracle tables
-    # 9.1 s at (6, 2), 11.6 s at (5, 3), 2.8 s at (4, 5).
-    # Refused: (2, 47) at 2.2e8 took 9.3 s, (3, 11) at 2.2e8 7.9 s,
-    # (3, 13) at 8.5e8 23-25 s; (2, 101) at 1.0e10 ran past 60 s.  The
-    # row stays at 400 ns because it also prices the oracle tables, which
-    # cost more per unit than the formula tables.
+    # 1.4 s at (6, 2), 2.3 s at (5, 3), 0.8 s at (4, 5), less per unit than
+    # the formula tables.  Refused: (2, 47) at 2.2e8 took 9.3 s, (3, 11) at
+    # 2.2e8 7.9 s, (3, 13) at 8.5e8 23-25 s; (2, 101) at 1.0e10 ran past
+    # 60 s.  The row stays at 400 ns so that no case changes side; a re-fit
+    # belongs with the closed-form class sizes that replace the solve.
     "table": 400,
     # verify.hopf_work, per basis element, pair and random sample, degree
     # weighted.  Admitted: (6, 2) at 5,970 units took 34 s (5.7 ms/unit),

@@ -336,8 +336,14 @@ def table_work(n: int, q: int) -> int:
 
 
 def check_table_size(n: int, q: int) -> None:
-    """Refuse, before any work, a full table of UT_n(q) whose ``table_work``
-    is over the work budget: the formula table and the oracle's."""
+    """Refuse, before any work, a full table of UT_n(q), the formula table
+    or the oracle's: q not a prime or n negative (ValueError), then n over
+    the grade bound or ``table_work`` over the work budget, in the order
+    ``supercharacter_table`` checks them before it reads its memory cache."""
+    check_prime(q)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    check_grade(n, "table for n=")
     work = table_work(n, q)
     check_work("table", work, f"table for n={n}, q={q} has work estimate {work}")
 

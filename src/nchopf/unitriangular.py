@@ -222,31 +222,6 @@ class UTGroup:
         self._functional_orbits[lam] = orbit
         return orbit
 
-    def _act_left(self, uinv: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-        """(u . mu)(X) = mu(u^-1 X), written against the inverse's entries."""
-        index, q = self.index, self.q
-        out = []
-        for i, j in self.positions:
-            total = mu[index[(i, j)]]
-            for k in range(1, i):
-                total += uinv[index[(k, i)]] * mu[index[(k, j)]]
-            out.append(total % q)
-        return tuple(out)
-
-    def _trace(self, orbit: tuple[tuple[int, ...], ...], uinv: tuple[int, ...]) -> CycRational:
-        """Trace on an orbit module of the element with inverse entries uinv:
-        the orbit functionals mu it fixes contribute theta(mu(u^-1 - 1))."""
-        counts = [0] * self.q
-        for mu in orbit:
-            if self._act_left(uinv, mu) == mu:
-                counts[sum(map(operator.mul, mu, uinv)) % self.q] += 1
-        return _root_sum(self.q, counts)
-
-    def trace_supercharacter(self, lam: LabeledSetPartition, u: tuple[int, ...]) -> CycRational:
-        """Trace of the group element with entry tuple u on the orbit module of lam."""
-        self.code(u)  # refuses a tuple outside the group
-        return self._trace(self.functional_orbit(lam), self.inv(u))
-
     def supercharacter_raw(self, lam: LabeledSetPartition) -> "ClassFunctionRaw":
         """The trace of every group element on the orbit module of lam."""
         if not self._raw_characters:
@@ -256,16 +231,31 @@ class UTGroup:
         return self._raw_characters[lam]
 
     def _all_supercharacters(self) -> dict[LabeledSetPartition, "ClassFunctionRaw"]:
-        """Every supercharacter in one pass over the group.
+        """Every supercharacter in one pass over the group: each character
+        codes an element by its count tuple, and each distinct count tuple
+        is traced once."""
+        lams = enumerate_labeled_partitions(self.n, self.q)
+        codes: list[list[int]] = [[] for _ in lams]
+        code_of: dict[tuple[int, ...], int] = {}
+        for counts in self._fixed_counts(self.elements()):
+            for function, count in zip(codes, counts):
+                function.append(code_of.setdefault(count, len(code_of)))
+        traces = [_root_sum(self.q, count) for count in code_of]
+        return {lam: _function((self.n,), self.q, traces, f) for lam, f in zip(lams, codes)}
+
+    def _fixed_counts(self, us: Iterable[tuple[int, ...]]):
+        """For each element u of us, one count tuple per supercharacter, in
+        enumeration order: how many functionals mu of its orbit u fixes, per
+        value of mu(u^-1 - 1).  The trace of u on the orbit module is
+        ``_root_sum`` of that tuple.
 
         The element with inverse entries v fixes mu when mu(v X) = 0 for
         every X, that is when column j of mu, m, has sum_{k<i} m_k v_ki = 0
         for every i < j.  Column j's conditions are column j - 1's and one
         more, and its last entry is free, so the fixed functionals are built
         column by column, keeping only those whose first columns begin a
-        member of one of the chosen orbits; each is sorted into its orbit.
-        This costs about the sum of the stabilizer orders, where tracing each
-        orbit module separately costs |G| times the orbit size."""
+        member of one of the orbits; each is sorted into its orbit.  This
+        costs about the sum of the stabilizer orders."""
         q, index = self.q, self.index
         lams = enumerate_labeled_partitions(self.n, q)
         by_column = [index[(k, j)] for j in range(2, self.n + 1) for k in range(1, j)]
@@ -276,12 +266,7 @@ class UTGroup:
         }
         # prefixes[j - 2]: columns 2..j of the members, j(j - 1)/2 entries
         prefixes = [{mu[: j * (j - 1) // 2] for mu in orbit_of} for j in range(2, self.n + 1)]
-        # Each character codes an element by its count tuple: the number of
-        # fixed functionals in the orbit per value of mu(v).
-        codes: list[list[int]] = [[] for _ in lams]
-        code_of: dict[tuple[int, ...], int] = {}
-
-        for v in map(self.inv, self.elements()):
+        for v in map(self.inv, us):
             # fixed: (mu's first columns, mu(v) on them); kernel: the columns
             # that meet the conditions so far, before the free last entry.
             fixed, kernel = [((), 0)], [()]
@@ -299,23 +284,18 @@ class UTGroup:
             counts = [[0] * q for _ in lams]
             for mu, e in fixed:
                 counts[orbit_of[mu]][e % q] += 1
-            for function, count in zip(codes, counts):
-                function.append(code_of.setdefault(tuple(count), len(code_of)))
-        traces = [_root_sum(q, count) for count in code_of]
-        return {
-            lam: _function((self.n,), q, traces, function) for lam, function in zip(lams, codes)
-        }
+            yield tuple(map(tuple, counts))
 
     def oracle_table(self) -> SupercharTable:
-        """The supercharacter table from orbit traces, sizes from orbit sizes.
-        Refused, like the formula table, over the table size bound."""
+        """The supercharacter table from the orbit-module traces at the
+        superclass representatives, sizes from orbit sizes.  Refused, like
+        the formula table, over the table size bound."""
         check_table_size(self.n, self.q)
         order = enumerate_labeled_partitions(self.n, self.q)
         classes = self.superclasses()
         reps = [nilpotent_of(mu, self.q) for mu in order]
-        values = [
-            [self.trace_supercharacter(lam, rep) for rep in reps] for lam in order
-        ]
+        rows = zip(*self._fixed_counts(reps))  # one row per supercharacter
+        values = [[_root_sum(self.q, count) for count in row] for row in rows]
         sizes = [len(classes[mu]) for mu in order]
         return SupercharTable(self.n, self.q, order, values, sizes)
 
@@ -376,6 +356,9 @@ def get_group(n: int, q: int) -> UTGroup:
 
 
 def oracle_supercharacter_table(n: int, q: int) -> SupercharTable:
+    """The oracle's table of UT_n(q), refused over the table bounds before
+    the group is built."""
+    check_table_size(n, q)
     return get_group(n, q).oracle_table()
 
 

@@ -483,8 +483,11 @@ def _axiom_checks(n: int, q: int) -> list[CheckResult]:
     class_of = {member: i for i, members in enumerate(classes) for member in members}
     empty = LabeledSetPartition(n)
     identity = (0,) * (n * (n - 1) // 2)
-    trivial = map(group.supercharacter_raw(empty), group.elements())
+    trivial = group.supercharacter_raw(empty).palette
     characters = ((lam, group.supercharacter_raw(lam)) for lam in superclasses)
+    # each superclass's members as places in element order: codes are
+    # canonical, so a character is constant there when its codes are
+    places = {mu: [group.code(member) for member in orbit] for mu, orbit in superclasses.items()}
     expected = len(enumerate_labeled_partitions(n, q))
 
     def union_of_classes(item) -> bool:
@@ -492,8 +495,8 @@ def _axiom_checks(n: int, q: int) -> list[CheckResult]:
         return sum(len(classes[i]) for i in {class_of[member] for member in orbit}) == len(orbit)
 
     def constant(case) -> bool:
-        _, function, _, orbit = case
-        return len(set(map(function, orbit))) == 1
+        _, function, _, members = case
+        return len({function.codes[k] for k in members}) == 1
 
     return [
         _check(
@@ -510,7 +513,7 @@ def _axiom_checks(n: int, q: int) -> list[CheckResult]:
         ),
         _check(
             "supercharacters-constant-on-superclasses",
-            ((lam, f, mu, orbit) for lam, f in characters for mu, orbit in superclasses.items()),
+            ((lam, f, mu, members) for lam, f in characters for mu, members in places.items()),
             constant,
             lambda c: f"character of {c[0].to_text()} varies on the superclass of {c[2].to_text()}",
         ),

@@ -550,6 +550,20 @@ class TestCliWorkBounds:
             assert time.perf_counter() - start < 1
             assert code == EXIT_BOUND and not out and "Traceback" not in err
 
+    @pytest.mark.parametrize("n", [DEFAULT_TABLE_BOUND + 1, 1000, 100000])
+    def test_table_over_the_grade_bound_exits_two_with_one_message(self, n):
+        # the grade is checked before the group, its positions or the
+        # index count are built, for the oracle's table as for the formula's
+        errors = []
+        for oracle in ([], ["--oracle"]):
+            start = time.perf_counter()
+            code, out, err = invoke(["table", *oracle, "--n", str(n), "--q", "2"])
+            assert time.perf_counter() - start < 0.5
+            assert code == EXIT_BOUND and not out
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert f"table for n={n} exceeds the configured bound {DEFAULT_TABLE_BOUND}" in errors[0]
+
     @pytest.mark.parametrize(
         "argv", [["convert", "--from", "kappa", "--to", "chi"], ["pair", "--mode", "inner"]]
     )

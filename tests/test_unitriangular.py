@@ -161,31 +161,30 @@ class TestSuperclasses:
 class TestTraces:
     def test_identity_gives_degree(self):
         for q in (2, 3):
+            group = get_group(3, q)
             for lam in enumerate_labeled_partitions(3, q):
-                value = get_group(3, q).trace_supercharacter(lam, (0, 0, 0))
+                value = group.supercharacter_raw(lam)((0, 0, 0))
                 assert value == supercharacter_degree(lam, q)
 
     def test_trivial_character(self):
         group = get_group(3, 2)
         for u in group.elements():
-            assert group.trace_supercharacter(LabeledSetPartition(3), u) == 1
+            assert group.supercharacter_raw(LabeledSetPartition(3))(u) == 1
 
     @pytest.mark.parametrize("u", [(0, 0), (0, 0, 0, 0), (0, 3, 0), (0, -1, 0), ()])
     def test_trace_refuses_a_tuple_outside_the_group(self, u):
         with pytest.raises(ValueError, match="not the entry tuple"):
-            get_group(3, 3).trace_supercharacter(LabeledSetPartition(3), u)
+            get_group(3, 3).supercharacter_raw(LabeledSetPartition(3))(u)
 
     @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (3, 2), (4, 2), (3, 3), (3, 5)])
     def test_supercharacters_are_the_orbit_module_traces(self, n, q):
         # supercharacter_raw sorts every element's fixed functionals into
-        # orbits; trace_supercharacter traces one orbit module literally.
+        # orbits; literal_trace tests each functional of one orbit.
         group = get_group(n, q)
         for lam in enumerate_labeled_partitions(n, q):
             function = group.supercharacter_raw(lam)
             assert function.ns == (n,)
-            assert function.values == tuple(
-                group.trace_supercharacter(lam, u) for u in group.elements()
-            )
+            assert function.values == tuple(literal_trace(group, lam, u) for u in group.elements())
 
     @pytest.mark.parametrize("text", ["2; 1-1-2", "4; 1-1-4", "3; 1-2-3", "3; 1-3-2"])
     def test_an_index_of_another_group_is_refused(self, text):
@@ -193,23 +192,27 @@ class TestTraces:
         with pytest.raises(ValueError, match="does not index"):
             group.supercharacter_raw(lsp(text))
         with pytest.raises(ValueError, match="does not index"):
-            group.trace_supercharacter(lsp(text), (0, 0, 0))
+            group.functional_orbit(lsp(text))
 
-    @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 5)])
     def test_traces_match_formula_on_representatives(self, n, q):
         group = get_group(n, q)
-        for lam in enumerate_labeled_partitions(n, q):
-            for mu in enumerate_labeled_partitions(n, q):
+        order = enumerate_labeled_partitions(n, q)
+        table = group.oracle_table()
+        assert list(table.order) == order
+        for lam, row in zip(order, table.values):
+            for mu, value in zip(order, row):
                 rep = nilpotent_of(mu, q)
-                assert group.trace_supercharacter(lam, rep) == supercharacter_value(
-                    lam, mu, q
-                )
+                assert value == supercharacter_value(lam, mu, q)
+                assert value == group.supercharacter_raw(lam)(rep)
+                if (n, q) in ((4, 3), (3, 5)):
+                    assert value == literal_trace(group, lam, rep)
 
-    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 3), (5, 2), (3, 5), (3, 7)])
     def test_oracle_table_matches_formula_table(self, n, q):
         assert oracle_supercharacter_table(n, q).values == supercharacter_table(n, q).values
 
-    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 3), (5, 2), (3, 5), (3, 7)])
     def test_oracle_sizes_match_solved_sizes(self, n, q):
         assert (
             oracle_supercharacter_table(n, q).class_sizes
@@ -447,11 +450,21 @@ def literal_outer_product(f1, f2):
 
 
 def literal_trace(group, lam, u):
+    """The trace of u on the orbit module of lam, one functional at a time:
+    u fixes mu when mu(u^-1 X) = mu(X) for every elementary X = e_ij (mu is
+    linear, so these X suffice), and a fixed mu adds theta(mu(u^-1 - 1))."""
     q, uinv = group.q, group.inv(u)
+    one = (0,) * group.num_positions
+    elementary = [tuple(int(k == place) for k in range(len(one))) for place in range(len(one))]
+    moved = [(x, group.sandwich(uinv, x, one)) for x in elementary]
+
+    def at(mu, x):
+        return sum(c * y for c, y in zip(mu, x)) % q
+
     total = CycRational.zero(q)
     for mu in group.functional_orbit(lam):
-        if group._act_left(uinv, mu) == mu:
-            total = total + theta(q, sum(c * x for c, x in zip(mu, uinv)) % q)
+        if all(at(mu, ux) == at(mu, x) for x, ux in moved):
+            total = total + theta(q, at(mu, uinv))
     return total
 
 
@@ -504,7 +517,7 @@ class TestLayout:
         group = get_group(n, q)
         raw = characters(n, q)
         for lam, chi in zip(enumerate_labeled_partitions(n, q), raw):
-            reference = {(u,): group.trace_supercharacter(lam, u) for u in group.elements()}
+            reference = {(u,): literal_trace(group, lam, u) for u in group.elements()}
             self.check(chi, (n,), reference)
         for J in two_part_compositions(n):
             sizes = tuple(len(part) for part in J.parts)
@@ -682,13 +695,6 @@ class TestTalliedSums:
             # SInd enumerates |G|^3 sandwiches: seconds at q = 5
             J = SetComposition.from_text("2|13")
             assert table_of(sind_J(psi, J)) == literal_sind_J(psi, J)
-
-    @pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (3, 5)])
-    def test_traces(self, n, q):
-        group = get_group(n, q)
-        for lam in enumerate_labeled_partitions(n, q):
-            for u in group.elements():
-                assert group.trace_supercharacter(lam, u) == literal_trace(group, lam, u)
 
 
 class TestSuperinductionOnSuperclasses:

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from nchopf import cli, elements, verify
+from nchopf import cli, elements, unitriangular, verify
+from nchopf.setpartitions import LabeledSetPartition
+from nchopf.superfunctions import SupercharTable
+from nchopf.unitriangular import ClassFunctionRaw
 from nchopf.verify import CheckResult, suite_oracle
 
 
@@ -199,6 +202,45 @@ class TestCheckRunner:
         failed = {c.name for c in report.failures}
         for tag in bases:
             assert {f"{tag}:bialgebra-compatibility:basis", f"{tag}:bialgebra:random"} <= failed
+
+
+class TestOracleChecksCanFail:
+    """At (3, 3), one changed value of a supercharacter or of the oracle's
+    table fails the check that reads it."""
+
+    @staticmethod
+    def changed_at(f, k):
+        values = list(f.values)
+        values[k] = values[k] + 1
+        return ClassFunctionRaw(f.ns, f.q, values)
+
+    def test_a_character_that_varies_on_a_superclass(self, monkeypatch):
+        group = unitriangular.get_group(3, 3)
+        lam, mu = map(LabeledSetPartition.from_text, ("3; 2-1-3", "3; 1-2-2"))
+        member = min(group.superclasses()[mu])
+        assert len(group.superclasses()[mu]) > 1
+        chi = group.supercharacter_raw(lam)
+        monkeypatch.setitem(group._raw_characters, lam, self.changed_at(chi, group.code(member)))
+        failures = verify.suite_axioms(3, 3).failures
+        assert [c.name for c in failures] == ["supercharacters-constant-on-superclasses"]
+        assert failures[0].detail == "character of 3; 2-1-3 varies on the superclass of 3; 1-2-2"
+
+    def test_a_trivial_character_with_a_value_other_than_one(self, monkeypatch):
+        group = unitriangular.get_group(3, 3)
+        empty = LabeledSetPartition(3)
+        trivial = self.changed_at(group.supercharacter_raw(empty), group.order - 1)
+        monkeypatch.setitem(group._raw_characters, empty, trivial)
+        failed = {c.name for c in verify.suite_axioms(3, 3).failures}
+        assert "identity-superclass-and-trivial-character" in failed
+
+    def test_an_oracle_table_with_one_changed_entry(self, monkeypatch):
+        group = unitriangular.get_group(3, 3)
+        table = group.oracle_table()
+        values = [list(row) for row in table.values]
+        values[4][7] = values[4][7] + 1
+        changed = SupercharTable(3, 3, table.order, values, table.class_sizes)
+        monkeypatch.setattr(group, "oracle_table", lambda: changed)
+        assert [c.name for c in suite_oracle(3, 3).failures] == ["tables-entrywise-equal"]
 
 
 # sha256 of ``nchopf verify`` stdout before the suites shared one check
