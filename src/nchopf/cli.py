@@ -26,7 +26,7 @@ from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
 from .limits import BoundExceededError, check_grade, check_work, degree_weighted
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
-from .setpartitions import check_prime, count_labeled_partitions, enumerate_labeled_partitions
+from .setpartitions import count_labeled_partitions, enumerate_labeled_partitions
 from .superfunctions import chi_to_kappa, inner_product, kappa_to_chi, supercharacter_table
 from .unitriangular import oracle_supercharacter_table
 from .verify import SUITES, run_suite
@@ -253,7 +253,6 @@ def element_work(command: str, *elements: AlgebraElement) -> int:
 def _dispatch(args, stdin, stdout) -> int:
     if args.command == "enumerate":
         check_grade(args.n)
-        check_prime(args.q)
         size = count_labeled_partitions(args.n, args.q)
         check_work("enumerate", size, f"n={args.n}, q={args.q} has {size} labeled set partitions")
         partitions = enumerate_labeled_partitions(args.n, args.q)

@@ -17,14 +17,16 @@ kappa indices map to m (q = 2) or k (q > 2) indices, and it is a Hopf
 isomorphism onto the span of m or k (the paper's main theorem).  So the k
 basis carries kappa's product and coproduct rules, and its antipode follows
 from them.  Every coproduct of m, p and k is kappa's: restriction to every
-union of blocks (``superfunctions._kappa_coproduct``).  m keeps its own
-product, which merges blocks; kappa's product adds connecting arcs with
-labels in F_q^x, which m's must not.  Expanding into colored monomials,
-operating there and collecting back (``via_colored_m``) is the reference that
-the tests and the iso suite compare k, and m at q = 2, against: the colored
-monomials keep rules of their own (``_merged_partitions`` and
-``_block_subset_splits``), so ``ch`` is never checked against kappa's rules
-themselves.  Closure of the k-span is checked at collection time.
+union of blocks (``superfunctions._kappa_coproduct``).  m's product is
+kappa's at q = 2, where the only label is 1, with its coefficients read at
+the element's q: the arc from the last member of a block of the first factor
+to the first member of a block of the second merges the two blocks.  p's
+product is concatenation.  Expanding into colored monomials, operating there
+and collecting back (``via_colored_m``) is the reference that the tests and
+the iso suite compare k, and m at q = 2, against: the colored monomials keep
+rules of their own (``_merged_partitions`` and ``_block_subset_splits``), so
+``ch`` is never checked against kappa's rules themselves.  Closure of the
+k-span is checked at collection time.
 """
 
 from __future__ import annotations
@@ -200,14 +202,10 @@ def _merged_partitions(lam: SetPartition, mu: SetPartition):
 
 
 def _m_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-    terms = {}
-    lam, mu = (underlying_set_partition(idx.partition) for idx in (a, b))
-    for nu in _merged_partitions(lam, mu):
-        idx = BasisIndex("m", nu.n, arc_encoding(nu))
-        if idx in terms:
-            raise AssertionError(f"monomial product produced {idx!r} twice")
-        terms[idx] = 1
-    return AlgebraElement._trusted(q, "m", terms)
+    """kappa's product at q = 2, where the only label is 1 and adding an arc
+    from a block of a to a block of b merges the two; the coefficients are
+    read at q."""
+    return AlgebraElement._trusted(q, "m", dict.fromkeys(_kappa_product(2, a, b).terms, 1))
 
 
 def _block_subset_splits(sp: SetPartition):
@@ -417,12 +415,10 @@ def ch(x: AlgebraElement) -> AlgebraElement:
     q = 2, and to the k index with the same labeled partition when q > 2."""
     if x.basis != "kappa":
         raise ValueError(f"ch is defined on kappa elements, got basis {x.basis!r}")
-    if x.q == 2:
-        # every label is 1, so a kappa index is its own arc encoding
-        terms = {BasisIndex("m", idx.grade, idx.partition): c for idx, c in x.terms.items()}
-        return AlgebraElement._trusted(x.q, "m", terms)
-    terms = {BasisIndex("k_colored", idx.grade, idx.partition): c for idx, c in x.terms.items()}
-    return AlgebraElement._trusted(x.q, "k_colored", terms)
+    # at q = 2 every label is 1, so a kappa index is its own arc encoding
+    tag = "m" if x.q == 2 else "k_colored"
+    terms = {BasisIndex(tag, idx.grade, idx.partition): c for idx, c in x.terms.items()}
+    return AlgebraElement._trusted(x.q, tag, terms)
 
 
 # ---------------------------------------------------------------------------

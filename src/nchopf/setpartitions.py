@@ -89,6 +89,14 @@ def check_prime(q: int) -> None:
         raise ValueError(f"q must be a prime >= 2, got {q}")
 
 
+def check_size(n: int, q: int) -> None:
+    """Refuse a size (n, q) that names no group UT_n(q) and no S_n(q): q not a
+    prime, then n negative, each with ValueError."""
+    check_prime(q)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 def json_int(value, what: str) -> int:
     """An integer field of parsed JSON: an ``int`` that is not a ``bool``.
     Every ``from_json`` reads its integers through this, so that 2.5, 1e400
@@ -430,9 +438,7 @@ def enumerate_labeled_partitions(n: int, q: int) -> list[LabeledSetPartition]:
     arc; so the count is the sum of (q-1)^(#arcs) over set partitions, the
     Bell number B_n for q = 2.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    check_prime(q)
+    check_size(n, q)
     result = [
         _labeled(n, tuple((i, j, a) for (i, j, _), a in zip(arcs, labels)))
         for arcs in (arc_encoding(sp).arcs for sp in all_set_partitions(n))
@@ -447,6 +453,7 @@ def count_labeled_partitions(n: int, q: int) -> int:
     is the underlying partition of labeled ones with n - b arcs, each arc
     carrying one of q - 1 labels, so the count is sum_b S(n, b) (q-1)^(n-b),
     with S(n, b) the Stirling numbers of the second kind."""
+    check_size(n, q)
     row = [1]  # S(m, b) for b = 0..m, from m = 0 up to n
     for m in range(1, n + 1):
         row = [0] + [b * (row[b] if b < m else 0) + row[b - 1] for b in range(1, m + 1)]

@@ -41,6 +41,7 @@ from .setpartitions import (
     LabeledSetPartition,
     _labeled,
     check_prime,
+    check_size,
     count_labeled_partitions,
     crossing_statistic,
     enumerate_labeled_partitions,
@@ -72,7 +73,8 @@ def _kappa_product(q: int, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
     """The two indices side by side plus every admissible set of labeled
     arcs crossing from [k] to [k+1, k+m].  The keys carry a's tag: the k
     basis of colored NCSym registers this rule too, since ``ch`` sends kappa
-    to k index for index and is a Hopf isomorphism."""
+    to k index for index and is a Hopf isomorphism, and m's product is this
+    rule at q = 2 (``ncsym._m_product``)."""
     mu, nu = a.partition, b.partition
     k = mu.n
     n = k + nu.n
@@ -129,6 +131,9 @@ def supercharacter_value(
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: {lam.n} vs {mu.n}")
     check_prime(q)
+    if lam.max_label() >= q or mu.max_label() >= q:
+        bad = lam if lam.max_label() >= q else mu
+        raise ValueError(f"{bad!r} is not in S_{bad.n}({q}): it has a label >= q")
     mu_arcs = mu.arcs
     for a in lam.arcs:
         for b in mu_arcs:
@@ -340,9 +345,7 @@ def check_table_size(n: int, q: int) -> None:
     or the oracle's: q not a prime or n negative (ValueError), then n over
     the grade bound or ``table_work`` over the work budget, in the order
     ``supercharacter_table`` checks them before it reads its memory cache."""
-    check_prime(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_size(n, q)
     check_grade(n, "table for n=")
     work = table_work(n, q)
     check_work("table", work, f"table for n={n}, q={q} has work estimate {work}")
@@ -357,9 +360,7 @@ def supercharacter_table(
 ) -> SupercharTable:
     """The supercharacter table of UT_n(q), cached in memory and on disk, in
     cache_dir or, when that is None or empty, in ``default_cache_dir()``."""
-    check_prime(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_size(n, q)
     check_grade(n, "table for n=")
     key = (n, q)
     with _TABLE_LOCK:

@@ -35,7 +35,7 @@ from .setpartitions import (
     LabeledSetPartition,
     SetComposition,
     _Value,
-    check_prime,
+    check_size,
     enumerate_labeled_partitions,
 )
 from .superfunctions import SupercharTable, check_table_size
@@ -84,9 +84,7 @@ class UTGroup:
     """Computation context for one (n, q): caches elements, orbits, traces."""
 
     def __init__(self, n: int, q: int):
-        check_prime(q)
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+        check_size(n, q)
         self.n = n
         self.q = q
         self.num_positions = n * (n - 1) // 2

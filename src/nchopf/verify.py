@@ -33,7 +33,7 @@ from .duals import dual_ch, duality_pairing, duality_pairing_tensor, via_U
 from .setpartitions import (
     LabeledSetPartition,
     SetComposition,
-    check_prime,
+    check_size,
     count_labeled_partitions,
     enumerate_labeled_partitions,
 )
@@ -119,7 +119,7 @@ def hopf_work(n: int, q: int) -> int:
     suite's bases, each weighed by the scalar degree (``limits.UNIT_DEGREE``).
     The k basis carries kappa's structure maps, so its indices weigh what
     kappa's do."""
-    _check_arguments(n, q)
+    check_size(n, q)
     total = 0
     for tag in hopf_bases(q):
         labels = 2 if tag in SET_PARTITION_BASES else q
@@ -133,7 +133,7 @@ def axioms_work(n: int, q: int) -> int:
     """What ``suite_axioms`` enumerates, counted without building it: the
     N = |S_n(q)| supercharacters, each traced over the q^(n(n-1)/2) elements
     of UT_n(q)."""
-    _check_arguments(n, q)
+    check_size(n, q)
     return count_labeled_partitions(n, q) * q ** (n * (n - 1) // 2)
 
 
@@ -171,7 +171,7 @@ def iso_work(n: int, q: int) -> int:
     into, at every q (one per m element at q = 2).  The dual_ch checks at
     q = 2 are not counted apart: at (6, 2) the whole suite took 8.9-9.6 s
     on a 2-vCPU VM, against the 25 s this estimates."""
-    _check_arguments(n, q)
+    check_size(n, q)
     counts = [count_labeled_partitions(g, q) for g in range(n + 1)]
     sizes = [count_labeled_partitions(g, 2) * (q - 1) ** g for g in range(n + 1)]
     pairs = [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
@@ -184,17 +184,11 @@ def duality_work(n: int, q: int) -> int:
     """What ``suite_duality`` compares, counted without building it: for
     each of its two checks, every pair of basis elements with grades summing
     to at most n, paired with every basis element of that total grade."""
-    _check_arguments(n, q)
+    check_size(n, q)
     counts = [count_labeled_partitions(g, q) for g in range(n + 1)]
     return 2 * sum(
         counts[a] * counts[b] * counts[a + b] for a in range(n + 1) for b in range(n + 1 - a)
     )
-
-
-def _check_arguments(n: int, q: int) -> None:
-    check_prime(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
 
 
 def random_element(rng: random.Random, q: int, tag: str, max_grade: int) -> AlgebraElement:
@@ -367,10 +361,10 @@ def suite_iso(n: int, q: int) -> SuiteReport:
     """The characteristic map (and at q = 2 its dual) commutes with product,
     coproduct, counit, and antipode on all basis pairs up to total grade n.
 
-    ch lands in m (q = 2) or k (q > 2), which carry kappa's coproduct rule,
-    and k also its product rule, so the image side is computed the reference
-    way (``ncsym.via_colored_m``): in colored monomials, collected back into
-    m or k.  dual_ch lands in V, which carries kappa_star's rules, so its
+    ch lands in m (q = 2) or k (q > 2), which carry kappa's product and
+    coproduct rules, so the image side is computed the reference way
+    (``ncsym.via_colored_m``): in colored monomials, collected back into m
+    or k.  dual_ch lands in V, which carries kappa_star's rules, so its
     image side goes through U (``duals.via_U``)."""
     maps = (product, coproduct, antipode)
     kappas = _basis_elements(q, "kappa", n)

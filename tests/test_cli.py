@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nchopf import cli, limits, superfunctions
+from nchopf import cli, limits, superfunctions, unitriangular
 from nchopf.cli import EXIT_BOUND, EXIT_INVALID, EXIT_OK, run
 from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
@@ -26,7 +26,12 @@ from nchopf.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from nchopf.setpartitions import LabeledSetPartition, SetPartition, count_labeled_partitions
+from nchopf.setpartitions import (
+    LabeledSetPartition,
+    SetPartition,
+    count_labeled_partitions,
+    enumerate_labeled_partitions,
+)
 from nchopf.superfunctions import kappa_element, table_work
 from nchopf.verify import axioms_work, duality_work, hopf_work, iso_work, oracle_work
 
@@ -790,6 +795,20 @@ class TestCliWorkBounds:
         code, out, err = invoke(["verify", "--suite", suite, "--n", str(n), "--q", str(q)])
         assert time.perf_counter() - start < 1
         assert code == EXIT_BOUND and not out and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "size",
+        [hopf_work, iso_work, duality_work, axioms_work, oracle_work, table_work,
+         superfunctions.check_table_size, superfunctions.supercharacter_table,
+         unitriangular.UTGroup, count_labeled_partitions, enumerate_labeled_partitions],
+    )
+    def test_every_size_check_refuses_a_bad_q_and_then_a_negative_n(self, size):
+        # one ``setpartitions.check_size`` behind every site, q named first;
+        # enumerate_labeled_partitions named n first
+        with pytest.raises(ValueError, match="q must be a prime >= 2, got 4"):
+            size(-1, 4)
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            size(-1, 3)
 
     @pytest.mark.parametrize("n, q", [(2, 4), (-1, 2)])
     def test_hopf_work_rejects_invalid_input(self, n, q):

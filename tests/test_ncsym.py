@@ -104,24 +104,32 @@ class TestMonomialBasis:
                 t = coproduct(m_element(2, partition))
                 assert t.swap() == t
 
-    def test_words_oracle_for_product(self):
-        # expand both sides over a finite alphabet and compare word multisets
-        for a in all_set_partitions(2):
-            for b in all_set_partitions(2):
-                variables = a.num_blocks() + b.num_blocks() + 1
-                left_words = expand_monomials_truncated(a, variables)
-                right_words = expand_monomials_truncated(b, variables)
-                concatenated = Counter(
-                    u + v for u in left_words for v in right_words
-                )
-                expanded = Counter()
-                for idx, coeff in product(m_element(2, a), m_element(2, b)).terms.items():
-                    assert coeff == CycRational.one(2)
-                    for word in expand_monomials_truncated(
-                        underlying_set_partition(idx.partition), variables
-                    ):
-                        expanded[word] += 1
-                assert concatenated == expanded
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_words_oracle_for_product(self, q):
+        # expand both sides over a finite alphabet and compare word multisets,
+        # for every pair of total grade <= 5: m's product is kappa's at q = 2
+        # at every q, so every term has coefficient 1 and every arc label 1
+        pairs = [
+            (a, b)
+            for total in range(6)
+            for grade in range(total + 1)
+            for a in all_set_partitions(grade)
+            for b in all_set_partitions(total - grade)
+        ]
+        for a, b in pairs:
+            variables = a.num_blocks() + b.num_blocks() + 1
+            left_words = expand_monomials_truncated(a, variables)
+            right_words = expand_monomials_truncated(b, variables)
+            concatenated = Counter(u + v for u in left_words for v in right_words)
+            expanded = Counter()
+            for idx, coeff in product(m_element(q, a), m_element(q, b)).terms.items():
+                assert coeff == CycRational.one(q)
+                assert idx.partition.max_label() == 1
+                for word in expand_monomials_truncated(
+                    underlying_set_partition(idx.partition), variables
+                ):
+                    expanded[word] += 1
+            assert concatenated == expanded
 
 
 class TestPowerBasis:
@@ -310,7 +318,7 @@ def _assert_colored_route(basis, top):
 
 
 class TestLabeledBasisReference:
-    """k carries kappa's rules, and m kappa's coproduct; the colored route
+    """k carries kappa's rules, and m kappa's rules at q = 2; the colored route
     (expand, operate on colored monomials, collect) is the reference they
     must match term for term."""
 
@@ -319,7 +327,7 @@ class TestLabeledBasisReference:
         _assert_colored_route(_k_basis(q, top), top)
 
     def test_m_structure_maps_equal_the_colored_route_at_q2(self):
-        # m carries kappa's coproduct rule and its own product; at q = 2 the
+        # m carries kappa's coproduct rule and its product at q = 2; the
         # colored route is the reference for both, and for the antipode
         basis = [m_element(2, s) for g in range(6) for s in all_set_partitions(g)]
         _assert_colored_route(basis, 5)

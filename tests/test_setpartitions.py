@@ -493,6 +493,12 @@ class TestCounting:
     def test_q2_counts_are_bell_numbers(self):
         assert [count_labeled_partitions(n, 2) for n in range(10)] == [bell(n) for n in range(10)]
 
+    @pytest.mark.parametrize("n, q", [(-1, 3), (-2, 2), (-1, 5)])
+    def test_count_refuses_a_negative_n(self, n, q):
+        # the Stirling row of S(0, 0) = 1 summed to (q - 1)^n: 0.5 at (-1, 3)
+        with pytest.raises(ValueError, match=f"n must be nonnegative, got {n}"):
+            count_labeled_partitions(n, q)
+
 
 class TestHashConsing:
     def test_constructor_and_enumeration_share_one_object(self):

@@ -190,6 +190,15 @@ class TestSupercharacterValues:
         with pytest.raises(ValueError):
             supercharacter_value(lsp("3; 1-1-3"), lsp("2; 1-1-2"), 2)
 
+    @pytest.mark.parametrize("text, q", [("2; 1-4-2", 3), ("2; 1-3-2", 3), ("3; 1-2-3", 2)])
+    def test_an_index_outside_s_n_q_is_refused(self, text, q):
+        # 1-4-2 at q = 3 was read as the label 4 mod 3 = 1; the oracle's
+        # functional_orbit refuses the same index
+        bad, good = lsp(text), LabeledSetPartition(lsp(text).n, [(1, 2, 1)])
+        for lam, mu in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=rf"is not in S_{bad.n}\({q}\)"):
+                supercharacter_value(lam, mu, q)
+
     def test_values_are_q_powers_times_roots(self):
         # the nesting discount never exceeds the cover count
         for q in (2, 3):
