@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 
 from .duals import (
+    _dual_ch_inverse,
     dual_ch,
     duality_pairing,
     chi_star_to_kappa_star,
@@ -22,7 +23,7 @@ from .duals import (
     u_to_v,
     v_to_u,
 )
-from .elements import AlgebraElement, BasisIndex, antipode, coproduct, product
+from .elements import AlgebraElement, antipode, coproduct, product
 from .limits import BoundExceededError, check_grade, check_work, degree_weighted
 from .ncsym import m_to_p, p_to_m
 from .serialize import canonical_dumps, element_from_json, element_to_json, tensor_to_json
@@ -44,14 +45,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
         raise CliError(message)
-
-
-def _dual_ch_inverse(x: AlgebraElement) -> AlgebraElement:
-    if x.basis != "V" or x.q != 2:
-        raise ValueError("conversion V -> kappa_star is defined at q = 2")
-    # a V index is the arc encoding of its set partition, a kappa_star index at q = 2
-    terms = {BasisIndex("kappa_star", idx.grade, idx.partition): c for idx, c in x.terms.items()}
-    return AlgebraElement(x.q, "kappa_star", terms)
 
 
 CONVERSIONS = {

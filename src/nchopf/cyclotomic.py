@@ -238,13 +238,7 @@ class CycRational(_Value):
 
     def conj(self) -> "CycRational":
         """Complex conjugation: zeta -> zeta^(p-1)."""
-        p = self.p
-        if p == 2:
-            return self
-        c = self.nums
-        top = c[1]
-        nums = (c[0] - top, -top) + tuple(c[p - j] - top for j in range(2, p - 1))
-        return _intern(p, nums, self.den)
+        return self if self.p == 2 else self._galois(self.p - 1)
 
     def _galois(self, k: int) -> "CycRational":
         """The field automorphism zeta -> zeta^k (k prime to p).  It permutes

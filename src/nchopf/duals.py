@@ -16,7 +16,12 @@ Bases:
 * "U": sums of M over permutations with a fixed partition of cycle supports;
   spans the dual of the noncommuting-variables algebra.
 * "V": the image of kappa_star in the U realization,
-  V of a partition = sum of U over its refinements.
+  V of a partition = sum of U over its refinements.  U <-> V is Moebius
+  inversion over the refinements, one ``elements.lattice_change`` each
+  way, and ``dual_ch`` and its inverse ``_dual_ch_inverse`` (the CLI's
+  V -> kappa_star) keep the index and change the tag (``elements.retag``),
+  as the Kronecker pairings do when they read kappa_star's keys in the
+  kappa tag.
 
 The kappa_star and chi_star coproducts are sums of restrictions
 (``elements.restriction_coproduct``), each over its family of prefixes.
@@ -42,13 +47,14 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
+    lattice_change,
     linear_combination,
-    linear_map,
     map_tensor,
     product,
     register_basis,
     register_transported,
     restriction_coproduct,
+    retag,
 )
 from .setpartitions import (
     LabeledSetPartition,
@@ -57,11 +63,11 @@ from .setpartitions import (
     _labeled,
     _set_partition,
     arc_encoding,
+    check_ints,
     json_int,
     json_list,
     partition_mobius,
     refinements,
-    underlying_set_partition,
 )
 from .superfunctions import _table_change, chi_to_kappa, group_order, supercharacter_table
 
@@ -77,7 +83,8 @@ class Permutation(_Value):
     _fields = ("word",)
 
     def __init__(self, word: Iterable[int]):
-        word = tuple(int(x) for x in word)
+        word = tuple(word)
+        check_ints("a permutation entry", word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"{word} is not a permutation of [1, {len(word)}]")
         object.__setattr__(self, "word", word)
@@ -89,9 +96,6 @@ class Permutation(_Value):
 
     def __call__(self, i: int) -> int:
         return self.word[i - 1]
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def sort_key(self) -> tuple:
         return (len(self.word), self.word)
@@ -189,6 +193,14 @@ register_basis("kappa_star", product=_kappa_star_product, coproduct=_kappa_star_
 # duality pairing
 
 
+def _kronecker(f: AlgebraElement | TensorElement, x: AlgebraElement | TensorElement) -> CycRational:
+    """The sum over the keys that f, read in the kappa tag, shares with x of
+    the products of their coefficients: kappa_star_lam pairs to 1 with
+    kappa_lam alone."""
+    shared = (c * x.terms[k] for k, c in retag(f, "kappa").terms.items() if k in x.terms)
+    return sum(shared, CycRational.zero(x.q))
+
+
 def duality_pairing(f: AlgebraElement, x: AlgebraElement) -> CycRational:
     """Bilinear extension of the Kronecker pairing of kappa_star against kappa."""
     if f.q != x.q:
@@ -199,29 +211,14 @@ def duality_pairing(f: AlgebraElement, x: AlgebraElement) -> CycRational:
         f = chi_star_to_kappa_star(f)
     if x.basis == "chi":
         x = chi_to_kappa(x)
-    total = CycRational.zero(f.q)
-    for idx, coeff in f.terms.items():
-        partner = BasisIndex("kappa", idx.grade, idx.partition)
-        other = x.terms.get(partner)
-        if other is not None:
-            total = total + coeff * other
-    return total
+    return _kronecker(f, x)
 
 
 def duality_pairing_tensor(f: TensorElement, x: TensorElement) -> CycRational:
     """Pairing of kappa_star (x) kappa_star against kappa (x) kappa."""
     if f.q != x.q or f.basis != "kappa_star" or x.basis != "kappa":
         raise ValueError("tensor pairing needs kappa_star against kappa at equal q")
-    total = CycRational.zero(f.q)
-    for (fl, fr), cf in f.terms.items():
-        partner = (
-            BasisIndex("kappa", fl.grade, fl.partition),
-            BasisIndex("kappa", fr.grade, fr.partition),
-        )
-        other = x.terms.get(partner)
-        if other is not None:
-            total = total + cf * other
-    return total
+    return _kronecker(f, x)
 
 
 def z_scalar(mu: LabeledSetPartition, q: int) -> int:
@@ -312,28 +309,18 @@ register_basis("V", product=_kappa_star_product, coproduct=_kappa_star_coproduct
 
 def V_from_U(mu: SetPartition, q: int = 2) -> AlgebraElement:
     """V of a partition expands as the sum of U over all its refinements."""
-    terms = {BasisIndex("U", mu.n, arc_encoding(finer)): 1 for finer in refinements(mu)}
-    return AlgebraElement(q, "U", terms)
+    return v_to_u(V_element(q, mu))
 
 
 def u_to_v(x: AlgebraElement) -> AlgebraElement:
     """Moebius inversion of v_to_u: U of a partition is the sum over its
     refinements of mu(refinement, partition) times V."""
-
-    def image(idx):
-        sp = underlying_set_partition(idx.partition)
-        return {
-            BasisIndex("V", sp.n, arc_encoding(finer)): partition_mobius(finer, sp)
-            for finer in refinements(sp)
-        }
-
-    return linear_map(x, "V", image, source="U")
+    return lattice_change(x, "U", "V", refinements, lambda sp, finer: partition_mobius(finer, sp))
 
 
 def v_to_u(x: AlgebraElement) -> AlgebraElement:
-    return linear_map(
-        x, "U", lambda idx: V_from_U(underlying_set_partition(idx.partition), x.q).terms, source="V"
-    )
+    """V of a partition is the sum of U over all its refinements."""
+    return lattice_change(x, "V", "U", refinements, lambda coarser, finer: 1)
 
 
 def via_U(op, *xs: AlgebraElement) -> AlgebraElement | TensorElement:
@@ -352,8 +339,15 @@ def dual_ch(x: AlgebraElement) -> AlgebraElement:
     if x.q != 2:
         raise ValueError("the dual identification is implemented for q = 2 only")
     # at q = 2 every label is 1, so a kappa_star index is its own arc encoding
-    terms = {BasisIndex("V", idx.grade, idx.partition): c for idx, c in x.terms.items()}
-    return AlgebraElement._trusted(x.q, "V", terms)
+    return retag(x, "V")
+
+
+def _dual_ch_inverse(x: AlgebraElement) -> AlgebraElement:
+    """The inverse of ``dual_ch``: each V index maps to the kappa_star index
+    of its arc encoding, at q = 2."""
+    if x.basis != "V" or x.q != 2:
+        raise ValueError("conversion V -> kappa_star is defined at q = 2")
+    return retag(x, "kappa_star")
 
 
 # ---------------------------------------------------------------------------

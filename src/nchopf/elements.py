@@ -8,7 +8,11 @@ Both are ``LinearCombination``s, which own term validation, sums, scaling,
 equality and hashing.  Every sum of images, sum_i c_i * image(key_i), is one
 dict pass in ``linear_combination``; ``linear_map`` applies it to an element
 or a tensor, and every basis change, the antipode and ``map_tensor`` are
-linear maps.
+linear maps.  Two kernels serve the basis changes that read no table:
+``lattice_change`` for the sums over intervals of the set-partition lattice
+(m <-> p, U <-> V), and ``retag`` for the identifications that keep the
+index and change the tag (``ch``, ``dual_ch``, its inverse and the
+Kronecker pairings).
 
 Each basis registers its structure maps (product and coproduct on basis
 indices) in a module-level registry; the generic product, coproduct, counit,
@@ -49,7 +53,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycRational, _integer
-from .setpartitions import LabeledSetPartition, _Value, _no_ref, _restrict
+from .setpartitions import (
+    LabeledSetPartition, _Value, _no_ref, _restrict, arc_encoding, underlying_set_partition,
+)
 
 #: Bases indexed by labeled set partitions.  For the set-partition bases
 #: (m, p, U, V) the labels are forced to 1, i.e. the q=2 arc encoding.
@@ -102,9 +108,6 @@ class BasisIndex(_Value):
         object.__setattr__(idx, "partition", partition)
         object.__setattr__(idx, "_hash", hash(key))
         return _INDICES.setdefault(key, idx)
-
-    def __lt__(self, other: "BasisIndex") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def sort_key(self) -> tuple:
         return (self.grade, self.partition.sort_key(), self.basis)
@@ -527,6 +530,35 @@ def linear_map(x: LinearCombination, target: str, image, source: str | None = No
             return type(x)._trusted(x.q, target, image(key))
     terms = linear_combination((c, image(key)) for key, c in x.terms.items())
     return type(x)._trusted(x.q, target, terms)
+
+
+def lattice_change(x: AlgebraElement, source: str, target: str, interval, weight):
+    """The basis change of a pair of set-partition bases that is a sum over
+    an interval of the partition lattice: the index of each partition pi of
+    ``source`` maps to sum over sigma in ``interval(pi)`` of
+    ``weight(pi, sigma)`` times the index of sigma in ``target``.  m <-> p
+    sums over the coarsenings and U <-> V over the refinements, one
+    direction with weight 1 and its inverse with the Moebius function."""
+
+    def image(idx):
+        pi = underlying_set_partition(idx.partition)
+        return {BasisIndex(target, pi.n, arc_encoding(s)): weight(pi, s) for s in interval(pi)}
+
+    return linear_map(x, target, image, source=source)
+
+
+def retag(x: LinearCombination, tag: str):
+    """x with every basis index, of an element or of a tensor, moved to the
+    index of ``tag`` with the same grade and indexing object: the maps that
+    match two bases index for index.  The caller guarantees that these are
+    valid indices of ``tag`` at x.q."""
+
+    def move(idx: BasisIndex) -> BasisIndex:
+        return BasisIndex(tag, idx.grade, idx.partition)
+
+    tensor = isinstance(x, TensorElement)
+    terms = {(tuple(map(move, key)) if tensor else move(key)): c for key, c in x.terms.items()}
+    return type(x)._trusted(x.q, tag, terms)
 
 
 def map_tensor(

@@ -13,8 +13,10 @@ Three layers:
   (smallest primitive root mod q as generator, r = q - 1).
 
 The map ``ch`` identifies the superclass-function algebra with this picture:
-kappa indices map to m (q = 2) or k (q > 2) indices, and it is a Hopf
-isomorphism onto the span of m or k (the paper's main theorem).  So the k
+kappa indices map to m (q = 2) or k (q > 2) indices with the same labeled
+partition (``elements.retag``), and it is a Hopf isomorphism onto the span
+of m or k (the paper's main theorem).  m <-> p is Moebius inversion over
+the coarsenings, one ``elements.lattice_change`` each way.  So the k
 basis carries kappa's product and coproduct rules, and its antipode follows
 from them.  Every coproduct of m, p and k is kappa's: restriction to every
 union of blocks (``superfunctions._kappa_coproduct``).  m's product is
@@ -43,8 +45,10 @@ from .elements import (
     AlgebraElement,
     BasisIndex,
     TensorElement,
+    lattice_change,
     linear_map,
     register_basis,
+    retag,
 )
 from .setpartitions import (
     LabeledSetPartition,
@@ -54,6 +58,7 @@ from .setpartitions import (
     _no_ref,
     _set_partition,
     arc_encoding,
+    check_ints,
     check_prime,
     coarsenings,
     concat,
@@ -103,9 +108,11 @@ class ColoredIndex(_Value):
     _fields = ("partition", "colors", "r")
 
     def __new__(cls, partition: SetPartition, colors: Iterable[int], r: int):
+        colors = tuple(colors)
+        check_ints("a color or the color group order", (*colors, r))
         if r < 1:
             raise ValueError(f"color group order must be >= 1, got {r}")
-        colors = tuple(int(c) % r for c in colors)
+        colors = tuple(c % r for c in colors)
         if len(colors) != partition.n:
             raise ValueError(f"expected {partition.n} colors, got {len(colors)}")
         return _colored_index(partition, colors, r)
@@ -113,9 +120,6 @@ class ColoredIndex(_Value):
     @property
     def n(self) -> int:
         return self.partition.n
-
-    def __lt__(self, other: "ColoredIndex") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def sort_key(self) -> tuple:
         return (self.partition.n, self.partition.blocks, self.colors)
@@ -248,27 +252,12 @@ register_basis("p", product=_concat_product, coproduct=_kappa_coproduct)
 def m_to_p(x: AlgebraElement) -> AlgebraElement:
     """Moebius inversion of p_to_m: m of a partition is the sum over its
     coarsenings of mu(partition, coarsening) times p."""
-
-    def image(idx):
-        sp = underlying_set_partition(idx.partition)
-        return {
-            BasisIndex("p", sp.n, arc_encoding(coarser)): partition_mobius(sp, coarser)
-            for coarser in coarsenings(sp)
-        }
-
-    return linear_map(x, "p", image, source="m")
+    return lattice_change(x, "m", "p", coarsenings, partition_mobius)
 
 
 def p_to_m(x: AlgebraElement) -> AlgebraElement:
     """p of a partition is the sum of m over all its coarsenings."""
-
-    def image(idx):
-        return {
-            BasisIndex("m", idx.grade, arc_encoding(coarser)): 1
-            for coarser in coarsenings(underlying_set_partition(idx.partition))
-        }
-
-    return linear_map(x, "m", image, source="p")
+    return lattice_change(x, "p", "m", coarsenings, lambda finer, coarser: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +405,7 @@ def ch(x: AlgebraElement) -> AlgebraElement:
     if x.basis != "kappa":
         raise ValueError(f"ch is defined on kappa elements, got basis {x.basis!r}")
     # at q = 2 every label is 1, so a kappa index is its own arc encoding
-    tag = "m" if x.q == 2 else "k_colored"
-    terms = {BasisIndex(tag, idx.grade, idx.partition): c for idx, c in x.terms.items()}
-    return AlgebraElement._trusted(x.q, tag, terms)
+    return retag(x, "m" if x.q == 2 else "k_colored")
 
 
 # ---------------------------------------------------------------------------

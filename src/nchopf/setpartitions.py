@@ -97,12 +97,21 @@ def check_size(n: int, q: int) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
+def check_ints(what: str, values: Iterable, kind: str = "an integer") -> None:
+    """Refuse, with ValueError, a value that is not an ``int`` or is a
+    ``bool``: the one integer test.  Every public constructor reads its
+    positions, labels, colors and sizes through this, so that 2.5, 1.0 and
+    True are refused instead of compared as numbers."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
 def json_int(value, what: str) -> int:
     """An integer field of parsed JSON: an ``int`` that is not a ``bool``.
     Every ``from_json`` reads its integers through this, so that 2.5, 1e400
     (parsed as a float) and true are refused instead of truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    check_ints(what, (value,), "a JSON integer")
     return value
 
 
@@ -121,6 +130,7 @@ class Arc(tuple):
     __slots__ = ()
 
     def __new__(cls, left: int, right: int, label: int):
+        check_ints("an arc endpoint or label", (left, right, label))
         if not (1 <= left < right):
             raise ValueError(f"arc endpoints must satisfy 1 <= left < right, got ({left}, {right})")
         if label < 1:
@@ -157,7 +167,8 @@ class _Value:
     pooled instance, and compares field by field with values of exactly its
     own type.  The hash is the ``_hash`` slot the subclass fills; a subclass
     that equals other types or computes its hash overrides ``__eq__`` or
-    ``__hash__``."""
+    ``__hash__``.  A subclass with a ``sort_key`` orders its values by it;
+    ``<`` against any other type, or on a type without one, is a TypeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -176,6 +187,11 @@ class _Value:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not type(self) or not hasattr(self, "sort_key"):
+            return NotImplemented
+        return self.sort_key() < other.sort_key()
 
 
 def _no_ref() -> None:
@@ -231,6 +247,7 @@ class LabeledSetPartition(_Value):
     _fields = ("n", "arcs")
 
     def __new__(cls, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
+        check_ints("the size", (n,))
         if n < 0:
             raise ValueError(f"size must be nonnegative, got {n}")
         normalized = tuple(sorted(Arc(*a) for a in arcs))
@@ -248,9 +265,6 @@ class LabeledSetPartition(_Value):
     def __init__(self, n: int, arcs: Iterable[Arc | tuple[int, int, int]] = ()):
         """Nothing to do: ``__new__`` built or found the shared instance.
         Defined so the constructor stays an ordinary, wrappable method."""
-
-    def __lt__(self, other: "LabeledSetPartition") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def sort_key(self) -> tuple:
         return (self.n, len(self.arcs), self.arcs)
@@ -332,6 +346,8 @@ class SetPartition(_Value):
     _fields = ("n", "blocks")
 
     def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
+        blocks = [tuple(b) for b in blocks]
+        check_ints("a size or block member", itertools.chain((n,), *blocks))
         normalized = tuple(
             sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0)
         )
@@ -344,8 +360,8 @@ class SetPartition(_Value):
             raise ValueError(f"blocks {normalized} do not partition [1, {n}]")
         return _set_partition(n, normalized)
 
-    def __lt__(self, other: "SetPartition") -> bool:
-        return (self.n, self.blocks) < (other.n, other.blocks)
+    def sort_key(self) -> tuple:
+        return (self.n, self.blocks)
 
     def __repr__(self) -> str:
         return f"SetPartition({self.to_text()!r})"
@@ -392,6 +408,8 @@ class SetComposition(_Value):
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[Iterable[int]]):
+        parts = [tuple(p) for p in parts]
+        check_ints("a part member", itertools.chain(*parts))
         normalized = tuple(tuple(sorted(p)) for p in parts)
         seen: list[int] = []
         for part in normalized:

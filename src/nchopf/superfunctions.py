@@ -457,8 +457,9 @@ def kappa_to_chi(x: AlgebraElement) -> AlgebraElement:
 def inner_product(x: AlgebraElement, y: AlgebraElement) -> CycRational:
     """The class-function inner product, conjugate-linear in its second slot.
 
-    Computed per grade as (1/|G|) sum over superclasses of
-    size * x(superclass) * conj(y(superclass)); cross-grade pairs give 0.
+    The sum over the terms of x that y shares of
+    (|K_mu| / |G|) x(mu) conj(y(mu)), the group UT_n(q) and superclass sizes
+    read at each term's grade; cross-grade pairs give 0.
     """
     if x.q != y.q:
         raise ValueError(f"q mismatch: {x.q} vs {y.q}")
@@ -472,15 +473,12 @@ def inner_product(x: AlgebraElement, y: AlgebraElement) -> CycRational:
     if y.basis == "chi":
         y = chi_to_kappa(y)
     total = CycRational.zero(q)
-    for n in sorted(x.grades() & y.grades()):
-        table = supercharacter_table(n, q)
-        scale = Fraction(1, table.group_order)
-        for j, idx in enumerate(table.indices("kappa")):
-            cx = x.terms.get(idx)
-            cy = y.terms.get(idx)
-            if cx is None or cy is None:
-                continue
-            total = total + cx * cy.conj() * (scale * table.class_sizes[j])
+    for idx, cx in x.terms.items():
+        cy = y.terms.get(idx)
+        if cy is not None:
+            table = supercharacter_table(idx.grade, q)
+            share = Fraction(table.class_size(idx.partition), table.group_order)
+            total = total + cx * cy.conj() * share
     return total
 
 

@@ -393,6 +393,16 @@ class TestAgainstFractionReference:
             assert (scalar * x) == x * CycRational.from_rational(p, scalar)
 
 
+@pytest.mark.parametrize("p", [3, 5, 47])
+def test_conjugation_is_the_galois_map_at_p_minus_1(p):
+    rng = random.Random(p)
+    for _ in range(50):
+        nums = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(p - 1))
+        x = CycRational(p, nums)
+        assert x.conj().coeffs == ref_conj(p, nums) == x._galois(p - 1).coeffs
+        assert x.conj().conj() is x
+
+
 class TestHashConsing:
     def test_equal_values_built_by_different_routes_are_one_object(self):
         x = CycRational.from_rational(3, 2)

@@ -20,6 +20,7 @@ from nchopf.duals import (
     U_element,
     V_element,
     V_from_U,
+    _dual_ch_inverse,
     chi_star_element,
     chi_star_to_kappa_star,
     csupp,
@@ -481,6 +482,17 @@ class TestVBasis:
     def test_dual_ch_requires_q2(self):
         with pytest.raises(ValueError):
             dual_ch(kappa_star_element(3, lsp("2; 1-2-2")))
+
+    def test_dual_ch_inverse_undoes_dual_ch_and_refuses_q_other_than_2(self):
+        for n in range(5):
+            for lam in enumerate_labeled_partitions(n, 2):
+                f = kappa_star_element(2, lam, 3)
+                assert dual_ch(f) == V_element(2, underlying_set_partition(lam), 3)
+                assert _dual_ch_inverse(dual_ch(f)) == f
+        with pytest.raises(ValueError, match="defined at q = 2"):
+            _dual_ch_inverse(V_element(3, sp("12")))
+        with pytest.raises(ValueError, match="defined at q = 2"):
+            _dual_ch_inverse(U_element(2, sp("12")))
 
     def test_dual_ch_morphism_small(self):
         q = 2

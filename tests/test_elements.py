@@ -9,7 +9,7 @@ import pytest
 from nchopf import cyclotomic, elements, ncsym, setpartitions, verify
 
 from nchopf.cyclotomic import CycRational
-from nchopf.duals import Permutation, u_to_v
+from nchopf.duals import Permutation, V_element, u_to_v, v_to_u
 from nchopf.elements import (
     AlgebraElement,
     BasisIndex,
@@ -18,9 +18,17 @@ from nchopf.elements import (
     linear_combination,
     linear_map,
     map_tensor,
+    retag,
 )
-from nchopf.ncsym import ColoredIndex
-from nchopf.setpartitions import LabeledSetPartition, SetPartition, enumerate_labeled_partitions
+from nchopf.ncsym import ColoredIndex, p_element, p_to_m
+from nchopf.setpartitions import (
+    LabeledSetPartition,
+    SetPartition,
+    all_set_partitions,
+    arc_encoding,
+    common_refinement,
+    enumerate_labeled_partitions,
+)
 from nchopf.superfunctions import chi_to_kappa
 
 
@@ -152,6 +160,47 @@ class TestTensorElement:
         assert x != t
         with pytest.raises(TypeError):
             x + t
+
+
+def _sum_over(tag, partitions):
+    return AlgebraElement(2, tag, {BasisIndex(tag, sp.n, arc_encoding(sp)): 1 for sp in partitions})
+
+
+class TestLatticeChanges:
+    """The two weight-1 set-partition basis changes against the partial order
+    itself: pi refines sigma exactly when their common refinement is pi.
+    ``tests/test_ncsym.py::TestPowerBasis::test_roundtrip`` and
+    ``tests/test_duals.py::TestVBasis::test_uv_roundtrip`` check that m_to_p
+    and u_to_v invert them on every basis element, so a swapped interval or
+    weight in the shared kernel shows in both pairs of bases."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_p_to_m_sums_m_over_the_partitions_that_pi_refines(self, n):
+        partitions = all_set_partitions(n)
+        for pi in partitions:
+            coarser = [sigma for sigma in partitions if common_refinement(pi, sigma) == pi]
+            assert p_to_m(p_element(2, pi)) == _sum_over("m", coarser)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_v_to_u_sums_u_over_the_partitions_that_refine_pi(self, n):
+        partitions = all_set_partitions(n)
+        for pi in partitions:
+            finer = [sigma for sigma in partitions if common_refinement(sigma, pi) == sigma]
+            assert v_to_u(V_element(2, pi)) == _sum_over("U", finer)
+
+
+class TestRetag:
+    def test_moves_every_index_of_an_element_or_a_tensor_to_the_tag(self):
+        z = CycRational.zeta_power(3, 1)
+        x = AlgebraElement(3, "kappa", {A: 2, C: z})
+        moved = retag(x, "kappa_star")
+        assert moved == AlgebraElement(
+            3, "kappa_star", {BasisIndex("kappa_star", i.grade, i.partition): c for i, c in x.items()}
+        )
+        assert retag(moved, "kappa") == x
+        t = TensorElement.tensor(x, x)
+        assert retag(t, "kappa_star") == TensorElement.tensor(moved, moved)
+        assert retag(AlgebraElement.zero(3, "kappa"), "chi") == AlgebraElement.zero(3, "chi")
 
 
 class TestBasisIndexPool:

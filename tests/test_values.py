@@ -13,7 +13,7 @@ from nchopf.cyclotomic import CycRational
 from nchopf.duals import Permutation
 from nchopf.elements import AlgebraElement, BasisIndex, LinearCombination, TensorElement
 from nchopf.ncsym import ColoredIndex
-from nchopf.setpartitions import LabeledSetPartition, SetComposition, SetPartition
+from nchopf.setpartitions import Arc, LabeledSetPartition, SetComposition, SetPartition
 from nchopf.unitriangular import ClassFunctionRaw, get_group
 
 
@@ -107,3 +107,72 @@ def test_linear_combinations_of_different_types_are_unequal():
     zero = LinearCombination(3, "kappa")
     assert zero != AlgebraElement(3, "kappa") and zero != TensorElement(3, "kappa")
     assert AlgebraElement(3, "kappa") != TensorElement(3, "kappa")
+
+
+#: The value types with a ``sort_key``, which ``_Value.__lt__`` orders by.
+ORDERED = ("LabeledSetPartition", "SetPartition", "Permutation", "ColoredIndex", "BasisIndex")
+
+
+@pytest.mark.parametrize("other", [5, "x", None, 2.5], ids=["int", "str", "None", "float"])
+@pytest.mark.parametrize("name", ORDERED)
+def test_ordering_against_another_type_is_a_type_error(name, other):
+    x = CASES[name][0]()
+    with pytest.raises(TypeError):
+        x < other
+    with pytest.raises(TypeError):
+        other < x
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (lambda: LabeledSetPartition(2), lambda: SetPartition(2, [[1], [2]])),
+        (lambda: CycRational.from_rational(3, 1), lambda: CycRational.from_rational(3, 2)),
+        (lambda: SetComposition([[1]]), lambda: SetComposition([[1], [2]])),
+    ],
+    ids=["lsp-sp", "cyc-cyc", "comp-comp"],
+)
+def test_values_without_a_shared_sort_key_do_not_order(left, right):
+    with pytest.raises(TypeError):
+        left() < right()
+
+
+def test_ordered_values_compare_by_their_sort_key():
+    partitions = [SetPartition.from_text(t) for t in ("12", "1|2", "/", "13|2", "1|23", "123")]
+    assert sorted(partitions) == sorted(partitions, key=lambda sp: (sp.n, sp.blocks))
+    words = [Permutation(w) for w in ([2, 1], [1], [1, 2], [], [3, 1, 2])]
+    assert sorted(words) == sorted(words, key=Permutation.sort_key)
+    assert LabeledSetPartition(2) < LabeledSetPartition(2, [(1, 2, 1)]) < LabeledSetPartition(3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Arc(1, 2, True),
+        lambda: Arc(1.0, 2, 1),
+        lambda: LabeledSetPartition(3, [(1, 2.5, 1)]),
+        lambda: LabeledSetPartition(2.0),
+        lambda: LabeledSetPartition(True),
+        lambda: SetPartition(2, [[1.0, 2.0]]),
+        lambda: SetPartition(2.0, [[1, 2]]),
+        lambda: SetPartition(1, [[True]]),
+        lambda: SetPartition(2, [[1, "2"]]),
+        lambda: SetComposition([[1.0], [2]]),
+        lambda: SetComposition([[True]]),
+        lambda: SetComposition([[1, "2"]]),
+        lambda: Permutation([2.9, 1.2]),
+        lambda: Permutation([True]),
+        lambda: ColoredIndex(SetPartition(2, [[1, 2]]), [0.7, 1.2], 2),
+        lambda: ColoredIndex(SetPartition(2, [[1, 2]]), [0, False], 2),
+        lambda: ColoredIndex(SetPartition(2, [[1, 2]]), [0, 1], 2.0),
+    ],
+    ids=[
+        "arc-bool-label", "arc-float-left", "lsp-float-arc", "lsp-float-n", "lsp-bool-n",
+        "sp-float-members", "sp-float-n", "sp-bool-member", "sp-str-member", "comp-float",
+        "comp-bool", "comp-str-member",
+        "perm-float", "perm-bool", "colored-float-colors", "colored-bool-color", "colored-float-r",
+    ],
+)
+def test_a_non_int_position_label_color_or_size_is_refused(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
